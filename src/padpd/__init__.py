@@ -33,7 +33,7 @@ from .experiment import (
     run_experiment,
     sweep_memory,
 )
-from .metrics import ChannelPlan, MetricsReport, acpr_db, am_characteristics, nmse_db, psd_welch
+from .metrics import ChannelPlan, acpr_db, am_characteristics, nmse_db, psd_welch
 from .network import (
     Activation,
     ConvNetArch,

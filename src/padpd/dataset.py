@@ -7,10 +7,10 @@ newest-first (n, n-1, ..., n-M); rows hold I, Q, |x|, |x|^2 and |x|^3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .csvio import write_csv
 from .signals import ComplexSeq
 
 __all__ = [
@@ -156,15 +156,6 @@ def dpd_dataset(
 
 def export_dataset_csv(ds: Dataset, path, comment: str | None = None) -> None:
     """One row per entry: the flattened (row-major) graph then the two labels."""
-    path = Path(path)
     m1 = ds.memory_depth + 1
     cols = [f"g{r}_{c}" for r in range(N_FEATURE_ROWS) for c in range(m1)]
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(",".join(cols + ["i_out", "q_out"]))
-    flat = ds.graphs.reshape(len(ds), -1)
-    for row, lab in zip(flat, ds.labels):
-        vals = [repr(float(v)) for v in row] + [repr(float(lab[0])), repr(float(lab[1]))]
-        lines.append(",".join(vals))
-    path.write_text("\n".join(lines) + "\n")
+    write_csv(path, cols + ["i_out", "q_out"], [*ds.graphs.reshape(len(ds), -1).T, *ds.labels.T], comment)

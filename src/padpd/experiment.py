@@ -34,6 +34,7 @@ from .complexity import (
     mlp_coeff_count,
     mlp_flops,
 )
+from .csvio import write_csv
 from .dataset import build_dataset, feature_graphs, split_indices
 from .dpd import evaluate_linearization, train_dpd
 from .metrics import ChannelPlan, acpr_db, nmse_db, psd_welch, write_spectrum_csv
@@ -289,31 +290,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     n_idx = m + np.arange(cfg.dataset_count)
     ref_ordered = ys[n_idx]
     hist1 = lm_result = None
-    conv_params = None
 
-    if cfg.model == "conv_net":
-        conv_params, hist1, lm_result = _run_stage("train", _train_conv_net, cfg, train, test)
-        pred_train = _complex(forward_batch(conv_params, cfg.arch, train.graphs))
-        pred_test = _complex(forward_batch(conv_params, cfg.arch, test.graphs))
-        ordered = feature_graphs(xs, m, cfg.dataset_count, m)
-        pred_ordered = _complex(forward_batch(conv_params, cfg.arch, ordered))
-        results.update(
-            coeff_count=conv_net_coeff_count(cfg.arch),
-            flops=conv_net_flops(cfg.arch),
-            stage1={
-                "iters": int(hist1.shape[0]),
-                "final_mse": float(hist1[-1, 1]) if hist1.size else None,
-            },
-            stage2={
-                "iters": lm_result.n_iters,
-                "converged": bool(lm_result.converged),
-                "reason": lm_result.reason,
-                "final_mse": float(lm_result.history[lm_result.history[:, 3] > 0][-1, 1])
-                if lm_result.history.size
-                else None,
-            },
-        )
-    elif cfg.model == "gmp":
+    if cfg.model == "gmp":
         def fit_gmp():
             tr_rel, te_rel = split_indices(cfg.dataset_count, cfg.split_seed)
             lo, hi = cfg.gmp.max_past, cfg.dataset_count + m - cfg.gmp.max_future
@@ -331,35 +309,56 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
         valid = n_idx[(n_idx >= cfg.gmp.max_past) & (n_idx < len(xs) - cfg.gmp.max_future)]
         pred_ordered = gmp_basis_at(xs, cfg.gmp, valid) @ model.coeffs
         ref_ordered = ys[valid]
+        tr_ref, te_ref = ys[tr_abs], ys[te_abs]
         results.update(coeff_count=gmp_coeff_count(cfg.gmp), flops=gmp_flops(cfg.gmp))
         results["ridge"] = float(cfg.ridge)
-        train_labels_c = ys[tr_abs]
-        test_labels_c = ys[te_abs]
-        if output_dir is not None:
-            save_gmp(model, Path(output_dir) / "model.json")
+
+        def save_model(path):
+            save_gmp(model, path)
     else:
-        spec = mlp_baseline_spec(cfg.model)
-        layers, mlp_hist = _run_stage(
-            "train", train_mlp_baseline, spec, train, cfg.adam, cfg.init_seed
-        )
-        pred_train = _complex(mlp_forward(layers, mlp_features_from_graphs(train.graphs, spec.feature_kind)))
-        pred_test = _complex(mlp_forward(layers, mlp_features_from_graphs(test.graphs, spec.feature_kind)))
-        ordered = feature_graphs(xs, m, cfg.dataset_count, m)
-        pred_ordered = _complex(mlp_forward(layers, mlp_features_from_graphs(ordered, spec.feature_kind)))
-        widths = spec.widths(m)
-        results.update(
-            coeff_count=mlp_coeff_count(widths),
-            flops=mlp_flops(widths),
-            widths=widths,
-            stage1={"iters": int(mlp_hist.shape[0]), "final_mse": float(mlp_hist[-1, 1])},
-        )
-        hist1 = mlp_hist
+        if cfg.model == "conv_net":
+            conv_params, hist1, lm_result = _run_stage("train", _train_conv_net, cfg, train, test)
+
+            def predict(graphs):
+                return forward_batch(conv_params, cfg.arch, graphs)
+
+            def save_model(path):
+                save_params(conv_params, cfg.arch, path)
+
+            results.update(
+                coeff_count=conv_net_coeff_count(cfg.arch),
+                flops=conv_net_flops(cfg.arch),
+                stage2={
+                    "iters": lm_result.n_iters,
+                    "converged": bool(lm_result.converged),
+                    "reason": lm_result.reason,
+                    "final_mse": float(lm_result.history[lm_result.history[:, 3] > 0][-1, 1])
+                    if lm_result.history.size
+                    else None,
+                },
+            )
+        else:
+            spec = mlp_baseline_spec(cfg.model)
+            layers, hist1 = _run_stage(
+                "train", train_mlp_baseline, spec, train, cfg.adam, cfg.init_seed
+            )
+
+            def predict(graphs):
+                return mlp_forward(layers, mlp_features_from_graphs(graphs, spec.feature_kind))
+
+            save_model = None  # the MLP baselines write no model file
+            widths = spec.widths(m)
+            results.update(coeff_count=mlp_coeff_count(widths), flops=mlp_flops(widths), widths=widths)
+        results["stage1"] = {
+            "iters": int(hist1.shape[0]),
+            "final_mse": float(hist1[-1, 1]) if hist1.size else None,
+        }
+        pred_train = _complex(predict(train.graphs))
+        pred_test = _complex(predict(test.graphs))
+        pred_ordered = _complex(predict(feature_graphs(xs, m, cfg.dataset_count, m)))
+        tr_ref, te_ref = _complex(train.labels), _complex(test.labels)
 
     def compute_metrics():
-        if cfg.model == "gmp":
-            tr_ref, te_ref = train_labels_c, test_labels_c
-        else:
-            tr_ref, te_ref = _complex(train.labels), _complex(test.labels)
         results["nmse_train_db"] = nmse_db(pred_train, tr_ref)
         results["nmse_test_db"] = nmse_db(pred_test, te_ref)
         plan = _channel_plan(cfg)
@@ -389,31 +388,16 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
         if hist1 is not None and hist1.size:
             write_history_csv(hist1, out / "history_stage1.csv", tag)
         if lm_result is not None and lm_result.history.size:
-            _write_lm_history_csv(lm_result.history, out / "history_stage2.csv", tag)
+            it, mse, mu, accepted, gnorm = lm_result.history.T
+            write_csv(out / "history_stage2.csv", ["iter", "mse", "mu", "accepted", "grad_norm"],
+                      [it.astype(int), mse, mu, accepted.astype(int), gnorm], tag)
         err_db = 10.0 * np.log10(np.maximum(err_psd, 1e-30))
         ref_db = 10.0 * np.log10(np.maximum(ref_psd, 1e-30))
-        lines = [f"# {tag}", "freq_hz,ref_psd_db,error_psd_db"]
-        lines += [
-            f"{float(f)!r},{float(r)!r},{float(e)!r}"
-            for f, r, e in zip(ef, ref_db, err_db)
-        ]
-        (out / "error_spectrum.csv").write_text("\n".join(lines) + "\n")
-        if conv_params is not None:
-            save_params(conv_params, cfg.arch, out / "model.json")
+        write_csv(out / "error_spectrum.csv", ["freq_hz", "ref_psd_db", "error_psd_db"],
+                  [ef, ref_db, err_db], tag)
+        if save_model is not None:
+            save_model(out / "model.json")
     return report
-
-
-def _write_lm_history_csv(history: np.ndarray, path, comment: str | None = None) -> None:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("iter,mse,mu,accepted,grad_norm")
-    for row in history:
-        lines.append(
-            f"{int(row[0])},{float(row[1])!r},{float(row[2])!r},"
-            f"{int(row[3])},{float(row[4])!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def run_dpd_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
@@ -504,12 +488,7 @@ def sweep_memory(cfg: ExperimentConfig, m_values, output_dir=None) -> list[dict]
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        lines = [f"# config_hash={config_hash(cfg)}",
-                 "memory_depth,coeff_count,nmse_train_db,nmse_test_db"]
-        for r in rows:
-            lines.append(
-                f"{r['memory_depth']},{r['coeff_count']},"
-                f"{float(r['nmse_train_db'])!r},{float(r['nmse_test_db'])!r}"
-            )
-        (out / "memory_sweep.csv").write_text("\n".join(lines) + "\n")
+        header = ["memory_depth", "coeff_count", "nmse_train_db", "nmse_test_db"]
+        write_csv(out / "memory_sweep.csv", header, [[r[k] for r in rows] for k in header],
+                  f"config_hash={config_hash(cfg)}")
     return rows

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import signal as sp_signal
 
+from .csvio import write_csv
 from .signals import ComplexSeq
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "band_power",
     "acpr_db",
     "am_characteristics",
-    "MetricsReport",
     "write_spectrum_csv",
 ]
 
@@ -147,35 +146,7 @@ def am_characteristics(x: ComplexSeq, y: ComplexSeq, min_amplitude: float = 1e-6
     return ax[keep], gain_db, phase_deg
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """Headline numbers for one modeling or DPD run."""
-
-    nmse_db: float
-    acpr_lower_db: float
-    acpr_upper_db: float
-    papr_db: float
-    coeff_count: int
-    flops: int
-
-    def to_dict(self) -> dict:
-        return {
-            "nmse_db": float(self.nmse_db),
-            "acpr_lower_db": float(self.acpr_lower_db),
-            "acpr_upper_db": float(self.acpr_upper_db),
-            "papr_db": float(self.papr_db),
-            "coeff_count": int(self.coeff_count),
-            "flops": int(self.flops),
-        }
-
-
 def write_spectrum_csv(freqs: np.ndarray, psd: np.ndarray, path, comment: str | None = None) -> None:
     """freq_hz,psd_db rows (psd floored at 1e-30 before the log)."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("freq_hz,psd_db")
     psd_db = 10.0 * np.log10(np.maximum(np.asarray(psd, dtype=float), 1e-30))
-    for f, p in zip(np.asarray(freqs, dtype=float), psd_db):
-        lines.append(f"{float(f)!r},{float(p)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ["freq_hz", "psd_db"], [np.asarray(freqs, dtype=float), psd_db], comment)

@@ -2,16 +2,16 @@
 
 The conv model runs a valid (no padding, stride 1) cross-correlation over the
 5 x (M+1) feature graph, giving L maps of shape B x C with B = 5-r+1 and
-C = (M+1)-s+1. Maps are flattened kernel-major (then row-major inside a map),
-pass through a T-neuron fully connected layer, and end in a 2-neuron linear
-output for I and Q.
+C = (M+1)-s+1. Maps are flattened kernel-major (then row-major inside a map)
+and feed the dense head: a T-neuron fully connected layer and a 2-neuron
+linear output for I and Q. The head is an ordinary MLP layer stack, so the
+conv model and the MLP baselines share one forward pass.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -19,16 +19,16 @@ from scipy.special import expit
 
 __all__ = [
     "Activation",
-    "activation",
     "ConvNetArch",
     "ConvNetParams",
     "conv_forward",
-    "flatten_maps",
     "forward",
     "forward_batch",
     "init_params",
     "MlpLayer",
+    "conv_head",
     "mlp_forward",
+    "mlp_forward_parts",
     "mlp_init",
     "save_params",
     "load_params",
@@ -91,11 +91,6 @@ class Activation:
         return np.ones_like(v)
 
 
-def activation(kind: Activation, v: np.ndarray) -> np.ndarray:
-    """Apply an activation elementwise (thin functional alias)."""
-    return kind(v)
-
-
 TANH = Activation("tanh")
 LINEAR = Activation("linear")
 
@@ -156,19 +151,11 @@ class ConvNetParams:
     out_biases: np.ndarray  # (2,)
 
     def __post_init__(self):
-        for name in ("conv_kernels", "conv_biases", "fc_weights", "fc_biases", "out_weights", "out_biases"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=float))
 
     def as_list(self) -> list[np.ndarray]:
-        return [
-            self.conv_kernels,
-            self.conv_biases,
-            self.fc_weights,
-            self.fc_biases,
-            self.out_weights,
-            self.out_biases,
-        ]
+        return [getattr(self, f.name) for f in fields(self)]
 
     @classmethod
     def from_list(cls, arrays: Sequence[np.ndarray]) -> "ConvNetParams":
@@ -178,8 +165,10 @@ class ConvNetParams:
     def n_coefficients(self) -> int:
         return sum(a.size for a in self.as_list())
 
-    def check_shapes(self, arch: ConvNetArch) -> None:
-        expected = {
+    @staticmethod
+    def shapes(arch: ConvNetArch) -> dict[str, tuple[int, ...]]:
+        """Expected shape of each parameter array, in field order."""
+        return {
             "conv_kernels": (arch.n_kernels, arch.kernel_rows, arch.kernel_cols),
             "conv_biases": (arch.n_kernels,),
             "fc_weights": (arch.n_flat_features, arch.fc_neurons),
@@ -187,13 +176,30 @@ class ConvNetParams:
             "out_weights": (arch.fc_neurons, N_OUTPUTS),
             "out_biases": (N_OUTPUTS,),
         }
-        for name, shape in expected.items():
+
+    def check_shapes(self, arch: ConvNetArch) -> None:
+        for name, shape in self.shapes(arch).items():
             got = getattr(self, name).shape
             if got != shape:
                 raise ValueError(f"{name} has shape {got}, expected {shape} for this arch")
 
 
-_ForwardParts = namedtuple("_ForwardParts", "windows pre_maps maps flat fc_pre fc_out outputs")
+@dataclass(frozen=True)
+class _ForwardParts:
+    """Conv front end intermediates, the dense head, and the head's per-layer
+    pre-activations and activations (``acts[0]`` is the flattened maps,
+    ``acts[-1]`` the output)."""
+
+    windows: np.ndarray
+    pre_maps: np.ndarray
+    maps: np.ndarray
+    head: list
+    pres: list
+    acts: list
+
+    @property
+    def outputs(self) -> np.ndarray:
+        return self.acts[-1]
 
 
 def _graph_windows(graphs: np.ndarray, arch: ConvNetArch) -> np.ndarray:
@@ -208,18 +214,15 @@ def _graph_windows(graphs: np.ndarray, arch: ConvNetArch) -> np.ndarray:
     )
 
 
-def _forward_parts(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray,
-                   windows: np.ndarray | None = None) -> _ForwardParts:
-    if windows is None:
-        windows = _graph_windows(graphs, arch)
+def _forward_parts(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray) -> _ForwardParts:
+    windows = _graph_windows(graphs, arch)
     pre = np.einsum("nbcrs,lrs->nlbc", windows, params.conv_kernels, optimize=True)
     pre += params.conv_biases[None, :, None, None]
     maps = arch.conv_activation(pre)
     flat = maps.reshape(maps.shape[0], arch.n_flat_features)
-    fc_pre = flat @ params.fc_weights + params.fc_biases
-    fc_out = arch.fc_activation(fc_pre)
-    outputs = fc_out @ params.out_weights + params.out_biases
-    return _ForwardParts(windows, pre, maps, flat, fc_pre, fc_out, outputs)
+    head = conv_head(arch, params.fc_weights, params.fc_biases, params.out_weights, params.out_biases)
+    pres, acts = mlp_forward_parts(head, flat)
+    return _ForwardParts(windows, pre, maps, head, pres, acts)
 
 
 def conv_forward(graph: np.ndarray, params: ConvNetParams, arch: ConvNetArch) -> np.ndarray:
@@ -227,22 +230,13 @@ def conv_forward(graph: np.ndarray, params: ConvNetParams, arch: ConvNetArch) ->
     graph = np.asarray(graph, dtype=float)
     if graph.shape != arch.input_shape:
         raise ValueError(f"graph has shape {graph.shape}, expected {arch.input_shape}")
-    return _forward_parts(params, arch, graph[None])[2][0]
+    return _forward_parts(params, arch, graph[None]).maps[0]
 
 
-def flatten_maps(maps: np.ndarray) -> np.ndarray:
-    """Kernel-major, then row-major flattening: u1(1,1)..u1(B,C), u2(1,1).."""
-    maps = np.asarray(maps)
-    if maps.ndim != 3:
-        raise ValueError("expected feature maps of shape (L, B, C)")
-    return maps.reshape(-1)
-
-
-def forward_batch(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray,
-                  windows: np.ndarray | None = None) -> np.ndarray:
+def forward_batch(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray) -> np.ndarray:
     """Model outputs, shape (n, 2) with columns (I, Q)."""
     params.check_shapes(arch)
-    return _forward_parts(params, arch, graphs, windows).outputs
+    return _forward_parts(params, arch, graphs).outputs
 
 
 def forward(params: ConvNetParams, arch: ConvNetArch, graph: np.ndarray) -> tuple[float, float]:
@@ -285,19 +279,33 @@ class MlpLayer:
         object.__setattr__(self, "biases", b)
 
 
+def conv_head(arch: ConvNetArch, fc_weights, fc_biases, out_weights, out_biases) -> list[MlpLayer]:
+    """The conv model's dense head as a layer stack: FC layer, linear output."""
+    return [MlpLayer(fc_weights, fc_biases, arch.fc_activation), MlpLayer(out_weights, out_biases, LINEAR)]
+
+
+def mlp_forward_parts(layers: Sequence[MlpLayer], x: np.ndarray) -> tuple[list, list]:
+    """Per-layer pre-activations and activations over a batch (N, D).
+
+    ``acts`` has one more entry than ``pres``: ``acts[0]`` is the input.
+    """
+    acts = [x]
+    pres = []
+    for layer in layers:
+        if acts[-1].shape[1] != layer.weights.shape[0]:
+            raise ValueError(
+                f"layer expects {layer.weights.shape[0]} inputs, got {acts[-1].shape[1]}"
+            )
+        pres.append(acts[-1] @ layer.weights + layer.biases)
+        acts.append(layer.act(pres[-1]))
+    return pres, acts
+
+
 def mlp_forward(layers: Sequence[MlpLayer], x: np.ndarray) -> np.ndarray:
     """Chain the layers over a single vector (D,) or a batch (N, D)."""
-    out = np.asarray(x, dtype=float)
-    single = out.ndim == 1
-    if single:
-        out = out[None]
-    for layer in layers:
-        if out.shape[1] != layer.weights.shape[0]:
-            raise ValueError(
-                f"layer expects {layer.weights.shape[0]} inputs, got {out.shape[1]}"
-            )
-        out = layer.act(out @ layer.weights + layer.biases)
-    return out[0] if single else out
+    x = np.asarray(x, dtype=float)
+    out = mlp_forward_parts(layers, x[None] if x.ndim == 1 else x)[1][-1]
+    return out[0] if x.ndim == 1 else out
 
 
 def mlp_init(widths: Sequence[int], hidden_act: Activation, seed: int = 0,
@@ -339,15 +347,7 @@ def save_params(params: ConvNetParams, arch: ConvNetArch, path) -> None:
             "fc_activation": _act_to_dict(arch.fc_activation),
         },
         "weights": {
-            name: [float(v) for v in getattr(params, name).ravel()]
-            for name in (
-                "conv_kernels",
-                "conv_biases",
-                "fc_weights",
-                "fc_biases",
-                "out_weights",
-                "out_biases",
-            )
+            f.name: [float(v) for v in getattr(params, f.name).ravel()] for f in fields(params)
         },
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
@@ -370,15 +370,8 @@ def load_params(path) -> tuple[ConvNetParams, ConvNetArch]:
         fc_activation=_act_from_dict(ab["fc_activation"]),
     )
     w = doc["weights"]
-    shapes = {
-        "conv_kernels": (arch.n_kernels, arch.kernel_rows, arch.kernel_cols),
-        "conv_biases": (arch.n_kernels,),
-        "fc_weights": (arch.n_flat_features, arch.fc_neurons),
-        "fc_biases": (arch.fc_neurons,),
-        "out_weights": (arch.fc_neurons, N_OUTPUTS),
-        "out_biases": (N_OUTPUTS,),
-    }
-    arrays = {name: np.asarray(w[name], dtype=float).reshape(shape) for name, shape in shapes.items()}
-    params = ConvNetParams(**arrays)
-    params.check_shapes(arch)
+    params = ConvNetParams(**{
+        name: np.asarray(w[name], dtype=float).reshape(shape)
+        for name, shape in ConvNetParams.shapes(arch).items()
+    })
     return params, arch

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvio import write_csv
+
 __all__ = [
     "ComplexSeq",
     "OfdmConfig",
@@ -248,13 +250,7 @@ def _meta_path(path: Path) -> Path:
 def write_signal_csv(x: ComplexSeq, path, comment: str | None = None) -> None:
     """Write ``n,i,q`` rows plus a sidecar JSON with the sample rate."""
     path = Path(path)
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("n,i,q")
-    for n, v in enumerate(x.data):
-        lines.append(f"{n},{float(v.real)!r},{float(v.imag)!r}")
-    path.write_text("\n".join(lines) + "\n")
+    write_csv(path, ["n", "i", "q"], [np.arange(len(x)), x.data.real, x.data.imag], comment)
     meta = {"n_samples": len(x), "sample_rate_hz": x.sample_rate_hz}
     _meta_path(path).write_text(json.dumps(meta, sort_keys=True) + "\n")
 

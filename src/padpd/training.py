@@ -2,6 +2,10 @@
 Levenberg-Marquardt polish of the fully connected and output layers with the
 convolutional front end frozen (the trained kernels act as a fixed filter).
 
+The conv model's dense head is an MLP layer stack, so one backprop
+(`mlp_backprop`) and one Adam loop (`adam_minimize`) serve both the conv
+model and the MLP baselines; the conv model adds only its kernel gradient.
+
 The cost everywhere is mse = (1/2N) * sum[(I'-I)^2 + (Q'-Q)^2].
 """
 
@@ -11,13 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .dataset import Dataset
 from .network import (
     ConvNetArch,
     ConvNetParams,
     MlpLayer,
     _forward_parts,
-    _graph_windows,
+    conv_head,
+    mlp_forward_parts,
 )
 
 __all__ = [
@@ -29,11 +35,13 @@ __all__ = [
     "AdamState",
     "adam_init",
     "adam_step",
+    "adam_minimize",
     "train_stage1_adam",
     "train_stage2_lm",
     "LmResult",
     "pack_fc",
     "unpack_fc",
+    "mlp_backprop",
     "mlp_cost_and_grads",
     "train_mlp_adam",
     "write_history_csv",
@@ -89,44 +97,51 @@ class LmConfig:
             raise ValueError("max_iters must be >= 1")
 
 
-def _mse_from_outputs(outputs: np.ndarray, labels: np.ndarray) -> float:
+def _cost_and_output_delta(outputs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """The MSE cost and its gradient with respect to the outputs."""
+    n = labels.shape[0]
     resid = outputs - labels
-    return float((resid * resid).sum() / (2 * labels.shape[0]))
+    return float((resid * resid).sum() / (2 * n)), resid / n
 
 
 def mse_cost(params: ConvNetParams, arch: ConvNetArch, data: Dataset) -> float:
+    return _cost_and_output_delta(_forward_parts(params, arch, data.graphs).outputs, data.labels)[0]
+
+
+def mlp_backprop(layers: list[MlpLayer], pres: list, acts: list, d_out: np.ndarray):
+    """Reverse pass over a layer stack, from the cost gradient at its output.
+
+    ``pres``/``acts`` come from `mlp_forward_parts`. Returns the per-layer
+    (dW, db) and the cost gradient at the first layer's pre-activation; a
+    caller that needs the gradient at the stack's input multiplies it by
+    ``layers[0].weights.T`` (the MLPs do not, so they skip that product).
+    """
+    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
+    delta = d_out
+    for j in range(len(layers) - 1, -1, -1):
+        delta = delta * layers[j].act.derivative(pres[j])
+        grads[j] = (acts[j].T @ delta, delta.sum(axis=0))
+        if j:
+            delta = delta @ layers[j].weights.T
+    return grads, delta
+
+
+def _cost_and_grads(params, arch, data):
+    """Batch MSE and its gradients: head backprop, then the kernel gradient."""
     parts = _forward_parts(params, arch, data.graphs)
-    return _mse_from_outputs(parts.outputs, data.labels)
-
-
-def _cost_and_grads(params, arch, graphs, labels, windows=None):
-    """Batch MSE and its gradients via reverse-mode chain rule."""
-    parts = _forward_parts(params, arch, graphs, windows)
-    n = labels.shape[0]
-    resid = parts.outputs - labels
-    cost = float((resid * resid).sum() / (2 * n))
-
-    d_out = resid / n  # (N, 2)
-    g_out_w = parts.fc_out.T @ d_out
-    g_out_b = d_out.sum(axis=0)
-
-    d_fc = (d_out @ params.out_weights.T) * arch.fc_activation.derivative(parts.fc_pre)
-    g_fc_w = parts.flat.T @ d_fc
-    g_fc_b = d_fc.sum(axis=0)
+    cost, d_out = _cost_and_output_delta(parts.outputs, data.labels)
+    (g_fc, g_out), d_fc = mlp_backprop(parts.head, parts.pres, parts.acts, d_out)
 
     d_flat = d_fc @ params.fc_weights.T
-    d_maps = d_flat.reshape(parts.maps.shape)
-    d_pre = d_maps * arch.conv_activation.derivative(parts.pre_maps)
+    d_pre = d_flat.reshape(parts.maps.shape) * arch.conv_activation.derivative(parts.pre_maps)
     g_ker = np.einsum("nbcrs,nlbc->lrs", parts.windows, d_pre, optimize=True)
     g_kb = d_pre.sum(axis=(0, 2, 3))
-
-    grads = ConvNetParams(g_ker, g_kb, g_fc_w, g_fc_b, g_out_w, g_out_b)
-    return cost, grads
+    return cost, ConvNetParams(g_ker, g_kb, *g_fc, *g_out)
 
 
 def backprop_grads(params: ConvNetParams, arch: ConvNetArch, data: Dataset) -> ConvNetParams:
     """Gradient of the MSE cost, shaped like the parameters."""
-    return _cost_and_grads(params, arch, data.graphs, data.labels)[1]
+    return _cost_and_grads(params, arch, data)[1]
 
 
 @dataclass
@@ -157,6 +172,28 @@ def adam_step(values: list[np.ndarray], grads: list[np.ndarray],
     return out
 
 
+def adam_minimize(values: list[np.ndarray], cost_and_grads, cfg: AdamConfig,
+                  test_cost=None) -> tuple[list[np.ndarray], np.ndarray]:
+    """Full-batch Adam until mse < threshold or max_iters.
+
+    ``cost_and_grads(values)`` returns the training cost and one gradient per
+    array. History rows are (iteration, mse_train), or (iteration, mse_train,
+    mse_test) when ``test_cost(values)`` is given. On a threshold stop the
+    returned values are the ones whose cost is the last history row.
+    """
+    state = adam_init(values)
+    history = []
+    for it in range(1, cfg.max_iters + 1):
+        cost, grads = cost_and_grads(values)
+        if not np.isfinite(cost):
+            raise TrainingError(f"Adam diverged at iteration {it} (mse={cost})")
+        history.append((it, cost) if test_cost is None else (it, cost, test_cost(values)))
+        if cost < cfg.mse_threshold:
+            break
+        values = adam_step(values, grads, state, cfg)
+    return values, np.asarray(history)
+
+
 def train_stage1_adam(
     params: ConvNetParams,
     arch: ConvNetArch,
@@ -164,31 +201,19 @@ def train_stage1_adam(
     cfg: AdamConfig,
     test: Dataset | None = None,
 ) -> tuple[ConvNetParams, np.ndarray]:
-    """Full-batch Adam until mse < threshold or max_iters.
-
-    History rows are (iteration, mse_train) or (iteration, mse_train,
-    mse_test) when a test split is supplied.
-    """
+    """Stage 1: `adam_minimize` over every conv model parameter."""
     params.check_shapes(arch)
-    windows = _graph_windows(train.graphs, arch)
-    test_windows = _graph_windows(test.graphs, arch) if test is not None else None
-    values = [a.copy() for a in params.as_list()]
-    state = adam_init(values)
-    history = []
-    for it in range(1, cfg.max_iters + 1):
-        current = ConvNetParams.from_list(values)
-        cost, grads = _cost_and_grads(current, arch, train.graphs, train.labels, windows)
-        if not np.isfinite(cost):
-            raise TrainingError(f"Adam diverged at iteration {it} (mse={cost})")
-        if test is not None:
-            tp = _forward_parts(current, arch, test.graphs, test_windows)
-            history.append((it, cost, _mse_from_outputs(tp.outputs, test.labels)))
-        else:
-            history.append((it, cost))
-        if cost < cfg.mse_threshold:
-            return current, np.asarray(history)
-        values = adam_step(values, grads.as_list(), state, cfg)
-    return ConvNetParams.from_list(values), np.asarray(history)
+
+    def cost_and_grads(values):
+        cost, grads = _cost_and_grads(ConvNetParams.from_list(values), arch, train)
+        return cost, grads.as_list()
+
+    def test_cost(values):
+        return mse_cost(ConvNetParams.from_list(values), arch, test)
+
+    values, history = adam_minimize([a.copy() for a in params.as_list()], cost_and_grads, cfg,
+                                    None if test is None else test_cost)
+    return ConvNetParams.from_list(values), history
 
 
 def pack_fc(params: ConvNetParams) -> np.ndarray:
@@ -235,9 +260,8 @@ class LmResult:
 
 def _fc_eval(theta, arch, flat, labels):
     fc_w, fc_b, out_w, out_b = unpack_fc(theta, arch)
-    fc_pre = flat @ fc_w + fc_b
-    fc_out = arch.fc_activation(fc_pre)
-    outputs = fc_out @ out_w + out_b
+    head = conv_head(arch, fc_w, fc_b, out_w, out_b)
+    (fc_pre, _), (_, fc_out, outputs) = mlp_forward_parts(head, flat)
     resid = (outputs - labels).reshape(-1)  # component index fastest
     return resid, fc_pre, fc_out, out_w
 
@@ -273,8 +297,7 @@ def train_stage2_lm(
     The frozen conv features are computed once up front.
     """
     params.check_shapes(arch)
-    parts = _forward_parts(params, arch, train.graphs)
-    flat = parts.flat
+    flat = _forward_parts(params, arch, train.graphs).acts[0]
     labels = train.labels
     n = labels.shape[0]
 
@@ -347,23 +370,9 @@ def train_stage2_lm(
 
 def mlp_cost_and_grads(layers: list[MlpLayer], x: np.ndarray, labels: np.ndarray):
     """MSE cost and per-layer (dW, db) for a plain MLP."""
-    n = labels.shape[0]
-    acts = [np.asarray(x, dtype=float)]
-    pres = []
-    for layer in layers:
-        pre = acts[-1] @ layer.weights + layer.biases
-        pres.append(pre)
-        acts.append(layer.act(pre))
-    resid = acts[-1] - labels
-    cost = float((resid * resid).sum() / (2 * n))
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
-    delta = resid / n
-    for j in range(len(layers) - 1, -1, -1):
-        delta = delta * layers[j].act.derivative(pres[j])
-        grads[j] = (acts[j].T @ delta, delta.sum(axis=0))
-        if j:
-            delta = delta @ layers[j].weights.T
-    return cost, grads
+    pres, acts = mlp_forward_parts(layers, np.asarray(x, dtype=float))
+    cost, d_out = _cost_and_output_delta(acts[-1], labels)
+    return cost, mlp_backprop(layers, pres, acts, d_out)[0]
 
 
 def train_mlp_adam(
@@ -372,46 +381,21 @@ def train_mlp_adam(
     labels: np.ndarray,
     cfg: AdamConfig,
 ) -> tuple[list[MlpLayer], np.ndarray]:
-    """Full-batch Adam over all MLP layers; same stop rules as stage 1."""
-    values = []
-    for layer in layers:
-        values.extend([layer.weights.copy(), layer.biases.copy()])
-    state = adam_init(values)
-    history = []
+    """`adam_minimize` over every MLP layer's weights and biases."""
+    def rebuild(values):
+        return [MlpLayer(values[2 * j], values[2 * j + 1], layer.act) for j, layer in enumerate(layers)]
 
-    def rebuild(vals):
-        return [
-            MlpLayer(vals[2 * j], vals[2 * j + 1], layers[j].act)
-            for j in range(len(layers))
-        ]
+    def cost_and_grads(values):
+        cost, grads = mlp_cost_and_grads(rebuild(values), x, labels)
+        return cost, [g for dw_db in grads for g in dw_db]
 
-    current = rebuild(values)
-    for it in range(1, cfg.max_iters + 1):
-        cost, grads = mlp_cost_and_grads(current, x, labels)
-        if not np.isfinite(cost):
-            raise TrainingError(f"Adam diverged at iteration {it} (mse={cost})")
-        history.append((it, cost))
-        if cost < cfg.mse_threshold:
-            return current, np.asarray(history)
-        flat_grads = []
-        for dw, db in grads:
-            flat_grads.extend([dw, db])
-        values = adam_step(values, flat_grads, state, cfg)
-        current = rebuild(values)
-    return current, np.asarray(history)
+    values = [a.copy() for layer in layers for a in (layer.weights, layer.biases)]
+    values, history = adam_minimize(values, cost_and_grads, cfg)
+    return rebuild(values), history
 
 
 def write_history_csv(history: np.ndarray, path, comment: str | None = None) -> None:
     """Convergence curve: iter,mse_train[,mse_test] rows."""
-    from pathlib import Path
-
     history = np.asarray(history)
     cols = ["iter", "mse_train"] + (["mse_test"] if history.shape[1] > 2 else [])
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(",".join(cols))
-    for row in history:
-        vals = [str(int(row[0]))] + [repr(float(v)) for v in row[1:]]
-        lines.append(",".join(vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, cols, [history[:, 0].astype(int), *history[:, 1:].T], comment)

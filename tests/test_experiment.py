@@ -118,7 +118,8 @@ def test_run_experiment_conv_net(tmp_path):
 
 def test_run_experiment_gmp(tmp_path):
     cfg = small_config(model="gmp")
-    report = run_experiment(cfg, tmp_path)
+    out = tmp_path / "runs" / "gmp"  # a directory that does not exist yet
+    report = run_experiment(cfg, out)
     res = report["results"]
     assert res["coeff_count"] == 214 and res["flops"] == 854
     # the synthetic PA lives inside the GMP model class, so LS nails it up to
@@ -126,7 +127,8 @@ def test_run_experiment_gmp(tmp_path):
     assert res["nmse_train_db"] < -60
     assert res["nmse_test_db"] < -40
     assert res["ridge"] == 0.0
-    assert (tmp_path / "model.json").exists()
+    assert (out / "model.json").exists()
+    assert json.loads((out / "report.json").read_text()) == report
 
 
 def test_run_experiment_mlp_baseline():

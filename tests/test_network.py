@@ -10,7 +10,6 @@ from padpd.network import (
     ConvNetParams,
     MlpLayer,
     conv_forward,
-    flatten_maps,
     forward,
     forward_batch,
     init_params,
@@ -101,14 +100,6 @@ def test_forward_matches_loop_reference():
             assert np.allclose(out[k], reference_forward(params, arch, graphs[k]), rtol=1e-12)
             i_val, q_val = forward(params, arch, graphs[k])
             assert (i_val, q_val) == pytest.approx(tuple(out[k]))
-
-
-def test_flatten_is_kernel_major():
-    maps = np.arange(2 * 3 * 2).reshape(2, 3, 2)
-    flat = flatten_maps(maps)
-    # kernel 0 rows first, then kernel 1
-    assert flat.tolist() == list(range(12))
-    assert flat[6] == maps[1, 0, 0]
 
 
 def test_conv_forward_single_graph():

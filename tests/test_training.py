@@ -17,6 +17,7 @@ from padpd.signals import ComplexSeq
 from padpd.training import (
     AdamConfig,
     LmConfig,
+    TrainingError,
     adam_init,
     adam_step,
     backprop_grads,
@@ -117,6 +118,49 @@ def test_stage1_descends_and_stops_at_threshold():
     test = tiny_task(arch, n=30, seed=9)
     _, hist3 = train_stage1_adam(params, arch, data, AdamConfig(max_iters=5, mse_threshold=0.0), test)
     assert hist3.shape == (5, 3)
+
+
+def _conv_trainer():
+    arch = ConvNetArch(memory_depth=1, kernel_cols=2, kernel_rows=2, n_kernels=2, fc_neurons=3)
+    data = tiny_task(arch, n=40)
+    params = init_params(arch, 2)
+
+    def train(labels, cfg):
+        ds = Dataset(data.graphs, labels, "train")
+        trained, hist = train_stage1_adam(params, arch, ds, cfg)
+        return mse_cost(trained, arch, ds), hist
+
+    return data.labels, train
+
+
+def _mlp_trainer():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((40, 3))
+    labels = np.tanh(x) @ rng.standard_normal((3, 2))
+    layers = mlp_init([3, 5, 2], Activation("tanh"), seed=0)
+
+    def train(labels, cfg):
+        trained, hist = train_mlp_adam(layers, x, labels, cfg)
+        return mlp_cost_and_grads(trained, x, labels)[0], hist
+
+    return labels, train
+
+
+@pytest.mark.parametrize("make_trainer", [_conv_trainer, _mlp_trainer], ids=["conv", "mlp"])
+def test_adam_loop_stop_rules(make_trainer):
+    """The shared Adam loop's divergence check and threshold stop, per model type."""
+    labels, train = make_trainer()
+    with pytest.raises(TrainingError, match="diverged at iteration 1 "):
+        train(np.full_like(labels, np.nan), AdamConfig(max_iters=5))
+
+    _, full = train(labels, AdamConfig(max_iters=60, mse_threshold=0.0))
+    threshold = np.nextafter(full[29, 1], np.inf)  # met at iteration 30 at the latest
+    cost, hist = train(labels, AdamConfig(max_iters=60, mse_threshold=threshold))
+    assert len(hist) <= 30
+    assert np.array_equal(hist, full[: len(hist)])
+    assert hist[-1, 1] < threshold <= hist[:-1, 1].min(initial=np.inf)
+    # the returned parameters are the ones the last history row scored
+    assert cost == hist[-1, 1]
 
 
 def test_pack_unpack_roundtrip():
