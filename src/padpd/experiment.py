@@ -332,7 +332,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
                     "iters": lm_result.n_iters,
                     "converged": bool(lm_result.converged),
                     "reason": lm_result.reason,
-                    "final_mse": float(lm_result.history[lm_result.history[:, 3] > 0][-1, 1])
+                    # a rejected row carries the mse of the last accepted step
+                    "final_mse": float(lm_result.history[-1, 1])
                     if lm_result.history.size
                     else None,
                 },

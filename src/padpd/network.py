@@ -90,6 +90,19 @@ class Activation:
             return 1.0 - t * t
         return np.ones_like(v)
 
+    def derivative_from_output(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """`derivative` at ``v``, given ``out = self(v)`` from the forward pass.
+
+        tanh and sigmoid take it from ``out`` alone, so the backward pass does
+        not evaluate them a second time; the values equal `derivative` bit for
+        bit. The other kinds compute it from ``v``.
+        """
+        if self.kind == "sigmoid":
+            return out * (1.0 - out)
+        if self.kind == "tanh":
+            return 1.0 - out * out
+        return self.derivative(v)
+
 
 TANH = Activation("tanh")
 LINEAR = Activation("linear")
@@ -215,7 +228,16 @@ def _graph_windows(graphs: np.ndarray, arch: ConvNetArch) -> np.ndarray:
 
 
 def _forward_parts(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray) -> _ForwardParts:
-    windows = _graph_windows(graphs, arch)
+    return _forward_windows(params, arch, _graph_windows(graphs, arch))
+
+
+def _forward_windows(params: ConvNetParams, arch: ConvNetArch, windows: np.ndarray) -> _ForwardParts:
+    """The forward pass from the (N, B, C, r, s) windows of `_graph_windows`.
+
+    The zero-copy strided view serves one-off passes; a training loop that
+    runs many passes over one dataset hands in a contiguous copy instead, so
+    the einsum does not copy the view again on every call.
+    """
     pre = np.einsum("nbcrs,lrs->nlbc", windows, params.conv_kernels, optimize=True)
     pre += params.conv_biases[None, :, None, None]
     maps = arch.conv_activation(pre)

@@ -22,6 +22,8 @@ from .network import (
     ConvNetParams,
     MlpLayer,
     _forward_parts,
+    _forward_windows,
+    _graph_windows,
     conv_head,
     mlp_forward_parts,
 )
@@ -119,21 +121,25 @@ def mlp_backprop(layers: list[MlpLayer], pres: list, acts: list, d_out: np.ndarr
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
     delta = d_out
     for j in range(len(layers) - 1, -1, -1):
-        delta = delta * layers[j].act.derivative(pres[j])
+        delta = delta * layers[j].act.derivative_from_output(pres[j], acts[j + 1])
         grads[j] = (acts[j].T @ delta, delta.sum(axis=0))
         if j:
             delta = delta @ layers[j].weights.T
     return grads, delta
 
 
-def _cost_and_grads(params, arch, data):
-    """Batch MSE and its gradients: head backprop, then the kernel gradient."""
-    parts = _forward_parts(params, arch, data.graphs)
-    cost, d_out = _cost_and_output_delta(parts.outputs, data.labels)
+def _cost_and_grads(params, arch, windows, labels):
+    """Batch MSE and its gradients: head backprop, then the kernel gradient.
+
+    ``windows`` are the graphs' kernel windows (`_graph_windows`).
+    """
+    parts = _forward_windows(params, arch, windows)
+    cost, d_out = _cost_and_output_delta(parts.outputs, labels)
     (g_fc, g_out), d_fc = mlp_backprop(parts.head, parts.pres, parts.acts, d_out)
 
     d_flat = d_fc @ params.fc_weights.T
-    d_pre = d_flat.reshape(parts.maps.shape) * arch.conv_activation.derivative(parts.pre_maps)
+    d_pre = d_flat.reshape(parts.maps.shape) * arch.conv_activation.derivative_from_output(
+        parts.pre_maps, parts.maps)
     g_ker = np.einsum("nbcrs,nlbc->lrs", parts.windows, d_pre, optimize=True)
     g_kb = d_pre.sum(axis=(0, 2, 3))
     return cost, ConvNetParams(g_ker, g_kb, *g_fc, *g_out)
@@ -141,7 +147,7 @@ def _cost_and_grads(params, arch, data):
 
 def backprop_grads(params: ConvNetParams, arch: ConvNetArch, data: Dataset) -> ConvNetParams:
     """Gradient of the MSE cost, shaped like the parameters."""
-    return _cost_and_grads(params, arch, data)[1]
+    return _cost_and_grads(params, arch, _graph_windows(data.graphs, arch), data.labels)[1]
 
 
 @dataclass
@@ -201,15 +207,23 @@ def train_stage1_adam(
     cfg: AdamConfig,
     test: Dataset | None = None,
 ) -> tuple[ConvNetParams, np.ndarray]:
-    """Stage 1: `adam_minimize` over every conv model parameter."""
+    """Stage 1: `adam_minimize` over every conv model parameter.
+
+    Each split's kernel windows are copied into one contiguous array up
+    front; every iteration reuses it, which gives the same values as
+    `backprop_grads`/`mse_cost` on the strided view without the per-call copy.
+    """
     params.check_shapes(arch)
+    train_windows = np.ascontiguousarray(_graph_windows(train.graphs, arch))
+    test_windows = None if test is None else np.ascontiguousarray(_graph_windows(test.graphs, arch))
 
     def cost_and_grads(values):
-        cost, grads = _cost_and_grads(ConvNetParams.from_list(values), arch, train)
+        cost, grads = _cost_and_grads(ConvNetParams.from_list(values), arch, train_windows, train.labels)
         return cost, grads.as_list()
 
     def test_cost(values):
-        return mse_cost(ConvNetParams.from_list(values), arch, test)
+        outputs = _forward_windows(ConvNetParams.from_list(values), arch, test_windows).outputs
+        return _cost_and_output_delta(outputs, test.labels)[0]
 
     values, history = adam_minimize([a.copy() for a in params.as_list()], cost_and_grads, cfg,
                                     None if test is None else test_cost)
@@ -270,7 +284,7 @@ def _fc_jacobian(arch, flat, fc_pre, fc_out, out_w):
     """d residual / d theta, shape (2N, |theta|), residual order (n, comp)."""
     n, t = fc_pre.shape
     f = flat.shape[1]
-    dact = arch.fc_activation.derivative(fc_pre)  # (N, T)
+    dact = arch.fc_activation.derivative_from_output(fc_pre, fc_out)  # (N, T)
     sens = dact[:, :, None] * out_w[None, :, :]  # (N, T, 2)
     sens = np.moveaxis(sens, 2, 1)  # (N, 2, T)
     j_fc_w = np.einsum("nf,nct->ncft", flat, sens).reshape(n, 2, f * t)
@@ -308,20 +322,20 @@ def train_stage2_lm(
     history = []
     converged = False
     reason = "max_iters"
-    jac = grad = None
+    jac = grad = jtj = None
     stale = True
 
     for it in range(1, cfg.max_iters + 1):
         if stale:
             jac = _fc_jacobian(arch, flat, fc_pre, fc_out, out_w)
             grad = jac.T @ resid
+            jtj = jac.T @ jac  # rejected steps retry on the same J with a larger mu
             stale = False
         gnorm = float(np.max(np.abs(grad))) / n
         if gnorm < cfg.grad_tol:
             converged, reason = True, "gradient"
             break
 
-        jtj = jac.T @ jac
         solved = False
         while mu <= cfg.mu_max:
             try:

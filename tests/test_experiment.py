@@ -6,11 +6,16 @@ acceptance suite.
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import padpd
 from padpd.experiment import (
     ExperimentConfig,
     StageError,
@@ -114,6 +119,41 @@ def test_run_experiment_conv_net(tmp_path):
     params, arch = load_params(tmp_path / "model.json")
     assert arch == cfg.arch
     assert params.n_coefficients == 158
+
+
+def test_stage2_final_mse_when_lm_accepts_no_step(tmp_path):
+    # LM's only step is rejected here; the report then gives the mse LM started from
+    cfg = small_config(signal=OfdmConfig(n_symbols=6), adam=AdamConfig(max_iters=50),
+                       lm=LmConfig(max_iters=1), dataset_count=800, segment=512)
+    stage2 = run_experiment(cfg, tmp_path)["results"]["stage2"]
+    assert (stage2["iters"], stage2["reason"]) == (1, "max_iters")
+    it, mse, _, accepted, _ = (tmp_path / "history_stage2.csv").read_text().splitlines()[2].split(",")
+    assert (it, accepted) == ("1", "0")
+    assert stage2["final_mse"] == float(mse)
+
+
+def test_stage1_history_independent_of_blas_threads(tmp_path):
+    """The criterion-10 run's stage-1 history has the same bytes at 1 and 2
+    OpenBLAS threads. (LM's solve is not thread-invariant, so later outputs
+    are not compared.)"""
+    script = (
+        "import sys\n"
+        "from padpd.experiment import ExperimentConfig, run_experiment\n"
+        "from padpd.signals import OfdmConfig\n"
+        "from padpd.training import AdamConfig, LmConfig\n"
+        "run_experiment(ExperimentConfig(signal=OfdmConfig(n_symbols=6), adam=AdamConfig(max_iters=200),\n"
+        "                                lm=LmConfig(max_iters=15), dataset_count=800, segment=512),\n"
+        "               sys.argv[1])\n"
+    )
+    src = str(Path(padpd.__file__).resolve().parents[1])
+    histories = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True, timeout=300)
+        histories.append((out / "history_stage1.csv").read_bytes())
+    assert histories[0] == histories[1]
 
 
 def test_run_experiment_gmp(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit
 
 from padpd.network import (
+    ACTIVATION_KINDS,
     Activation,
     ConvNetArch,
     ConvNetParams,
@@ -69,6 +70,16 @@ def test_activation_values_and_derivatives():
         assert np.allclose(act.derivative(smooth), num, atol=1e-6)
     with pytest.raises(ValueError):
         Activation("softmax")
+
+
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_derivative_from_output_is_exact(kind):
+    """The backward passes take the derivative from the forward outputs; it
+    must equal `derivative` bit for bit, on strided input too."""
+    act = Activation(kind, alpha=0.7, leak=0.1)
+    v = np.concatenate([np.linspace(-40.0, 40.0, 4002), [0.0, -0.0, 1e-300, -1e-300, 710.0, -710.0]])
+    for x in (v, v.reshape(-1, 3)[:, ::2].T):
+        assert np.array_equal(act.derivative_from_output(x, act(x)), act.derivative(x))
 
 
 def test_arch_shapes():

@@ -19,6 +19,7 @@ from padpd.training import (
     LmConfig,
     TrainingError,
     adam_init,
+    adam_minimize,
     adam_step,
     backprop_grads,
     mlp_cost_and_grads,
@@ -118,6 +119,27 @@ def test_stage1_descends_and_stops_at_threshold():
     test = tiny_task(arch, n=30, seed=9)
     _, hist3 = train_stage1_adam(params, arch, data, AdamConfig(max_iters=5, mse_threshold=0.0), test)
     assert hist3.shape == (5, 3)
+
+
+def test_stage1_matches_the_public_gradient_path():
+    """Stage 1 trains on contiguous copies of the kernel windows; driving the
+    same Adam loop with `backprop_grads`/`mse_cost`, which use the strided
+    view, must give the same bytes."""
+    arch = ConvNetArch(conv_activation=Activation("sigmoid"))
+    train, test = tiny_task(arch, n=70, seed=4), tiny_task(arch, n=30, seed=5)
+    params = init_params(arch, 3)
+    cfg = AdamConfig(max_iters=6, mse_threshold=0.0)
+    trained, hist = train_stage1_adam(params, arch, train, cfg, test)
+
+    def cost_and_grads(values):
+        p = ConvNetParams.from_list(values)
+        return mse_cost(p, arch, train), backprop_grads(p, arch, train).as_list()
+
+    ref, ref_hist = adam_minimize(params.as_list(), cost_and_grads, cfg,
+                                  lambda values: mse_cost(ConvNetParams.from_list(values), arch, test))
+    assert hist.shape == (6, 3) and np.array_equal(hist, ref_hist)
+    for got, want in zip(trained.as_list(), ref):
+        assert np.array_equal(got, want)
 
 
 def _conv_trainer():
