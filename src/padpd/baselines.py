@@ -9,11 +9,12 @@ trained with the shared Adam loop.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from .codec import from_dict, to_dict
 from .dataset import Dataset
 from .network import Activation, MlpLayer, mlp_forward, mlp_init
 from .signals import ComplexSeq
@@ -64,10 +65,11 @@ class GmpConfig:
     mc: int = 0
 
     def __post_init__(self):
-        for name in ("ka", "la", "kb", "lb", "mb", "kc", "lc", "mc"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not isinstance(v, (int, np.integer)) or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+                raise ValueError(f"{f.name} must be a non-negative integer, got {v!r}")
+            object.__setattr__(self, f.name, int(v))  # numpy integers become Python ints
         if self.n_terms < 1:
             raise ValueError("config produces zero terms")
 
@@ -94,9 +96,6 @@ class GmpConfig:
         if self.kc * self.lc * self.mc:
             return self.mc  # worst case l=0, m=mc
         return 0
-
-    def to_dict(self) -> dict:
-        return {k: int(getattr(self, k)) for k in ("ka", "la", "kb", "lb", "mb", "kc", "lc", "mc")}
 
 
 def gmp_table_config() -> GmpConfig:
@@ -172,8 +171,10 @@ def gmp_basis(x: ComplexSeq, cfg: GmpConfig) -> np.ndarray:
     return gmp_basis_at(x, cfg, gmp_valid_indices(cfg, len(x)))
 
 
-def gmp_fit_ls(basis: np.ndarray, y, ridge: float = 0.0, cfg: GmpConfig | None = None) -> GmpModel:
+def gmp_fit_ls(basis: np.ndarray, y, cfg: GmpConfig, ridge: float = 0.0) -> GmpModel:
     """Least-squares coefficients, optionally ridge-regularized.
+
+    ``basis`` holds the columns of ``cfg`` (from `gmp_basis_at`), in its order.
 
     With ridge = 0 a rank-deficient basis is an error (add ridge to proceed);
     with ridge > 0 the regularized normal equations are always solvable.
@@ -185,6 +186,8 @@ def gmp_fit_ls(basis: np.ndarray, y, ridge: float = 0.0, cfg: GmpConfig | None =
     rows, cols = basis.shape
     if target.size != rows:
         raise ValueError(f"target length {target.size} does not match {rows} basis rows")
+    if cols != cfg.n_terms:
+        raise ValueError(f"basis has {cols} columns, but the config has {cfg.n_terms} terms")
     if rows < cols:
         raise ValueError(f"underdetermined system: {rows} rows < {cols} columns")
     if ridge < 0:
@@ -200,14 +203,7 @@ def gmp_fit_ls(basis: np.ndarray, y, ridge: float = 0.0, cfg: GmpConfig | None =
         gram = basis.conj().T @ basis + ridge * np.eye(cols)
         coeffs = np.linalg.solve(gram, basis.conj().T @ target)
 
-    if cfg is None:
-        cfg = _config_for_width(cols)
     return GmpModel(cfg, coeffs)
-
-
-def _config_for_width(n_terms: int) -> GmpConfig:
-    """Fallback aligned-only config used when fitting a bare matrix."""
-    return GmpConfig(ka=n_terms, la=1)
 
 
 def gmp_forward(model: GmpModel, x: ComplexSeq) -> ComplexSeq:
@@ -218,7 +214,7 @@ def gmp_forward(model: GmpModel, x: ComplexSeq) -> ComplexSeq:
 
 def save_gmp(model: GmpModel, path) -> None:
     doc = {
-        "config": model.config.to_dict(),
+        "config": to_dict(model.config),
         "coeffs": [[float(c.real), float(c.imag)] for c in model.coeffs],
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -226,7 +222,7 @@ def save_gmp(model: GmpModel, path) -> None:
 
 def load_gmp(path) -> GmpModel:
     doc = json.loads(Path(path).read_text())
-    cfg = GmpConfig(**{k: int(v) for k, v in doc["config"].items()})
+    cfg = from_dict(GmpConfig, doc["config"], path="config")
     coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]], dtype=np.complex128)
     return GmpModel(cfg, coeffs)
 

@@ -9,9 +9,11 @@ Counting conventions shared by all families:
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Sequence
 
 from .baselines import GmpConfig
+from .codec import from_dict
 from .network import ConvNetArch
 
 __all__ = [
@@ -34,10 +36,10 @@ DEFAULT_ACT_COST = 13
 
 def conv_net_coeff_count(arch: ConvNetArch) -> int:
     """Trainable scalars: conv kernels+biases, FC layer, output layer."""
-    r, s, z = arch.kernel_rows, arch.kernel_cols, arch.kernel_depth
+    r, s = arch.kernel_rows, arch.kernel_cols
     l_k, t = arch.n_kernels, arch.fc_neurons
     b, c = arch.map_rows, arch.map_cols
-    p_conv = r * s * z * l_k + l_k
+    p_conv = r * s * l_k + l_k
     p_fc = b * c * l_k * t + t
     p_out = t * 2 + 2
     return p_conv + p_fc + p_out
@@ -45,10 +47,10 @@ def conv_net_coeff_count(arch: ConvNetArch) -> int:
 
 def conv_net_flops(arch: ConvNetArch, act_cost: int = DEFAULT_ACT_COST) -> int:
     """Per-sample FLOPs: multiply-adds plus activation costs per layer."""
-    r, s, z = arch.kernel_rows, arch.kernel_cols, arch.kernel_depth
+    r, s = arch.kernel_rows, arch.kernel_cols
     l_k, t = arch.n_kernels, arch.fc_neurons
     b, c = arch.map_rows, arch.map_cols
-    f_conv = 2 * r * s * z * b * c * l_k + act_cost * b * c * l_k
+    f_conv = 2 * r * s * b * c * l_k + act_cost * b * c * l_k
     f_fc = 2 * b * c * l_k * t + act_cost * t
     f_out = 4 * t
     return f_conv + f_fc + f_out
@@ -118,19 +120,20 @@ def lstm_flops(
 def complexity_report(spec: dict) -> dict:
     """Dispatch a {"model": ..., ...} spec to the matching calculators.
 
-    Models: "conv_net" (ConvNetArch fields), "gmp" (GmpConfig fields),
-    "mlp" ({"widths": [...], "act_cost"?}), "lstm" ({"n_in", "units",
-    "fc_widths", "n_out", "act_cost"?}).
+    Models: "conv_net" (ConvNetArch fields, defaults for those left out),
+    "gmp" (GmpConfig fields, 0 for those left out), "mlp" ({"widths": [...],
+    "act_cost"?}), "lstm" ({"n_in", "units", "fc_widths", "n_out",
+    "act_cost"?}). The conv_net and gmp fields are type-checked like configs.
     """
-    if "model" not in spec:
-        raise ValueError('spec needs a "model" key')
+    if not isinstance(spec, dict) or "model" not in spec:
+        raise ValueError('spec must be an object with a "model" key')
     kind = spec["model"]
     params = {k: v for k, v in spec.items() if k != "model"}
     if kind == "conv_net":
-        arch = ConvNetArch(**{k: int(v) for k, v in params.items()})
+        arch = from_dict(ConvNetArch, params, ConvNetArch())
         return {"model": kind, "coefficients": conv_net_coeff_count(arch), "flops": conv_net_flops(arch)}
     if kind == "gmp":
-        cfg = GmpConfig(**{k: int(v) for k, v in params.items()})
+        cfg = from_dict(GmpConfig, {f.name: 0 for f in fields(GmpConfig)} | params)
         return {"model": kind, "coefficients": gmp_coeff_count(cfg), "flops": gmp_flops(cfg)}
     if kind == "mlp":
         widths = params["widths"]

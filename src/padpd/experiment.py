@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import codec
 from .baselines import (
     GmpConfig,
     gmp_basis_at,
@@ -39,7 +40,6 @@ from .dataset import build_dataset, feature_graphs, split_indices
 from .dpd import evaluate_linearization, train_dpd
 from .metrics import ChannelPlan, acpr_db, nmse_db, psd_welch, write_spectrum_csv
 from .network import (
-    Activation,
     ConvNetArch,
     forward_batch,
     init_params,
@@ -68,7 +68,7 @@ __all__ = [
     "sweep_memory",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 MODEL_KINDS = ("conv_net", "gmp", "rvtdnn", "arvtdnn", "dnn")
 
@@ -113,112 +113,12 @@ class ExperimentConfig:
             raise ValueError("drive_backoff_db must be >= 0")
 
     def to_dict(self) -> dict:
-        sig = self.signal
-        arch = self.arch
-        adam = self.adam
-        lm = self.lm
-        return {
-            "signal": {
-                "n_subcarriers": sig.n_subcarriers,
-                "qam_order": sig.qam_order,
-                "n_symbols": sig.n_symbols,
-                "oversampling": sig.oversampling,
-                "rolloff": sig.rolloff,
-                "seed": sig.seed,
-                "sample_rate_hz": sig.sample_rate_hz,
-            },
-            "pa_seed": self.pa_seed,
-            "pa_k_order": self.pa_k_order,
-            "pa_q_depth": self.pa_q_depth,
-            "impairment_case": self.impairment_case,
-            "model": self.model,
-            "arch": {
-                "memory_depth": arch.memory_depth,
-                "n_kernels": arch.n_kernels,
-                "kernel_rows": arch.kernel_rows,
-                "kernel_cols": arch.kernel_cols,
-                "kernel_depth": arch.kernel_depth,
-                "fc_neurons": arch.fc_neurons,
-                "conv_activation": arch.conv_activation.kind,
-                "fc_activation": arch.fc_activation.kind,
-            },
-            "adam": {
-                "learning_rate": adam.learning_rate,
-                "beta1": adam.beta1,
-                "beta2": adam.beta2,
-                "epsilon": adam.epsilon,
-                "max_iters": adam.max_iters,
-                "mse_threshold": adam.mse_threshold,
-            },
-            "lm": {
-                "mu_init": lm.mu_init,
-                "mu_up": lm.mu_up,
-                "mu_down": lm.mu_down,
-                "max_iters": lm.max_iters,
-                "grad_tol": lm.grad_tol,
-                "mu_max": lm.mu_max,
-                "min_rel_improvement": lm.min_rel_improvement,
-            },
-            "gmp": self.gmp.to_dict(),
-            "dataset_count": self.dataset_count,
-            "split_seed": self.split_seed,
-            "init_seed": self.init_seed,
-            "ridge": self.ridge,
-            "drive_backoff_db": self.drive_backoff_db,
-            "segment": self.segment,
-            "reuse_filter_from": self.reuse_filter_from,
-        }
+        return codec.to_dict(self)
 
 
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a config from a (possibly partial) plain dict."""
-    base = ExperimentConfig().to_dict()
-    known = set(base)
-    unknown = set(doc) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(base)
-    for key, val in doc.items():
-        if isinstance(base[key], dict):
-            sub = dict(base[key])
-            extra = set(val) - set(sub)
-            if extra:
-                raise ValueError(f"unknown keys under {key!r}: {sorted(extra)}")
-            sub.update(val)
-            merged[key] = sub
-        else:
-            merged[key] = val
-
-    arch_doc = dict(merged["arch"])
-    arch = ConvNetArch(
-        memory_depth=int(arch_doc["memory_depth"]),
-        n_kernels=int(arch_doc["n_kernels"]),
-        kernel_rows=int(arch_doc["kernel_rows"]),
-        kernel_cols=int(arch_doc["kernel_cols"]),
-        kernel_depth=int(arch_doc["kernel_depth"]),
-        fc_neurons=int(arch_doc["fc_neurons"]),
-        conv_activation=Activation(arch_doc["conv_activation"]),
-        fc_activation=Activation(arch_doc["fc_activation"]),
-    )
-    return ExperimentConfig(
-        signal=OfdmConfig(**merged["signal"]),
-        pa_seed=int(merged["pa_seed"]),
-        pa_k_order=int(merged["pa_k_order"]),
-        pa_q_depth=int(merged["pa_q_depth"]),
-        impairment_case=int(merged["impairment_case"]),
-        model=str(merged["model"]),
-        arch=arch,
-        adam=AdamConfig(**merged["adam"]),
-        lm=LmConfig(**merged["lm"]),
-        gmp=GmpConfig(**merged["gmp"]),
-        dataset_count=int(merged["dataset_count"]),
-        split_seed=int(merged["split_seed"]),
-        init_seed=int(merged["init_seed"]),
-        ridge=float(merged["ridge"]),
-        drive_backoff_db=float(merged["drive_backoff_db"]),
-        segment=int(merged["segment"]),
-        reuse_filter_from=merged["reuse_filter_from"],
-    )
+    """Build a config from a (possibly partial) plain dict; missing keys keep their defaults."""
+    return codec.from_dict(ExperimentConfig, doc, ExperimentConfig())
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -300,7 +200,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
             tr_abs = tr_abs[(tr_abs >= lo) & (tr_abs < hi)]
             te_abs = te_abs[(te_abs >= lo) & (te_abs < hi)]
             basis_tr = gmp_basis_at(xs, cfg.gmp, tr_abs)
-            model = gmp_fit_ls(basis_tr, ys[tr_abs], cfg.ridge, cfg.gmp)
+            model = gmp_fit_ls(basis_tr, ys[tr_abs], cfg.gmp, cfg.ridge)
             return model, tr_abs, te_abs
 
         model, tr_abs, te_abs = _run_stage("train", fit_gmp)

@@ -10,12 +10,16 @@ conv model and the MLP baselines share one forward pass.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
+
+from . import codec
 
 __all__ = [
     "Activation",
@@ -116,7 +120,6 @@ class ConvNetArch:
     n_kernels: int = 3
     kernel_rows: int = 3
     kernel_cols: int = 3
-    kernel_depth: int = 1
     fc_neurons: int = 6
     conv_activation: Activation = TANH
     fc_activation: Activation = TANH
@@ -124,8 +127,6 @@ class ConvNetArch:
     def __post_init__(self):
         if self.memory_depth < 0:
             raise ValueError("memory_depth must be >= 0")
-        if self.kernel_depth != 1:
-            raise ValueError("only single-channel (depth 1) kernels are supported")
         if not 1 <= self.kernel_rows <= N_INPUT_ROWS:
             raise ValueError(f"kernel_rows must lie in 1..{N_INPUT_ROWS}")
         if not 1 <= self.kernel_cols <= self.memory_depth + 1:
@@ -275,7 +276,7 @@ def init_params(arch: ConvNetArch, seed: int = 0) -> ConvNetParams:
     """Glorot-uniform weights, zero biases, fully seeded."""
     rng = np.random.default_rng(seed)
     r, s, l_k = arch.kernel_rows, arch.kernel_cols, arch.n_kernels
-    rs = r * s * arch.kernel_depth
+    rs = r * s
     return ConvNetParams(
         conv_kernels=_glorot(rng, (l_k, r, s), rs, rs * l_k),
         conv_biases=np.zeros(l_k),
@@ -344,30 +345,10 @@ def mlp_init(widths: Sequence[int], hidden_act: Activation, seed: int = 0,
     return layers
 
 
-def _act_to_dict(act: Activation) -> dict:
-    return {"kind": act.kind, "alpha": act.alpha, "leak": act.leak}
-
-
-def _act_from_dict(d: dict) -> Activation:
-    return Activation(d["kind"], d.get("alpha", 1.0), d.get("leak", 0.01))
-
-
 def save_params(params: ConvNetParams, arch: ConvNetArch, path) -> None:
     """JSON checkpoint: arch block plus flat weight arrays (C-order ravel)."""
-    import json
-    from pathlib import Path
-
     doc = {
-        "arch": {
-            "memory_depth": arch.memory_depth,
-            "n_kernels": arch.n_kernels,
-            "kernel_rows": arch.kernel_rows,
-            "kernel_cols": arch.kernel_cols,
-            "kernel_depth": arch.kernel_depth,
-            "fc_neurons": arch.fc_neurons,
-            "conv_activation": _act_to_dict(arch.conv_activation),
-            "fc_activation": _act_to_dict(arch.fc_activation),
-        },
+        "arch": codec.to_dict(arch),
         "weights": {
             f.name: [float(v) for v in getattr(params, f.name).ravel()] for f in fields(params)
         },
@@ -376,21 +357,8 @@ def save_params(params: ConvNetParams, arch: ConvNetArch, path) -> None:
 
 
 def load_params(path) -> tuple[ConvNetParams, ConvNetArch]:
-    import json
-    from pathlib import Path
-
     doc = json.loads(Path(path).read_text())
-    ab = doc["arch"]
-    arch = ConvNetArch(
-        memory_depth=ab["memory_depth"],
-        n_kernels=ab["n_kernels"],
-        kernel_rows=ab["kernel_rows"],
-        kernel_cols=ab["kernel_cols"],
-        kernel_depth=ab.get("kernel_depth", 1),
-        fc_neurons=ab["fc_neurons"],
-        conv_activation=_act_from_dict(ab["conv_activation"]),
-        fc_activation=_act_from_dict(ab["fc_activation"]),
-    )
+    arch = codec.from_dict(ConvNetArch, doc["arch"], path="arch")
     w = doc["weights"]
     params = ConvNetParams(**{
         name: np.asarray(w[name], dtype=float).reshape(shape)

@@ -137,7 +137,7 @@ def test_criterion_03_gmp_self_recovery(capsys):
     rng = np.random.default_rng(7)
     true = rng.normal(size=basis.shape[1]) + 1j * rng.normal(size=basis.shape[1])
     y = basis @ true
-    model = gmp_fit_ls(basis, y)
+    model = gmp_fit_ls(basis, y, cfg)
     recovered = nmse_db(basis @ model.coeffs, y)
     elapsed = time.time() - t0
     ok = recovered <= -100.0 and elapsed < 30.0

@@ -112,9 +112,10 @@ def test_fit_rejects_rank_deficiency_without_ridge():
     col = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     basis = np.column_stack([col, col])  # exactly collinear
     y = 3.0 * col
+    cfg = GmpConfig(ka=2, la=1)
     with pytest.raises(GmpFitError):
-        gmp_fit_ls(basis, y)
-    model = gmp_fit_ls(basis, y, ridge=1e-9)
+        gmp_fit_ls(basis, y, cfg)
+    model = gmp_fit_ls(basis, y, cfg, ridge=1e-9)
     # regularized split of the shared direction still reproduces y
     assert np.allclose(basis @ model.coeffs, y, atol=1e-6)
 
@@ -122,11 +123,14 @@ def test_fit_rejects_rank_deficiency_without_ridge():
 def test_fit_input_validation():
     basis = np.ones((3, 5), dtype=complex)
     with pytest.raises(ValueError):
-        gmp_fit_ls(basis, np.ones(3))  # underdetermined
+        gmp_fit_ls(basis, np.ones(3), GmpConfig(ka=5, la=1))  # underdetermined
+    two = GmpConfig(ka=2, la=1)
     with pytest.raises(ValueError):
-        gmp_fit_ls(np.ones((10, 2), dtype=complex), np.ones(9))
+        gmp_fit_ls(np.ones((10, 2), dtype=complex), np.ones(9), two)
     with pytest.raises(ValueError):
-        gmp_fit_ls(np.ones((10, 2), dtype=complex), np.ones(10), ridge=-1.0)
+        gmp_fit_ls(np.ones((10, 2), dtype=complex), np.ones(10), two, ridge=-1.0)
+    with pytest.raises(ValueError, match="columns"):
+        gmp_fit_ls(np.ones((10, 2), dtype=complex), np.ones(10), GmpConfig(ka=3, la=1))
 
 
 def test_gmp_model_validation_and_roundtrip(tmp_path):

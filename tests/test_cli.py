@@ -5,6 +5,7 @@ import json
 import pytest
 
 from padpd.cli import main
+from padpd.network import ConvNetArch, init_params, load_params, save_params
 
 SMALL_DOC = {
     "signal": {"n_symbols": 4},
@@ -71,6 +72,39 @@ def test_bad_set_syntax(capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, path", [
+    ("arch=3", "arch"),
+    ("signal=null", "signal"),
+    ("adam.max_iters=50.5", "adam.max_iters"),
+    ("signal.n_symbols=6.5", "signal.n_symbols"),
+    ("arch.memory_depth=3.7", "arch.memory_depth"),
+    ("ridge=true", "ridge"),
+    ("reuse_filter_from=5", "reuse_filter_from"),
+])
+def test_wrong_json_type_is_a_config_error(override, path, tmp_path, capsys):
+    argv = ["gen-signal", "--set", "signal.n_symbols=2", "--set", override,
+            "--out", str(tmp_path / "sig.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [config]: ") and path in err
+
+
+def test_schema1_checkpoint_is_rejected(tmp_path, capsys):
+    # checkpoints written before kernel_depth was removed carry "kernel_depth": 1
+    path = tmp_path / "model.json"
+    save_params(init_params(ConvNetArch()), ConvNetArch(), path)
+    doc = json.loads(path.read_text())
+    doc["arch"]["kernel_depth"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="arch.kernel_depth"):
+        load_params(path)
+    argv = ["run", "--config", write_config(tmp_path),
+            "--set", f"reuse_filter_from={json.dumps(str(path))}", "--output-dir", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [train]: ") and "kernel_depth" in err
+
+
 def test_dpd_command(tmp_path, capsys):
     cfg = write_config(tmp_path, {**SMALL_DOC, "adam": {"max_iters": 300}})
     out_dir = tmp_path / "dpd"
@@ -109,6 +143,21 @@ def test_complexity_errors(tmp_path, capsys):
     unk = tmp_path / "unk.json"
     unk.write_text('{"model": "transformer"}')
     assert main(["complexity", "--spec", str(unk)]) == 2
+
+
+@pytest.mark.parametrize("spec, path", [
+    ({"model": "conv_net", "n_layers": 2}, "n_layers"),
+    ({"model": "conv_net", "memory_depth": 2.9}, "memory_depth"),
+    ({"model": "gmp", "ka": 2.5, "la": 1}, "ka"),
+    (5, "object"),
+])
+def test_complexity_spec_fields_are_type_checked(spec, path, monkeypatch, capsys):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    assert main(["complexity", "--spec", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [config]: ") and path in err
 
 
 def test_sweep_memory_command(tmp_path, capsys):

@@ -92,8 +92,6 @@ def test_arch_shapes():
         ConvNetArch(kernel_cols=5)  # wider than the M+1 columns
     with pytest.raises(ValueError):
         ConvNetArch(kernel_rows=6)
-    with pytest.raises(ValueError):
-        ConvNetArch(kernel_depth=2)
 
 
 def test_forward_matches_loop_reference():
