@@ -38,8 +38,9 @@ def from_dict(cls, doc, base=None, path: str = ""):
     Raises ValueError for a value that is not an object, an unknown key, a
     missing key with no ``base``, or a value of the wrong JSON type: ``int``
     takes only integers, ``float`` takes integers or numbers, ``X | None``
-    also takes null, and a nested dataclass recurses with the matching field
-    of ``base``.
+    also takes null, ``list[X]`` takes an array of ``X`` (an item's path is
+    ``key[i]``), and a nested dataclass recurses with the matching field of
+    ``base``.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{path or 'config'} must be an object, got {_describe(doc)}")
@@ -63,6 +64,11 @@ def from_dict(cls, doc, base=None, path: str = ""):
 def _read(tp, value, base, path: str):
     if is_dataclass(tp):
         return from_dict(tp, value, base, path)
+    if typing.get_origin(tp) is list:
+        if type(value) is not list:
+            raise ValueError(f"{path} must be an array, got {_describe(value)}")
+        (item,) = typing.get_args(tp)
+        return [_read(item, v, None, f"{path}[{i}]") for i, v in enumerate(value)]
     members = [a for a in typing.get_args(tp) if a is not type(None)]
     nullable = len(members) < len(typing.get_args(tp))
     if nullable:

@@ -9,7 +9,7 @@ Counting conventions shared by all families:
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .baselines import GmpConfig
@@ -117,13 +117,28 @@ def lstm_flops(
     return lstm_layer_flops(n_in, units) + mlp_flops([units, *fc_widths, n_out], act_cost)
 
 
+@dataclass(frozen=True)
+class _MlpSpec:
+    widths: list[int]
+    act_cost: int
+
+
+@dataclass(frozen=True)
+class _LstmSpec:
+    n_in: int
+    units: int
+    fc_widths: list[int]
+    n_out: int
+    act_cost: int
+
+
 def complexity_report(spec: dict) -> dict:
     """Dispatch a {"model": ..., ...} spec to the matching calculators.
 
     Models: "conv_net" (ConvNetArch fields, defaults for those left out),
     "gmp" (GmpConfig fields, 0 for those left out), "mlp" ({"widths": [...],
     "act_cost"?}), "lstm" ({"n_in", "units", "fc_widths", "n_out",
-    "act_cost"?}). The conv_net and gmp fields are type-checked like configs.
+    "act_cost"?}). Every field is type-checked like a config field.
     """
     if not isinstance(spec, dict) or "model" not in spec:
         raise ValueError('spec must be an object with a "model" key')
@@ -136,20 +151,18 @@ def complexity_report(spec: dict) -> dict:
         cfg = from_dict(GmpConfig, {f.name: 0 for f in fields(GmpConfig)} | params)
         return {"model": kind, "coefficients": gmp_coeff_count(cfg), "flops": gmp_flops(cfg)}
     if kind == "mlp":
-        widths = params["widths"]
-        act_cost = int(params.get("act_cost", DEFAULT_ACT_COST))
+        mlp = from_dict(_MlpSpec, {"act_cost": DEFAULT_ACT_COST} | params)
         return {
             "model": kind,
-            "coefficients": mlp_coeff_count(widths),
-            "flops": mlp_flops(widths, act_cost),
+            "coefficients": mlp_coeff_count(mlp.widths),
+            "flops": mlp_flops(mlp.widths, mlp.act_cost),
         }
     if kind == "lstm":
-        args = (int(params["n_in"]), int(params["units"]),
-                [int(v) for v in params.get("fc_widths", [])], int(params["n_out"]))
-        act_cost = int(params.get("act_cost", DEFAULT_ACT_COST))
+        lstm = from_dict(_LstmSpec, {"fc_widths": [], "act_cost": DEFAULT_ACT_COST} | params)
+        args = (lstm.n_in, lstm.units, lstm.fc_widths, lstm.n_out)
         return {
             "model": kind,
             "coefficients": lstm_coeff_count(*args),
-            "flops": lstm_flops(*args, act_cost),
+            "flops": lstm_flops(*args, lstm.act_cost),
         }
     raise ValueError(f"unknown model kind {kind!r}")

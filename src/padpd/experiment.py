@@ -148,14 +148,17 @@ def _channel_plan(cfg: ExperimentConfig) -> ChannelPlan:
     return ChannelPlan.for_bandwidth(cfg.signal.occupied_bandwidth_hz)
 
 
+# The arch fields that define the conv filter a saved model can lend a run.
+_FILTER_FIELDS = ("memory_depth", "n_kernels", "kernel_rows", "kernel_cols", "conv_activation")
+
+
 def _train_conv_net(cfg: ExperimentConfig, train, test):
     params = init_params(cfg.arch, cfg.init_seed)
     if cfg.reuse_filter_from:
         loaded, loaded_arch = load_params(cfg.reuse_filter_from)
-        if (loaded_arch.memory_depth, loaded_arch.n_kernels, loaded_arch.kernel_rows,
-                loaded_arch.kernel_cols) != (cfg.arch.memory_depth, cfg.arch.n_kernels,
-                                             cfg.arch.kernel_rows, cfg.arch.kernel_cols):
-            raise ValueError("saved filter does not match the configured architecture")
+        differ = [name for name in _FILTER_FIELDS if getattr(loaded_arch, name) != getattr(cfg.arch, name)]
+        if differ:
+            raise ValueError(f"saved filter does not match the configured architecture in {differ}")
         params = replace(params, conv_kernels=loaded.conv_kernels.copy(),
                          conv_biases=loaded.conv_biases.copy())
         hist1 = np.zeros((0, 3))

@@ -202,9 +202,9 @@ class ConvNetParams:
 class _ForwardParts:
     """Conv front end intermediates, the dense head, and the head's per-layer
     pre-activations and activations (``acts[0]`` is the flattened maps,
-    ``acts[-1]`` the output)."""
+    ``acts[-1]`` the output). ``pre_maps`` and ``maps`` are (L, N*B*C), one
+    row per kernel, one column per `_im2col` row."""
 
-    windows: np.ndarray
     pre_maps: np.ndarray
     maps: np.ndarray
     head: list
@@ -216,36 +216,59 @@ class _ForwardParts:
         return self.acts[-1]
 
 
-def _graph_windows(graphs: np.ndarray, arch: ConvNetArch) -> np.ndarray:
-    """Sliding kernel windows, shape (N, B, C, r, s)."""
+# Graphs per `forward_batch` block: bounds the im2col rows a long input
+# (a whole DPD drive) holds at once.
+_FORWARD_BLOCK_ROWS = 16384
+
+
+def _as_graphs(graphs, arch: ConvNetArch) -> np.ndarray:
     graphs = np.asarray(graphs, dtype=float)
     if graphs.ndim != 3 or graphs.shape[1:] != arch.input_shape:
         raise ValueError(
             f"graphs must have shape (n, {arch.input_shape[0]}, {arch.input_shape[1]}), got {graphs.shape}"
         )
-    return np.lib.stride_tricks.sliding_window_view(
-        graphs, (arch.kernel_rows, arch.kernel_cols), axis=(1, 2)
-    )
+    return graphs
 
 
-def _forward_parts(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray) -> _ForwardParts:
-    return _forward_windows(params, arch, _graph_windows(graphs, arch))
+def _im2col(graphs: np.ndarray, arch: ConvNetArch) -> np.ndarray:
+    """Unrolled convolution input, shape (N*B*C, r*s+1).
 
-
-def _forward_windows(params: ConvNetParams, arch: ConvNetArch, windows: np.ndarray) -> _ForwardParts:
-    """The forward pass from the (N, B, C, r, s) windows of `_graph_windows`.
-
-    The zero-copy strided view serves one-off passes; a training loop that
-    runs many passes over one dataset hands in a contiguous copy instead, so
-    the einsum does not copy the view again on every call.
+    Row (n, b, c) holds the taps of graph n's kernel window at map cell
+    (b, c), in kernel row-major order, then a 1. The forward pass is one GEMM,
+    ``[K | b] @ cols.T``, for the convolution plus its bias; the backward
+    pass is one GEMM, ``d_pre @ cols``, for the kernel and bias gradients.
     """
-    pre = np.einsum("nbcrs,lrs->nlbc", windows, params.conv_kernels, optimize=True)
-    pre += params.conv_biases[None, :, None, None]
+    graphs = _as_graphs(graphs, arch)
+    r, s, b, c = arch.kernel_rows, arch.kernel_cols, arch.map_rows, arch.map_cols
+    cols = np.empty((graphs.shape[0], b, c, r * s + 1))
+    for u in range(r):
+        for v in range(s):
+            cols[..., u * s + v] = graphs[:, u : u + b, v : v + c]
+    cols[..., -1] = 1.0
+    return cols.reshape(-1, r * s + 1)
+
+
+def _maps_to_flat(maps: np.ndarray, arch: ConvNetArch) -> np.ndarray:
+    """(L, N*B*C) maps as the head's kernel-major (N, L*B*C) input."""
+    bc = arch.map_rows * arch.map_cols
+    return maps.reshape(arch.n_kernels, -1, bc).transpose(1, 0, 2).reshape(-1, arch.n_flat_features)
+
+
+def _flat_to_maps(flat: np.ndarray, arch: ConvNetArch) -> np.ndarray:
+    """The inverse of `_maps_to_flat`: (N, L*B*C) back to (L, N*B*C)."""
+    bc = arch.map_rows * arch.map_cols
+    return flat.reshape(-1, arch.n_kernels, bc).transpose(1, 0, 2).reshape(arch.n_kernels, -1)
+
+
+def _forward_cols(params: ConvNetParams, arch: ConvNetArch, cols: np.ndarray) -> _ForwardParts:
+    """The forward pass from the `_im2col` rows of a batch of graphs."""
+    ker = params.conv_kernels
+    ker_bias = np.column_stack([ker.reshape(ker.shape[0], -1), params.conv_biases])  # [K | b]
+    pre = ker_bias @ cols.T
     maps = arch.conv_activation(pre)
-    flat = maps.reshape(maps.shape[0], arch.n_flat_features)
     head = conv_head(arch, params.fc_weights, params.fc_biases, params.out_weights, params.out_biases)
-    pres, acts = mlp_forward_parts(head, flat)
-    return _ForwardParts(windows, pre, maps, head, pres, acts)
+    pres, acts = mlp_forward_parts(head, _maps_to_flat(maps, arch))
+    return _ForwardParts(pre, maps, head, pres, acts)
 
 
 def conv_forward(graph: np.ndarray, params: ConvNetParams, arch: ConvNetArch) -> np.ndarray:
@@ -253,13 +276,32 @@ def conv_forward(graph: np.ndarray, params: ConvNetParams, arch: ConvNetArch) ->
     graph = np.asarray(graph, dtype=float)
     if graph.shape != arch.input_shape:
         raise ValueError(f"graph has shape {graph.shape}, expected {arch.input_shape}")
-    return _forward_parts(params, arch, graph[None]).maps[0]
+    return forward_batch(params, arch, graph[None], features=True)[0].reshape(
+        arch.n_kernels, arch.map_rows, arch.map_cols)
 
 
-def forward_batch(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray) -> np.ndarray:
-    """Model outputs, shape (n, 2) with columns (I, Q)."""
+def forward_batch(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray,
+                  features: bool = False) -> np.ndarray:
+    """Model outputs, shape (n, 2) with columns (I, Q).
+
+    With ``features`` it returns the head's input instead: the activated
+    feature maps, kernel-major, shape (n, L*B*C). Graphs go through in blocks
+    of `_FORWARD_BLOCK_ROWS`, so only one block's unrolled windows are held
+    at a time, however long the input.
+    """
     params.check_shapes(arch)
-    return _forward_parts(params, arch, graphs).outputs
+    graphs = _as_graphs(graphs, arch)
+    n = graphs.shape[0]
+    out = np.empty((n, arch.n_flat_features if features else N_OUTPUTS))
+    for start in range(0, n, _FORWARD_BLOCK_ROWS):
+        block = graphs[start : start + _FORWARD_BLOCK_ROWS]
+        # numpy sends a one-row product to gemv, whose sums round unlike
+        # gemm's; a lone graph runs as two copies, so that `forward` gives
+        # the bytes of the same graph's row in a larger batch.
+        cols = _im2col(block if len(block) > 1 else np.repeat(block, 2, axis=0), arch)
+        parts = _forward_cols(params, arch, cols)
+        out[start : start + len(block)] = (parts.acts[0] if features else parts.outputs)[: len(block)]
+    return out
 
 
 def forward(params: ConvNetParams, arch: ConvNetArch, graph: np.ndarray) -> tuple[float, float]:

@@ -21,10 +21,11 @@ from .network import (
     ConvNetArch,
     ConvNetParams,
     MlpLayer,
-    _forward_parts,
-    _forward_windows,
-    _graph_windows,
+    _flat_to_maps,
+    _forward_cols,
+    _im2col,
     conv_head,
+    forward_batch,
     mlp_forward_parts,
 )
 
@@ -107,7 +108,8 @@ def _cost_and_output_delta(outputs: np.ndarray, labels: np.ndarray) -> tuple[flo
 
 
 def mse_cost(params: ConvNetParams, arch: ConvNetArch, data: Dataset) -> float:
-    return _cost_and_output_delta(_forward_parts(params, arch, data.graphs).outputs, data.labels)[0]
+    return _cost_and_output_delta(_forward_cols(params, arch, _im2col(data.graphs, arch)).outputs,
+                                  data.labels)[0]
 
 
 def mlp_backprop(layers: list[MlpLayer], pres: list, acts: list, d_out: np.ndarray):
@@ -128,26 +130,27 @@ def mlp_backprop(layers: list[MlpLayer], pres: list, acts: list, d_out: np.ndarr
     return grads, delta
 
 
-def _cost_and_grads(params, arch, windows, labels):
-    """Batch MSE and its gradients: head backprop, then the kernel gradient.
+def _cost_and_grads(params, arch, cols, labels):
+    """Batch MSE and its gradients: head backprop, then the conv layer's.
 
-    ``windows`` are the graphs' kernel windows (`_graph_windows`).
+    ``cols`` are the graphs' `_im2col` rows. The kernel and bias gradients
+    come from one GEMM, ``d_pre @ cols``: the ones column of ``cols`` sums
+    ``d_pre`` into the bias gradient.
     """
-    parts = _forward_windows(params, arch, windows)
+    parts = _forward_cols(params, arch, cols)
     cost, d_out = _cost_and_output_delta(parts.outputs, labels)
     (g_fc, g_out), d_fc = mlp_backprop(parts.head, parts.pres, parts.acts, d_out)
 
-    d_flat = d_fc @ params.fc_weights.T
-    d_pre = d_flat.reshape(parts.maps.shape) * arch.conv_activation.derivative_from_output(
-        parts.pre_maps, parts.maps)
-    g_ker = np.einsum("nbcrs,nlbc->lrs", parts.windows, d_pre, optimize=True)
-    g_kb = d_pre.sum(axis=(0, 2, 3))
-    return cost, ConvNetParams(g_ker, g_kb, *g_fc, *g_out)
+    d_pre = _flat_to_maps(d_fc @ params.fc_weights.T, arch)
+    d_pre *= arch.conv_activation.derivative_from_output(parts.pre_maps, parts.maps)
+    g_conv = d_pre @ cols
+    g_ker = g_conv[:, :-1].reshape(params.conv_kernels.shape)
+    return cost, ConvNetParams(g_ker, g_conv[:, -1], *g_fc, *g_out)
 
 
 def backprop_grads(params: ConvNetParams, arch: ConvNetArch, data: Dataset) -> ConvNetParams:
     """Gradient of the MSE cost, shaped like the parameters."""
-    return _cost_and_grads(params, arch, _graph_windows(data.graphs, arch), data.labels)[1]
+    return _cost_and_grads(params, arch, _im2col(data.graphs, arch), data.labels)[1]
 
 
 @dataclass
@@ -209,20 +212,20 @@ def train_stage1_adam(
 ) -> tuple[ConvNetParams, np.ndarray]:
     """Stage 1: `adam_minimize` over every conv model parameter.
 
-    Each split's kernel windows are copied into one contiguous array up
-    front; every iteration reuses it, which gives the same values as
-    `backprop_grads`/`mse_cost` on the strided view without the per-call copy.
+    Each split's `_im2col` rows are built once up front and every
+    iteration reuses them, which gives the same values as
+    `backprop_grads`/`mse_cost` without rebuilding them per call.
     """
     params.check_shapes(arch)
-    train_windows = np.ascontiguousarray(_graph_windows(train.graphs, arch))
-    test_windows = None if test is None else np.ascontiguousarray(_graph_windows(test.graphs, arch))
+    train_cols = _im2col(train.graphs, arch)
+    test_cols = None if test is None else _im2col(test.graphs, arch)
 
     def cost_and_grads(values):
-        cost, grads = _cost_and_grads(ConvNetParams.from_list(values), arch, train_windows, train.labels)
+        cost, grads = _cost_and_grads(ConvNetParams.from_list(values), arch, train_cols, train.labels)
         return cost, grads.as_list()
 
     def test_cost(values):
-        outputs = _forward_windows(ConvNetParams.from_list(values), arch, test_windows).outputs
+        outputs = _forward_cols(ConvNetParams.from_list(values), arch, test_cols).outputs
         return _cost_and_output_delta(outputs, test.labels)[0]
 
     values, history = adam_minimize([a.copy() for a in params.as_list()], cost_and_grads, cfg,
@@ -311,7 +314,7 @@ def train_stage2_lm(
     The frozen conv features are computed once up front.
     """
     params.check_shapes(arch)
-    flat = _forward_parts(params, arch, train.graphs).acts[0]
+    flat = forward_batch(params, arch, train.graphs, features=True)
     labels = train.labels
     n = labels.shape[0]
 

@@ -145,6 +145,7 @@ def test_criterion_03_gmp_self_recovery(capsys):
              f"noiseless refit NMSE {recovered:.1f} dB (<= -100) in {elapsed:.1f}s (< 30s)")
 
 
+@pytest.mark.slow
 def test_criterion_04_forward_modeling_case1(capsys, case1_run):
     res = case1_run["report"]["results"]
     tr, te = res["nmse_train_db"], res["nmse_test_db"]
@@ -156,6 +157,7 @@ def test_criterion_04_forward_modeling_case1(capsys, case1_run):
              f"run took {seconds:.0f}s (<= 600s)")
 
 
+@pytest.mark.slow
 def test_criterion_05_two_stage_training(capsys, case1_run):
     stage2 = case1_run["report"]["results"]["stage2"]
     text = (case1_run["out"] / "history_stage2.csv").read_text()
@@ -171,6 +173,7 @@ def test_criterion_05_two_stage_training(capsys, case1_run):
              f"{stage2['iters']} iters (<= 200) by '{stage2['reason']}'")
 
 
+@pytest.mark.slow
 def test_criterion_06_impairment_robustness(capsys, case1_run, case23_runs):
     base = case1_run["report"]["results"]["nmse_test_db"]
     d2 = case23_runs[2]["report"]["results"]["nmse_test_db"] - base
@@ -182,6 +185,7 @@ def test_criterion_06_impairment_robustness(capsys, case1_run, case23_runs):
              f"vs case1 {base:.2f} dB; three runs took {total:.0f}s (<= 1800s)")
 
 
+@pytest.mark.slow
 def test_criterion_07_dpd_linearization(capsys, dpd_run):
     res = dpd_run["report"]["result"]
     lo, hi = res["improvement_db"]
@@ -222,6 +226,7 @@ def test_criterion_09_signal_fidelity(capsys):
              f"{parseval:.2%} (< 1%)")
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism(capsys, tmp_path):
     cfg = ExperimentConfig(
         signal=OfdmConfig(n_symbols=6),

@@ -149,6 +149,11 @@ def test_complexity_errors(tmp_path, capsys):
     ({"model": "conv_net", "n_layers": 2}, "n_layers"),
     ({"model": "conv_net", "memory_depth": 2.9}, "memory_depth"),
     ({"model": "gmp", "ka": 2.5, "la": 1}, "ka"),
+    ({"model": "mlp"}, "widths"),
+    ({"model": "mlp", "widths": [2.7, 3]}, "widths[0]"),
+    ({"model": "mlp", "widths": [4, 3, 2], "act_cost": 2.5}, "act_cost"),
+    ({"model": "lstm", "n_in": 2.9, "units": 4, "n_out": 2}, "n_in"),
+    ({"model": "lstm", "n_in": 2, "units": 4, "n_out": 2, "fc_widths": [1.5]}, "fc_widths[0]"),
     (5, "object"),
 ])
 def test_complexity_spec_fields_are_type_checked(spec, path, monkeypatch, capsys):

@@ -141,6 +141,7 @@ def test_stage2_final_mse_when_lm_accepts_no_step(tmp_path):
     assert stage2["final_mse"] == float(mse)
 
 
+@pytest.mark.slow
 def test_stage1_history_independent_of_blas_threads(tmp_path):
     """The criterion-10 run's stage-1 history has the same bytes at 1 and 2
     OpenBLAS threads. (LM's solve is not thread-invariant, so later outputs
@@ -225,6 +226,12 @@ def test_reuse_saved_filter(tmp_path):
     )
     with pytest.raises(StageError, match=r"\[train\]"):
         run_experiment(mismatched)
+
+    # a sigmoid-trained filter under a tanh config would change the basis the head fits
+    other_act = replace(cfg, arch=replace(cfg.arch, conv_activation=Activation("sigmoid")),
+                        reuse_filter_from=str(tmp_path / "model.json"))
+    with pytest.raises(StageError, match=r"\[train\].*conv_activation"):
+        run_experiment(other_act)
 
 
 def test_run_dpd_experiment(tmp_path):

@@ -1,9 +1,14 @@
 """Tests for the conv behavioral model forward pass and the MLP building blocks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
+from padpd import network
 from padpd.network import (
     ACTIVATION_KINDS,
     Activation,
@@ -21,8 +26,8 @@ from padpd.network import (
 )
 
 
-def reference_forward(params, arch, graph):
-    """Loop-based forward pass used as an independent check."""
+def reference_maps(params, arch, graph):
+    """Loop-based conv layer: the activated (L, B, C) feature maps."""
     r, s = arch.kernel_rows, arch.kernel_cols
     b, c = arch.map_rows, arch.map_cols
     maps = np.zeros((arch.n_kernels, b, c))
@@ -34,15 +39,46 @@ def reference_forward(params, arch, graph):
                     for v in range(s):
                         acc += graph[i + u, j + v] * params.conv_kernels[l_i, u, v]
                 maps[l_i, i, j] = acc
-    maps = arch.conv_activation(maps)
+    return arch.conv_activation(maps)
+
+
+def reference_forward(params, arch, graph):
+    """Loop-based forward pass used as an independent check."""
+    maps = reference_maps(params, arch, graph)
     flat = []
     for l_i in range(arch.n_kernels):
-        for i in range(b):
-            for j in range(c):
+        for i in range(arch.map_rows):
+            for j in range(arch.map_cols):
                 flat.append(maps[l_i, i, j])
     flat = np.array(flat)
     hidden = arch.fc_activation(flat @ params.fc_weights + params.fc_biases)
     return hidden @ params.out_weights + params.out_biases
+
+
+def with_random_biases(params, rng):
+    """``params`` with non-zero biases, so the bias paths are exercised."""
+    return ConvNetParams(params.conv_kernels, rng.normal(0, 0.3, params.conv_biases.shape),
+                         params.fc_weights, rng.normal(0, 0.3, params.fc_biases.shape),
+                         params.out_weights, rng.normal(0, 0.3, params.out_biases.shape))
+
+
+ACTIVATIONS = st.builds(Activation, st.sampled_from(ACTIVATION_KINDS),
+                        alpha=st.floats(0.2, 3.0), leak=st.floats(0.01, 0.5))
+
+
+@st.composite
+def conv_archs(draw):
+    """Every legal arch with memory depth 0-6 and 1-4 kernels."""
+    m = draw(st.integers(0, 6))
+    return ConvNetArch(
+        memory_depth=m,
+        n_kernels=draw(st.integers(1, 4)),
+        kernel_rows=draw(st.integers(1, 5)),
+        kernel_cols=draw(st.integers(1, m + 1)),
+        fc_neurons=draw(st.integers(1, 6)),
+        conv_activation=draw(ACTIVATIONS),
+        fc_activation=draw(ACTIVATIONS),
+    )
 
 
 def test_activation_values_and_derivatives():
@@ -109,6 +145,68 @@ def test_forward_matches_loop_reference():
             assert np.allclose(out[k], reference_forward(params, arch, graphs[k]), rtol=1e-12)
             i_val, q_val = forward(params, arch, graphs[k])
             assert (i_val, q_val) == pytest.approx(tuple(out[k]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(arch=conv_archs(), n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_im2col_core_matches_loop_reference(arch, n, seed):
+    """The one-GEMM conv layer (bias from the ones column) and the kernel-major
+    flattening agree with the loop, for every kernel shape and activation."""
+    rng = np.random.default_rng(seed)
+    params = with_random_biases(init_params(arch, seed), rng)
+    graphs = rng.standard_normal((n, *arch.input_shape))
+    ref_maps = np.array([reference_maps(params, arch, g) for g in graphs])
+    features = forward_batch(params, arch, graphs, features=True)
+    np.testing.assert_allclose(features, ref_maps.reshape(n, -1), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(conv_forward(graphs[0], params, arch), ref_maps[0], rtol=1e-12, atol=1e-12)
+    ref_out = np.array([reference_forward(params, arch, g) for g in graphs])
+    np.testing.assert_allclose(forward_batch(params, arch, graphs), ref_out, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(conv_act=ACTIVATIONS, fc_act=ACTIVATIONS, n=st.integers(2, 40),
+       block=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_forward_batch_blocks_keep_bytes(conv_act, fc_act, n, block, seed):
+    """Over several row blocks, `forward_batch` gives the bytes of its per-block
+    calls and of row-by-row `forward`, on the paper's layer shapes. (OpenBLAS
+    picks its GEMM kernel by matrix shape, and for some shapes, such as one
+    kernel or a 2-neuron FC layer, a product's sums round differently at
+    different row counts.)"""
+    arch = ConvNetArch(conv_activation=conv_act, fc_activation=fc_act)
+    rng = np.random.default_rng(seed)
+    params = with_random_biases(init_params(arch, seed), rng)
+    graphs = rng.standard_normal((n, *arch.input_shape))
+    whole = forward_batch(params, arch, graphs)
+    rows = np.array([forward(params, arch, g) for g in graphs])
+    per_block = np.concatenate([forward_batch(params, arch, graphs[i : i + block])
+                                for i in range(0, n, block)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "_FORWARD_BLOCK_ROWS", block)
+        blocked = forward_batch(params, arch, graphs)
+    assert blocked.tobytes() == whole.tobytes()
+    assert per_block.tobytes() == whole.tobytes()
+    assert rows.tobytes() == whole.tobytes()
+
+
+def test_forward_batch_memory_does_not_grow_with_rows():
+    """Net of its input and output, `forward_batch` holds one block's unrolled
+    windows at a time: the same tracemalloc peak for 2 blocks as for 8."""
+    arch = ConvNetArch(memory_depth=0, n_kernels=2, kernel_rows=2, kernel_cols=1, fc_neurons=2)
+    params = init_params(arch, 0)
+    rng = np.random.default_rng(0)
+    net_peaks = []
+    for n_blocks in (2, 8):
+        graphs = rng.standard_normal((n_blocks * network._FORWARD_BLOCK_ROWS, *arch.input_shape))
+        tracemalloc.start()
+        try:
+            out = forward_batch(params, arch, graphs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        net_peaks.append(peak - out.nbytes)
+    cells = arch.map_rows * arch.map_cols
+    block_windows = network._FORWARD_BLOCK_ROWS * cells * (arch.kernel_rows * arch.kernel_cols + 1) * 8
+    assert net_peaks[1] <= net_peaks[0] + block_windows // 10, net_peaks
 
 
 def test_conv_forward_single_graph():
