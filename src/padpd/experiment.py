@@ -21,7 +21,6 @@ from .baselines import (
     gmp_basis_at,
     gmp_fit_ls,
     gmp_table_config,
-    mlp_baseline_nmse_db,
     mlp_baseline_spec,
     mlp_features_from_graphs,
     save_gmp,

@@ -283,22 +283,45 @@ def _fc_eval(theta, arch, flat, labels):
     return resid, fc_pre, fc_out, out_w
 
 
-def _fc_jacobian(arch, flat, fc_pre, fc_out, out_w):
-    """d residual / d theta, shape (2N, |theta|), residual order (n, comp)."""
+def _fc_normal_equations(arch, flat, fc_pre, fc_out, out_w, resid):
+    """J'J and J'e of the head residual (order (n, comp)), without forming J.
+
+    Row n's I and Q rows of J share the factor ``[flat_n, 1] ⊗ fc_act'_n`` over
+    the FC weights and biases, scaled by ``out_w[:, c]``; over component c's
+    output weights and bias they hold ``[fc_out_n, 1]``. So J'J is the Gram
+    matrix of the N-row ``W = [[flat, 1] ⊗ fc_act' | fc_out | 1]``, weighted
+    by ``out_w``, and J'e is the head's backprop gradient.
+
+    W is built transposed, one contiguous N-long row per column. It gets zero
+    columns up to a multiple of 8: OpenBLAS then gives the Gram matrix the
+    same bytes at any thread count, which it does not for some other widths.
+    """
     n, t = fc_pre.shape
     f = flat.shape[1]
-    dact = arch.fc_activation.derivative_from_output(fc_pre, fc_out)  # (N, T)
-    sens = dact[:, :, None] * out_w[None, :, :]  # (N, T, 2)
-    sens = np.moveaxis(sens, 2, 1)  # (N, 2, T)
-    j_fc_w = np.einsum("nf,nct->ncft", flat, sens).reshape(n, 2, f * t)
-    j_fc_b = sens
-    j_out_w = np.zeros((n, 2, t, 2))
-    j_out_w[:, 0, :, 0] = fc_out
-    j_out_w[:, 1, :, 1] = fc_out
-    j_out_w = j_out_w.reshape(n, 2, t * 2)
-    j_out_b = np.tile(np.eye(2), (n, 1, 1))
-    full = np.concatenate([j_fc_w, j_fc_b, j_out_w, j_out_b], axis=2)
-    return full.reshape(2 * n, -1)
+    m = (f + 1) * t  # FC weights and biases, in `pack_fc` order
+    e = resid.reshape(n, 2)
+    dact = arch.fc_activation.derivative_from_output(fc_pre, fc_out)
+    flat_t, dact_t = np.ascontiguousarray(flat.T), np.ascontiguousarray(dact.T)
+
+    w_t = np.zeros((-(-(m + t + 1) // 8) * 8, n))
+    fc_rows = w_t[:m].reshape(f + 1, t, n)
+    np.multiply(flat_t[:, None, :], dact_t[None, :, :], out=fc_rows[:f])
+    fc_rows[f] = dact_t
+    w_t[m : m + t] = fc_out.T
+    w_t[m + t] = 1.0
+    g = w_t @ w_t.T
+
+    jtj = np.empty((m + 2 * (t + 1),) * 2)
+    jtj[:m, :m] = g[:m, :m] * np.tile(out_w @ out_w.T, (f + 1, f + 1))
+    cross = (g[:m, m : m + t + 1, None] * np.tile(out_w, (f + 1, 1))[:, None, :]).reshape(m, -1)
+    jtj[:m, m:] = cross
+    jtj[m:, :m] = cross.T
+    jtj[m:, m:] = np.kron(g[m : m + t + 1, m : m + t + 1], np.eye(2))
+
+    delta = dact * (e @ out_w.T)
+    jte = np.concatenate([(flat_t @ delta).ravel(), delta.sum(axis=0),
+                          (w_t[m : m + t + 1] @ e).ravel()])
+    return jtj, jte
 
 
 def train_stage2_lm(
@@ -325,14 +348,13 @@ def train_stage2_lm(
     history = []
     converged = False
     reason = "max_iters"
-    jac = grad = jtj = None
+    grad = jtj = None
     stale = True
 
     for it in range(1, cfg.max_iters + 1):
         if stale:
-            jac = _fc_jacobian(arch, flat, fc_pre, fc_out, out_w)
-            grad = jac.T @ resid
-            jtj = jac.T @ jac  # rejected steps retry on the same J with a larger mu
+            # rejected steps retry on the same J'J with a larger mu
+            jtj, grad = _fc_normal_equations(arch, flat, fc_pre, fc_out, out_w, resid)
             stale = False
         gnorm = float(np.max(np.abs(grad))) / n
         if gnorm < cfg.grad_tol:

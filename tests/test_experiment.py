@@ -141,6 +141,15 @@ def test_stage2_final_mse_when_lm_accepts_no_step(tmp_path):
     assert stage2["final_mse"] == float(mse)
 
 
+def _run_at_blas_threads(threads: str, script: str, *args: str) -> str:
+    """Run ``script`` in a fresh interpreter at ``threads`` OpenBLAS threads; return its stdout."""
+    src = str(Path(padpd.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, check=True, timeout=300,
+                          capture_output=True, text=True).stdout
+
+
 @pytest.mark.slow
 def test_stage1_history_independent_of_blas_threads(tmp_path):
     """The criterion-10 run's stage-1 history has the same bytes at 1 and 2
@@ -155,15 +164,37 @@ def test_stage1_history_independent_of_blas_threads(tmp_path):
         "                                lm=LmConfig(max_iters=15), dataset_count=800, segment=512),\n"
         "               sys.argv[1])\n"
     )
-    src = str(Path(padpd.__file__).resolve().parents[1])
     histories = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / f"threads{threads}"
-        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True, timeout=300)
+        _run_at_blas_threads(threads, script, str(out))
         histories.append((out / "history_stage1.csv").read_bytes())
     assert histories[0] == histories[1]
+
+
+@pytest.mark.slow
+def test_lm_normal_equations_independent_of_blas_threads():
+    """LM's J'J and J'e for the paper's arch have the same bytes at 1 and 2
+    OpenBLAS threads, at the train-split sizes the pipelines use."""
+    script = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from padpd.network import ConvNetArch, conv_head, forward_batch, init_params, mlp_forward_parts\n"
+        "from padpd.training import _fc_normal_equations\n"
+        "arch = ConvNetArch()\n"
+        "p = init_params(arch, 1)\n"
+        "head = conv_head(arch, p.fc_weights, p.fc_biases, p.out_weights, p.out_biases)\n"
+        "rng = np.random.default_rng(0)\n"
+        "for n in (480, 3000, 8400):\n"
+        "    flat = forward_batch(p, arch, 0.4 * rng.standard_normal((n, *arch.input_shape)), features=True)\n"
+        "    pres, acts = mlp_forward_parts(head, flat)\n"
+        "    resid = (acts[-1] - 0.3 * rng.standard_normal((n, 2))).reshape(-1)\n"
+        "    jtj, jte = _fc_normal_equations(arch, flat, pres[0], acts[1], p.out_weights, resid)\n"
+        "    print(n, hashlib.sha256(jtj.tobytes() + jte.tobytes()).hexdigest())\n"
+    )
+    hashes = [_run_at_blas_threads(threads, script) for threads in ("1", "2")]
+    assert len(hashes[0].splitlines()) == 3
+    assert hashes[0] == hashes[1]
 
 
 def test_run_experiment_gmp(tmp_path):

@@ -2,20 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padpd.dataset import Dataset, build_dataset
 from padpd.network import (
     Activation,
     ConvNetArch,
     ConvNetParams,
+    conv_head,
     forward_batch,
     init_params,
     mlp_forward,
+    mlp_forward_parts,
     mlp_init,
 )
 from padpd.signals import ComplexSeq
 from padpd.training import (
     AdamConfig,
+    _fc_normal_equations,
     LmConfig,
     TrainingError,
     adam_init,
@@ -31,6 +36,7 @@ from padpd.training import (
     unpack_fc,
     write_history_csv,
 )
+from test_network import conv_archs, with_random_biases
 
 
 def tiny_task(arch, n=60, seed=0, label_seed=1):
@@ -234,6 +240,148 @@ def test_lm_converges_immediately_at_zero_residual():
     assert result.converged and result.reason == "gradient"
     assert result.n_iters == 0
     assert np.array_equal(polished.fc_weights, params.fc_weights)
+
+
+def reference_fc_jacobian(arch, flat, fc_pre, fc_out, out_w):
+    """d residual / d theta, shape (2N, |theta|), residual order (n, comp),
+    formed entry block by entry block."""
+    n, t = fc_pre.shape
+    f = flat.shape[1]
+    dact = arch.fc_activation.derivative_from_output(fc_pre, fc_out)  # (N, T)
+    sens = dact[:, :, None] * out_w[None, :, :]  # (N, T, 2)
+    sens = np.moveaxis(sens, 2, 1)  # (N, 2, T)
+    j_fc_w = np.einsum("nf,nct->ncft", flat, sens).reshape(n, 2, f * t)
+    j_fc_b = sens
+    j_out_w = np.zeros((n, 2, t, 2))
+    j_out_w[:, 0, :, 0] = fc_out
+    j_out_w[:, 1, :, 1] = fc_out
+    j_out_w = j_out_w.reshape(n, 2, t * 2)
+    j_out_b = np.tile(np.eye(2), (n, 1, 1))
+    full = np.concatenate([j_fc_w, j_fc_b, j_out_w, j_out_b], axis=2)
+    return full.reshape(2 * n, -1)
+
+
+def head_parts(theta, arch, flat, labels):
+    """The head residual (order (n, comp)) at ``theta`` and the reference
+    Jacobian's inputs."""
+    fc_w, fc_b, out_w, out_b = unpack_fc(theta, arch)
+    pres, acts = mlp_forward_parts(conv_head(arch, fc_w, fc_b, out_w, out_b), flat)
+    return (acts[-1] - labels).reshape(-1), pres[0], acts[1], out_w
+
+
+def test_reference_jacobian_matches_finite_differences():
+    arch = ConvNetArch(memory_depth=2, kernel_cols=2, kernel_rows=3, n_kernels=2, fc_neurons=4)
+    data = tiny_task(arch, n=7, seed=2)
+    params = init_params(arch, 5)
+    flat = forward_batch(params, arch, data.graphs, features=True)
+    theta = pack_fc(params)
+    _, fc_pre, fc_out, out_w = head_parts(theta, arch, flat, data.labels)
+    jac = reference_fc_jacobian(arch, flat, fc_pre, fc_out, out_w)
+    assert jac.shape == (14, theta.size)
+
+    h = 1e-6
+    numeric = np.empty_like(jac)
+    for k in range(theta.size):
+        bump = np.zeros_like(theta)
+        bump[k] = h
+        numeric[:, k] = (head_parts(theta + bump, arch, flat, data.labels)[0]
+                         - head_parts(theta - bump, arch, flat, data.labels)[0]) / (2 * h)
+    np.testing.assert_allclose(jac, numeric, rtol=1e-6, atol=1e-8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(arch=conv_archs(), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_fc_normal_equations_match_reference_jacobian(arch, n, seed):
+    """J'J and J'e assembled from one N-row Gram matrix equal the products of
+    the formed Jacobian, for every kernel shape and FC activation. The
+    absolute floor is 1e-12 of each product's Cauchy-Schwarz bound, so
+    entries that cancel to about zero compare at the products' own scale."""
+    rng = np.random.default_rng(seed)
+    params = with_random_biases(init_params(arch, seed), rng)
+    graphs = rng.standard_normal((n, *arch.input_shape))
+    labels = rng.standard_normal((n, 2))
+    flat = forward_batch(params, arch, graphs, features=True)
+    resid, fc_pre, fc_out, out_w = head_parts(pack_fc(params), arch, flat, labels)
+
+    jtj, jte = _fc_normal_equations(arch, flat, fc_pre, fc_out, out_w, resid)
+    jac = reference_fc_jacobian(arch, flat, fc_pre, fc_out, out_w)
+    ref_jtj, ref_jte = jac.T @ jac, jac.T @ resid
+    diag = np.diag(ref_jtj).max()
+    np.testing.assert_allclose(jtj, ref_jtj, rtol=1e-12, atol=1e-12 * diag)
+    np.testing.assert_allclose(jte, ref_jte, rtol=1e-12,
+                               atol=1e-12 * np.sqrt(diag) * np.linalg.norm(resid))
+    assert np.array_equal(jtj, jtj.T)
+
+
+def reference_lm(params, arch, data, cfg):
+    """The LM polish's rules on the formed Jacobian: (accepted, mse) per
+    iteration and the stop reason."""
+    flat = forward_batch(params, arch, data.graphs, features=True)
+    n = data.labels.shape[0]
+
+    def evaluate(theta):
+        resid, fc_pre, fc_out, out_w = head_parts(theta, arch, flat, data.labels)
+        return resid, float(resid @ resid) / (2 * n), reference_fc_jacobian(arch, flat, fc_pre, fc_out, out_w)
+
+    theta = pack_fc(params)
+    resid, mse, jac = evaluate(theta)
+    mu = cfg.mu_init
+    rows = []
+    for _ in range(cfg.max_iters):
+        grad = jac.T @ resid
+        if np.max(np.abs(grad)) / n < cfg.grad_tol:
+            return rows, "gradient"
+        cand = theta - np.linalg.solve(jac.T @ jac + mu * np.eye(theta.size), grad)
+        cand_resid, cand_mse, cand_jac = evaluate(cand)
+        if cand_mse < mse:
+            rel = (mse - cand_mse) / mse
+            theta, resid, mse, jac = cand, cand_resid, cand_mse, cand_jac
+            mu = max(mu * cfg.mu_down, 1e-14)
+            rows.append((1, mse))
+            if rel < cfg.min_rel_improvement:
+                return rows, "stalled"
+        else:
+            mu *= cfg.mu_up
+            rows.append((0, mse))
+            if mu > cfg.mu_max:
+                return rows, "damping_limit"
+    return rows, "max_iters"
+
+
+def _warm_start_setup():
+    arch = ConvNetArch(memory_depth=2, kernel_cols=2, kernel_rows=3, n_kernels=2, fc_neurons=4)
+    data = tiny_task(arch, n=120, seed=4)
+    warm, _ = train_stage1_adam(init_params(arch, 3), arch, data, AdamConfig(max_iters=150, mse_threshold=0.0))
+    return warm, arch, data
+
+
+def _paper_arch_setup():
+    arch = ConvNetArch()
+    data = tiny_task(arch, n=200, seed=7, label_seed=8)
+    warm, _ = train_stage1_adam(init_params(arch, 9), arch, data, AdamConfig(max_iters=100, mse_threshold=0.0))
+    return warm, arch, data
+
+
+def _zero_residual_setup():
+    arch = ConvNetArch(memory_depth=1, kernel_cols=2, kernel_rows=2, n_kernels=2, fc_neurons=3)
+    graphs = np.random.default_rng(6).standard_normal((40, *arch.input_shape)) * 0.3
+    params = init_params(arch, 7)
+    return params, arch, Dataset(graphs, forward_batch(params, arch, graphs), "train")
+
+
+@pytest.mark.parametrize("setup", [_warm_start_setup, _paper_arch_setup, _zero_residual_setup],
+                         ids=["warm_start", "paper_arch", "zero_residual"])
+def test_lm_path_matches_formed_jacobian_loop(setup):
+    """Normal equations from the Gram matrix take LM down the same path as
+    the formed Jacobian: the same accepted steps, stop and costs."""
+    params, arch, data = setup()
+    _, result = train_stage2_lm(params, arch, data, LmConfig())
+    rows, reason = reference_lm(params, arch, data, LmConfig())
+    assert (result.n_iters, result.reason) == (len(rows), reason)
+    if rows:
+        accepted, mse = np.array(rows).T
+        assert np.array_equal(result.history[:, 3], accepted)
+        np.testing.assert_allclose(result.history[:, 1], mse, rtol=1e-9)
 
 
 def test_mlp_grads_match_finite_differences():

@@ -1,0 +1,116 @@
+"""Paired perfbench runs of two checkouts: one workload, alternating order.
+
+    python3 tools/bench_pairs.py --workload model-conv --parent ../parent --change . \
+        --pairs 10 --seed 1 --seconds 24 --out BENCH_6.json
+
+Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
+after the other; the first side alternates from pair to pair, so a drift of
+the host's speed hits both sides alike. Each run's last stdout line is its
+JSON result. The output file holds, per end-to-end metric, both sides'
+values, medians and quartiles and the number of pairs the change won (ties
+count for neither side), plus each run's environment fingerprint. It is
+keyed by workload: a workload already in the file is replaced, the others
+are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _describe(checkout: Path) -> str | None:
+    """The checkout's commit (with ``-dirty`` if it has local edits), if it is a git tree."""
+    try:
+        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
+                              capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def run_once(checkout: Path, args) -> tuple[dict, dict]:
+    """One untraced perfbench run in ``checkout``: (result line, fingerprint)."""
+    cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}: {proc.stderr.strip()}")
+    lines = proc.stdout.strip().splitlines()
+    fingerprint = next(json.loads(line.split(" ", 1)[1]) for line in lines if line.startswith("fingerprint "))
+    return json.loads(lines[-1]), fingerprint
+
+
+def _spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+    """Per-metric spread of each side and the change's wins over the pairs."""
+    metrics = {}
+    for name, meta in runs["change"][0]["metrics"].items():
+        side = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in ("parent", "change")}
+        sign = 1 if better.get(name, "lower") == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(side["parent"], side["change"]))
+        metrics[name] = {"unit": meta["unit"], "better": better.get(name, "lower"),
+                         "parent": _spread(side["parent"]), "change": _spread(side["change"]),
+                         "change_wins": wins}
+    return metrics
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=24)
+    parser.add_argument("--out", required=True, type=Path)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 (quartiles need two values)")
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    fingerprints: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            line, fingerprint = run_once(checkouts[side], args)
+            if not line["correct"]:
+                print(f"warning: pair {i + 1} {side} run failed a check", file=sys.stderr)
+            runs[side].append(line)
+            fingerprints[side].append(fingerprint)
+        wall = {s: runs[s][-1]["metrics"]["wall_s"]["value"] for s in order}
+        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): parent {wall['parent']:.4g} s, "
+              f"change {wall['change']:.4g} s", flush=True)
+
+    entry = {
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "commits": {s: _describe(c) for s, c in checkouts.items()},
+        "all_correct": all(r["correct"] for side in runs.values() for r in side),
+        "metrics": summarize(runs, better),
+        # one fingerprint per side when every run of that side printed the same one
+        "fingerprint": {s: f[0] if all(x == f[0] for x in f) else f for s, f in fingerprints.items()},
+    }
+    table = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    table[args.workload] = entry
+    args.out.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    for name, m in entry["metrics"].items():
+        print(f"{name}: parent {m['parent']['median']:.6g} [{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}] "
+              f"change {m['change']['median']:.6g} [{m['change']['q1']:.6g}, {m['change']['q3']:.6g}] "
+              f"{m['unit']}, change better in {m['change_wins']}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
