@@ -38,7 +38,6 @@ from .network import (
     Activation,
     ConvNetArch,
     ConvNetParams,
-    conv_forward,
     forward,
     forward_batch,
     init_params,

@@ -6,6 +6,10 @@ C = (M+1)-s+1. Maps are flattened kernel-major (then row-major inside a map)
 and feed the dense head: a T-neuron fully connected layer and a 2-neuron
 linear output for I and Q. The head is an ordinary MLP layer stack, so the
 conv model and the MLP baselines share one forward pass.
+
+Inside, every activation is stored feature-major, shape (features, N), with
+the sample index contiguous: the conv GEMM's output is then the head's input
+as it stands. The public functions take and return (N, features) arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ __all__ = [
     "Activation",
     "ConvNetArch",
     "ConvNetParams",
-    "conv_forward",
     "forward",
     "forward_batch",
     "init_params",
@@ -200,13 +203,12 @@ class ConvNetParams:
 
 @dataclass(frozen=True)
 class _ForwardParts:
-    """Conv front end intermediates, the dense head, and the head's per-layer
-    pre-activations and activations (``acts[0]`` is the flattened maps,
-    ``acts[-1]`` the output). ``pre_maps`` and ``maps`` are (L, N*B*C), one
-    row per kernel, one column per `_im2col` row."""
+    """The conv layer's pre-activations, shape (L, B*C*N), one column per
+    `_im2col` column; the dense head; and the head's per-layer
+    pre-activations and activations, feature-major (``acts[0]`` is the
+    activated maps as the head's (L*B*C, N) input, ``acts[-1]`` the output)."""
 
     pre_maps: np.ndarray
-    maps: np.ndarray
     head: list
     pres: list
     acts: list
@@ -216,7 +218,7 @@ class _ForwardParts:
         return self.acts[-1]
 
 
-# Graphs per `forward_batch` block: bounds the im2col rows a long input
+# Graphs per `forward_batch` block: bounds the im2col columns a long input
 # (a whole DPD drive) holds at once.
 _FORWARD_BLOCK_ROWS = 16384
 
@@ -231,53 +233,35 @@ def _as_graphs(graphs, arch: ConvNetArch) -> np.ndarray:
 
 
 def _im2col(graphs: np.ndarray, arch: ConvNetArch) -> np.ndarray:
-    """Unrolled convolution input, shape (N*B*C, r*s+1).
+    """Unrolled convolution input, shape (r*s+1, B*C*N).
 
-    Row (n, b, c) holds the taps of graph n's kernel window at map cell
+    Column (b, c, n) holds the taps of graph n's kernel window at map cell
     (b, c), in kernel row-major order, then a 1. The forward pass is one GEMM,
-    ``[K | b] @ cols.T``, for the convolution plus its bias; the backward
-    pass is one GEMM, ``d_pre @ cols``, for the kernel and bias gradients.
+    ``[K | b] @ cols``, for the convolution plus its bias; its (L, B*C*N)
+    result reshaped to (L*B*C, N) is the head's kernel-major input. The
+    backward pass is one GEMM, ``d_pre @ cols.T``, for the kernel and bias
+    gradients.
     """
     graphs = _as_graphs(graphs, arch)
     r, s, b, c = arch.kernel_rows, arch.kernel_cols, arch.map_rows, arch.map_cols
-    cols = np.empty((graphs.shape[0], b, c, r * s + 1))
+    cells = np.ascontiguousarray(graphs.transpose(1, 2, 0))  # (5, M+1, N)
+    cols = np.empty((r * s + 1, b, c, graphs.shape[0]))
     for u in range(r):
         for v in range(s):
-            cols[..., u * s + v] = graphs[:, u : u + b, v : v + c]
-    cols[..., -1] = 1.0
-    return cols.reshape(-1, r * s + 1)
-
-
-def _maps_to_flat(maps: np.ndarray, arch: ConvNetArch) -> np.ndarray:
-    """(L, N*B*C) maps as the head's kernel-major (N, L*B*C) input."""
-    bc = arch.map_rows * arch.map_cols
-    return maps.reshape(arch.n_kernels, -1, bc).transpose(1, 0, 2).reshape(-1, arch.n_flat_features)
-
-
-def _flat_to_maps(flat: np.ndarray, arch: ConvNetArch) -> np.ndarray:
-    """The inverse of `_maps_to_flat`: (N, L*B*C) back to (L, N*B*C)."""
-    bc = arch.map_rows * arch.map_cols
-    return flat.reshape(-1, arch.n_kernels, bc).transpose(1, 0, 2).reshape(arch.n_kernels, -1)
+            cols[u * s + v] = cells[u : u + b, v : v + c]
+    cols[-1] = 1.0
+    return cols.reshape(r * s + 1, -1)
 
 
 def _forward_cols(params: ConvNetParams, arch: ConvNetArch, cols: np.ndarray) -> _ForwardParts:
-    """The forward pass from the `_im2col` rows of a batch of graphs."""
+    """The forward pass from the `_im2col` columns of a batch of graphs."""
     ker = params.conv_kernels
     ker_bias = np.column_stack([ker.reshape(ker.shape[0], -1), params.conv_biases])  # [K | b]
-    pre = ker_bias @ cols.T
-    maps = arch.conv_activation(pre)
+    pre = ker_bias @ cols
+    maps = arch.conv_activation(pre).reshape(arch.n_flat_features, -1)
     head = conv_head(arch, params.fc_weights, params.fc_biases, params.out_weights, params.out_biases)
-    pres, acts = mlp_forward_parts(head, _maps_to_flat(maps, arch))
-    return _ForwardParts(pre, maps, head, pres, acts)
-
-
-def conv_forward(graph: np.ndarray, params: ConvNetParams, arch: ConvNetArch) -> np.ndarray:
-    """Feature maps (L, B, C) of one graph after the conv activation."""
-    graph = np.asarray(graph, dtype=float)
-    if graph.shape != arch.input_shape:
-        raise ValueError(f"graph has shape {graph.shape}, expected {arch.input_shape}")
-    return forward_batch(params, arch, graph[None], features=True)[0].reshape(
-        arch.n_kernels, arch.map_rows, arch.map_cols)
+    pres, acts = mlp_forward_parts(head, maps)
+    return _ForwardParts(pre, head, pres, acts)
 
 
 def forward_batch(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray,
@@ -285,23 +269,24 @@ def forward_batch(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray,
     """Model outputs, shape (n, 2) with columns (I, Q).
 
     With ``features`` it returns the head's input instead: the activated
-    feature maps, kernel-major, shape (n, L*B*C). Graphs go through in blocks
-    of `_FORWARD_BLOCK_ROWS`, so only one block's unrolled windows are held
-    at a time, however long the input.
+    feature maps, kernel-major, shape (n, L*B*C). Either is the transpose of
+    a feature-major array. Graphs go through in blocks of
+    `_FORWARD_BLOCK_ROWS`, so only one block's unrolled windows are held at a
+    time, however long the input.
     """
     params.check_shapes(arch)
     graphs = _as_graphs(graphs, arch)
     n = graphs.shape[0]
-    out = np.empty((n, arch.n_flat_features if features else N_OUTPUTS))
+    out = np.empty((arch.n_flat_features if features else N_OUTPUTS, n))
     for start in range(0, n, _FORWARD_BLOCK_ROWS):
         block = graphs[start : start + _FORWARD_BLOCK_ROWS]
-        # numpy sends a one-row product to gemv, whose sums round unlike
+        # numpy sends a one-column product to gemv, whose sums round unlike
         # gemm's; a lone graph runs as two copies, so that `forward` gives
         # the bytes of the same graph's row in a larger batch.
         cols = _im2col(block if len(block) > 1 else np.repeat(block, 2, axis=0), arch)
         parts = _forward_cols(params, arch, cols)
-        out[start : start + len(block)] = (parts.acts[0] if features else parts.outputs)[: len(block)]
-    return out
+        out[:, start : start + len(block)] = (parts.acts[0] if features else parts.outputs)[:, : len(block)]
+    return out.T
 
 
 def forward(params: ConvNetParams, arch: ConvNetArch, graph: np.ndarray) -> tuple[float, float]:
@@ -350,18 +335,19 @@ def conv_head(arch: ConvNetArch, fc_weights, fc_biases, out_weights, out_biases)
 
 
 def mlp_forward_parts(layers: Sequence[MlpLayer], x: np.ndarray) -> tuple[list, list]:
-    """Per-layer pre-activations and activations over a batch (N, D).
+    """Per-layer pre-activations and activations over a feature-major batch
+    (D, N), each feature-major too.
 
     ``acts`` has one more entry than ``pres``: ``acts[0]`` is the input.
     """
     acts = [x]
     pres = []
     for layer in layers:
-        if acts[-1].shape[1] != layer.weights.shape[0]:
+        if acts[-1].shape[0] != layer.weights.shape[0]:
             raise ValueError(
-                f"layer expects {layer.weights.shape[0]} inputs, got {acts[-1].shape[1]}"
+                f"layer expects {layer.weights.shape[0]} inputs, got {acts[-1].shape[0]}"
             )
-        pres.append(acts[-1] @ layer.weights + layer.biases)
+        pres.append(layer.weights.T @ acts[-1] + layer.biases[:, None])
         acts.append(layer.act(pres[-1]))
     return pres, acts
 
@@ -369,8 +355,8 @@ def mlp_forward_parts(layers: Sequence[MlpLayer], x: np.ndarray) -> tuple[list, 
 def mlp_forward(layers: Sequence[MlpLayer], x: np.ndarray) -> np.ndarray:
     """Chain the layers over a single vector (D,) or a batch (N, D)."""
     x = np.asarray(x, dtype=float)
-    out = mlp_forward_parts(layers, x[None] if x.ndim == 1 else x)[1][-1]
-    return out[0] if x.ndim == 1 else out
+    out = mlp_forward_parts(layers, x[:, None] if x.ndim == 1 else x.T)[1][-1]
+    return out[:, 0] if x.ndim == 1 else out.T
 
 
 def mlp_init(widths: Sequence[int], hidden_act: Activation, seed: int = 0,

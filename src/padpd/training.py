@@ -6,7 +6,9 @@ The conv model's dense head is an MLP layer stack, so one backprop
 (`mlp_backprop`) and one Adam loop (`adam_minimize`) serve both the conv
 model and the MLP baselines; the conv model adds only its kernel gradient.
 
-The cost everywhere is mse = (1/2N) * sum[(I'-I)^2 + (Q'-Q)^2].
+The cost everywhere is mse = (1/2N) * sum[(I'-I)^2 + (Q'-Q)^2]. Inside,
+activations, deltas and targets are feature-major, shape (features, N), as
+in `network`; the public functions take (N, features) arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .network import (
     ConvNetArch,
     ConvNetParams,
     MlpLayer,
-    _flat_to_maps,
     _forward_cols,
     _im2col,
     conv_head,
@@ -100,57 +101,61 @@ class LmConfig:
             raise ValueError("max_iters must be >= 1")
 
 
-def _cost_and_output_delta(outputs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """The MSE cost and its gradient with respect to the outputs."""
-    n = labels.shape[0]
-    resid = outputs - labels
+def _cost_and_output_delta(outputs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """The MSE cost and its gradient with respect to the (2, N) outputs."""
+    n = targets.shape[1]
+    resid = outputs - targets
     return float((resid * resid).sum() / (2 * n)), resid / n
 
 
 def mse_cost(params: ConvNetParams, arch: ConvNetArch, data: Dataset) -> float:
     return _cost_and_output_delta(_forward_cols(params, arch, _im2col(data.graphs, arch)).outputs,
-                                  data.labels)[0]
+                                  data.labels.T)[0]
 
 
 def mlp_backprop(layers: list[MlpLayer], pres: list, acts: list, d_out: np.ndarray):
     """Reverse pass over a layer stack, from the cost gradient at its output.
 
-    ``pres``/``acts`` come from `mlp_forward_parts`. Returns the per-layer
-    (dW, db) and the cost gradient at the first layer's pre-activation; a
-    caller that needs the gradient at the stack's input multiplies it by
-    ``layers[0].weights.T`` (the MLPs do not, so they skip that product).
+    ``pres``/``acts`` come from `mlp_forward_parts`; ``d_out`` is
+    feature-major like them. Returns the per-layer (dW, db) and the cost
+    gradient at the first layer's pre-activation; a caller that needs the
+    gradient at the stack's input multiplies ``layers[0].weights`` by it
+    (the MLPs do not, so they skip that product).
     """
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
     delta = d_out
     for j in range(len(layers) - 1, -1, -1):
         delta = delta * layers[j].act.derivative_from_output(pres[j], acts[j + 1])
-        grads[j] = (acts[j].T @ delta, delta.sum(axis=0))
+        grads[j] = (acts[j] @ delta.T, delta.sum(axis=1))
         if j:
-            delta = delta @ layers[j].weights.T
+            delta = layers[j].weights @ delta
     return grads, delta
 
 
-def _cost_and_grads(params, arch, cols, labels):
+def _cost_and_grads(params, arch, cols, targets):
     """Batch MSE and its gradients: head backprop, then the conv layer's.
 
-    ``cols`` are the graphs' `_im2col` rows. The kernel and bias gradients
-    come from one GEMM, ``d_pre @ cols``: the ones column of ``cols`` sums
-    ``d_pre`` into the bias gradient.
+    ``cols`` are the graphs' `_im2col` columns and ``targets`` the (2, N)
+    labels. The gradient at the head's input, ``fc_weights @ d_fc``, is the
+    conv layer's (L, B*C*N) delta after a reshape; the kernel and bias
+    gradients come from one GEMM, ``d_pre @ cols.T``: the ones row of
+    ``cols`` sums ``d_pre`` into the bias gradient.
     """
     parts = _forward_cols(params, arch, cols)
-    cost, d_out = _cost_and_output_delta(parts.outputs, labels)
+    cost, d_out = _cost_and_output_delta(parts.outputs, targets)
     (g_fc, g_out), d_fc = mlp_backprop(parts.head, parts.pres, parts.acts, d_out)
 
-    d_pre = _flat_to_maps(d_fc @ params.fc_weights.T, arch)
-    d_pre *= arch.conv_activation.derivative_from_output(parts.pre_maps, parts.maps)
-    g_conv = d_pre @ cols
+    d_pre = (params.fc_weights @ d_fc).reshape(arch.n_kernels, -1)
+    d_pre *= arch.conv_activation.derivative_from_output(
+        parts.pre_maps, parts.acts[0].reshape(arch.n_kernels, -1))
+    g_conv = d_pre @ cols.T
     g_ker = g_conv[:, :-1].reshape(params.conv_kernels.shape)
     return cost, ConvNetParams(g_ker, g_conv[:, -1], *g_fc, *g_out)
 
 
 def backprop_grads(params: ConvNetParams, arch: ConvNetArch, data: Dataset) -> ConvNetParams:
     """Gradient of the MSE cost, shaped like the parameters."""
-    return _cost_and_grads(params, arch, _im2col(data.graphs, arch), data.labels)[1]
+    return _cost_and_grads(params, arch, _im2col(data.graphs, arch), data.labels.T)[1]
 
 
 @dataclass
@@ -172,12 +177,12 @@ def adam_step(values: list[np.ndarray], grads: list[np.ndarray],
     b1c = 1.0 - cfg.beta1**k
     b2c = 1.0 - cfg.beta2**k
     out = []
-    for idx, (val, grad) in enumerate(zip(values, grads)):
-        state.m[idx] = cfg.beta1 * state.m[idx] + (1.0 - cfg.beta1) * grad
-        state.v[idx] = cfg.beta2 * state.v[idx] + (1.0 - cfg.beta2) * grad * grad
-        m_hat = state.m[idx] / b1c
-        v_hat = state.v[idx] / b2c
-        out.append(val - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon))
+    for val, grad, m, v in zip(values, grads, state.m, state.v):
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * grad
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * grad * grad
+        out.append(val - cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + cfg.epsilon))
     return out
 
 
@@ -212,7 +217,7 @@ def train_stage1_adam(
 ) -> tuple[ConvNetParams, np.ndarray]:
     """Stage 1: `adam_minimize` over every conv model parameter.
 
-    Each split's `_im2col` rows are built once up front and every
+    Each split's `_im2col` columns are built once up front and every
     iteration reuses them, which gives the same values as
     `backprop_grads`/`mse_cost` without rebuilding them per call.
     """
@@ -221,12 +226,12 @@ def train_stage1_adam(
     test_cols = None if test is None else _im2col(test.graphs, arch)
 
     def cost_and_grads(values):
-        cost, grads = _cost_and_grads(ConvNetParams.from_list(values), arch, train_cols, train.labels)
+        cost, grads = _cost_and_grads(ConvNetParams.from_list(values), arch, train_cols, train.labels.T)
         return cost, grads.as_list()
 
     def test_cost(values):
         outputs = _forward_cols(ConvNetParams.from_list(values), arch, test_cols).outputs
-        return _cost_and_output_delta(outputs, test.labels)[0]
+        return _cost_and_output_delta(outputs, test.labels.T)[0]
 
     values, history = adam_minimize([a.copy() for a in params.as_list()], cost_and_grads, cfg,
                                     None if test is None else test_cost)
@@ -276,11 +281,13 @@ class LmResult:
 
 
 def _fc_eval(theta, arch, flat, labels):
+    """The head residual, order (n, comp), and the (N, T) FC layer parts as
+    transposes of the feature-major arrays."""
     fc_w, fc_b, out_w, out_b = unpack_fc(theta, arch)
     head = conv_head(arch, fc_w, fc_b, out_w, out_b)
-    (fc_pre, _), (_, fc_out, outputs) = mlp_forward_parts(head, flat)
-    resid = (outputs - labels).reshape(-1)  # component index fastest
-    return resid, fc_pre, fc_out, out_w
+    (fc_pre, _), (_, fc_out, outputs) = mlp_forward_parts(head, flat.T)
+    resid = (outputs.T - labels).reshape(-1)  # component index fastest
+    return resid, fc_pre.T, fc_out.T, out_w
 
 
 def _fc_normal_equations(arch, flat, fc_pre, fc_out, out_w, resid):
@@ -292,21 +299,23 @@ def _fc_normal_equations(arch, flat, fc_pre, fc_out, out_w, resid):
     matrix of the N-row ``W = [[flat, 1] ⊗ fc_act' | fc_out | 1]``, weighted
     by ``out_w``, and J'e is the head's backprop gradient.
 
-    W is built transposed, one contiguous N-long row per column. It gets zero
-    columns up to a multiple of 8: OpenBLAS then gives the Gram matrix the
-    same bytes at any thread count, which it does not for some other widths.
+    ``flat``, ``fc_pre`` and ``fc_out`` are (N, ·); the training path passes
+    transposes of feature-major arrays, so ``flat.T`` and ``dact.T`` are
+    contiguous as they come. W is built transposed, one contiguous N-long row
+    per column. It gets zero columns up to a multiple of 8: OpenBLAS then
+    gives the Gram matrix the same bytes at any thread count, which it does
+    not for some other widths.
     """
     n, t = fc_pre.shape
     f = flat.shape[1]
     m = (f + 1) * t  # FC weights and biases, in `pack_fc` order
     e = resid.reshape(n, 2)
     dact = arch.fc_activation.derivative_from_output(fc_pre, fc_out)
-    flat_t, dact_t = np.ascontiguousarray(flat.T), np.ascontiguousarray(dact.T)
 
     w_t = np.zeros((-(-(m + t + 1) // 8) * 8, n))
     fc_rows = w_t[:m].reshape(f + 1, t, n)
-    np.multiply(flat_t[:, None, :], dact_t[None, :, :], out=fc_rows[:f])
-    fc_rows[f] = dact_t
+    np.multiply(flat.T[:, None, :], dact.T[None, :, :], out=fc_rows[:f])
+    fc_rows[f] = dact.T
     w_t[m : m + t] = fc_out.T
     w_t[m + t] = 1.0
     g = w_t @ w_t.T
@@ -319,7 +328,7 @@ def _fc_normal_equations(arch, flat, fc_pre, fc_out, out_w, resid):
     jtj[m:, m:] = np.kron(g[m : m + t + 1, m : m + t + 1], np.eye(2))
 
     delta = dact * (e @ out_w.T)
-    jte = np.concatenate([(flat_t @ delta).ravel(), delta.sum(axis=0),
+    jte = np.concatenate([(flat.T @ delta).ravel(), delta.sum(axis=0),
                           (w_t[m : m + t + 1] @ e).ravel()])
     return jtj, jte
 
@@ -408,9 +417,9 @@ def train_stage2_lm(
 
 
 def mlp_cost_and_grads(layers: list[MlpLayer], x: np.ndarray, labels: np.ndarray):
-    """MSE cost and per-layer (dW, db) for a plain MLP."""
-    pres, acts = mlp_forward_parts(layers, np.asarray(x, dtype=float))
-    cost, d_out = _cost_and_output_delta(acts[-1], labels)
+    """MSE cost and per-layer (dW, db) for a plain MLP over x (N, D)."""
+    pres, acts = mlp_forward_parts(layers, np.asarray(x, dtype=float).T)
+    cost, d_out = _cost_and_output_delta(acts[-1], labels.T)
     return cost, mlp_backprop(layers, pres, acts, d_out)[0]
 
 

@@ -187,9 +187,9 @@ def test_lm_normal_equations_independent_of_blas_threads():
         "rng = np.random.default_rng(0)\n"
         "for n in (480, 3000, 8400):\n"
         "    flat = forward_batch(p, arch, 0.4 * rng.standard_normal((n, *arch.input_shape)), features=True)\n"
-        "    pres, acts = mlp_forward_parts(head, flat)\n"
-        "    resid = (acts[-1] - 0.3 * rng.standard_normal((n, 2))).reshape(-1)\n"
-        "    jtj, jte = _fc_normal_equations(arch, flat, pres[0], acts[1], p.out_weights, resid)\n"
+        "    pres, acts = mlp_forward_parts(head, flat.T)\n"
+        "    resid = (acts[-1].T - 0.3 * rng.standard_normal((n, 2))).reshape(-1)\n"
+        "    jtj, jte = _fc_normal_equations(arch, flat, pres[0].T, acts[1].T, p.out_weights, resid)\n"
         "    print(n, hashlib.sha256(jtj.tobytes() + jte.tobytes()).hexdigest())\n"
     )
     hashes = [_run_at_blas_threads(threads, script) for threads in ("1", "2")]

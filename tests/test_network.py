@@ -15,7 +15,6 @@ from padpd.network import (
     ConvNetArch,
     ConvNetParams,
     MlpLayer,
-    conv_forward,
     forward,
     forward_batch,
     init_params,
@@ -158,7 +157,8 @@ def test_im2col_core_matches_loop_reference(arch, n, seed):
     ref_maps = np.array([reference_maps(params, arch, g) for g in graphs])
     features = forward_batch(params, arch, graphs, features=True)
     np.testing.assert_allclose(features, ref_maps.reshape(n, -1), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(conv_forward(graphs[0], params, arch), ref_maps[0], rtol=1e-12, atol=1e-12)
+    lone = forward_batch(params, arch, graphs[:1], features=True)
+    np.testing.assert_allclose(lone.reshape(ref_maps[:1].shape), ref_maps[:1], rtol=1e-12, atol=1e-12)
     ref_out = np.array([reference_forward(params, arch, g) for g in graphs])
     np.testing.assert_allclose(forward_batch(params, arch, graphs), ref_out, rtol=1e-12, atol=1e-12)
 
@@ -209,13 +209,14 @@ def test_forward_batch_memory_does_not_grow_with_rows():
     assert net_peaks[1] <= net_peaks[0] + block_windows // 10, net_peaks
 
 
-def test_conv_forward_single_graph():
+def test_forward_batch_features_single_graph():
     arch = ConvNetArch(memory_depth=2, kernel_cols=2, kernel_rows=2, n_kernels=2)
     params = init_params(arch, seed=3)
     rng = np.random.default_rng(4)
     graph = rng.standard_normal(arch.input_shape)
-    maps = conv_forward(graph, params, arch)
-    assert maps.shape == (2, 4, 2)
+    features = forward_batch(params, arch, graph[None], features=True)
+    assert features.shape == (1, 16)
+    maps = features.reshape(2, 4, 2)
     ref = np.tanh(
         params.conv_biases[0]
         + np.sum(graph[:2, :2] * params.conv_kernels[0])

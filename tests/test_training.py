@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padpd.dataset import Dataset, build_dataset
 from padpd.network import (
+    _im2col,
     Activation,
     ConvNetArch,
     ConvNetParams,
@@ -20,6 +21,7 @@ from padpd.network import (
 from padpd.signals import ComplexSeq
 from padpd.training import (
     AdamConfig,
+    _cost_and_grads,
     _fc_normal_equations,
     LmConfig,
     TrainingError,
@@ -57,6 +59,50 @@ def test_mse_cost_formula():
     resid = out - data.labels
     expect = np.sum(resid**2) / (2 * 17)
     assert mse_cost(params, arch, data) == pytest.approx(expect, rel=1e-12)
+
+
+def row_major_cost_and_grads(params, arch, graphs, labels):
+    """Cost and gradients in the row-major layout: one im2col row per map
+    cell (N*B*C, r*s+1), the maps transposed into kernel-major (N, L*B*C)
+    rows for the head and back, the batch along axis 0."""
+    n, l_k, r, s = len(graphs), arch.n_kernels, arch.kernel_rows, arch.kernel_cols
+    b, c = arch.map_rows, arch.map_cols
+    cols = np.ones((n, b, c, r * s + 1))
+    for u in range(r):
+        for v in range(s):
+            cols[..., u * s + v] = graphs[:, u : u + b, v : v + c]
+    cols = cols.reshape(-1, r * s + 1)
+    pre = cols @ np.column_stack([params.conv_kernels.reshape(l_k, -1), params.conv_biases]).T
+    flat = arch.conv_activation(pre).reshape(n, b * c, l_k).transpose(0, 2, 1).reshape(n, -1)
+    fc_pre = flat @ params.fc_weights + params.fc_biases
+    fc_out = arch.fc_activation(fc_pre)
+    resid = fc_out @ params.out_weights + params.out_biases - labels
+    d_out = resid / n
+    d_fc = (d_out @ params.out_weights.T) * arch.fc_activation.derivative(fc_pre)
+    d_flat = (d_fc @ params.fc_weights.T).reshape(n, l_k, b * c).transpose(0, 2, 1).reshape(-1, l_k)
+    g_conv = (d_flat * arch.conv_activation.derivative(pre)).T @ cols
+    return np.sum(resid**2) / (2 * n), [g_conv[:, :-1].reshape(l_k, r, s), g_conv[:, -1],
+                                        flat.T @ d_fc, d_fc.sum(axis=0), fc_out.T @ d_out, d_out.sum(axis=0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(arch=conv_archs(), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+@example(arch=ConvNetArch(n_kernels=1), n=1, seed=0)
+@example(arch=ConvNetArch(n_kernels=1, fc_activation=Activation("sigmoid")), n=7, seed=1)
+def test_cost_and_grads_match_row_major_oracle(arch, n, seed):
+    """The feature-major cost and gradients equal the row-major formulation's
+    for every kernel shape and activation. The absolute floor is 1e-12 of
+    each gradient array's largest entry, for entries that cancel to about zero."""
+    rng = np.random.default_rng(seed)
+    params = with_random_biases(init_params(arch, seed), rng)
+    graphs = rng.standard_normal((n, *arch.input_shape))
+    labels = rng.standard_normal((n, 2))
+    cost, grads = _cost_and_grads(params, arch, _im2col(graphs, arch), labels.T)
+    ref_cost, ref_grads = row_major_cost_and_grads(params, arch, graphs, labels)
+    assert cost == pytest.approx(ref_cost, rel=1e-12)
+    for got, want in zip(grads.as_list(), ref_grads):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_backprop_matches_finite_differences():
@@ -263,10 +309,10 @@ def reference_fc_jacobian(arch, flat, fc_pre, fc_out, out_w):
 
 def head_parts(theta, arch, flat, labels):
     """The head residual (order (n, comp)) at ``theta`` and the reference
-    Jacobian's inputs."""
+    Jacobian's inputs, (N, ·) views of the feature-major head parts."""
     fc_w, fc_b, out_w, out_b = unpack_fc(theta, arch)
-    pres, acts = mlp_forward_parts(conv_head(arch, fc_w, fc_b, out_w, out_b), flat)
-    return (acts[-1] - labels).reshape(-1), pres[0], acts[1], out_w
+    pres, acts = mlp_forward_parts(conv_head(arch, fc_w, fc_b, out_w, out_b), flat.T)
+    return (acts[-1].T - labels).reshape(-1), pres[0].T, acts[1].T, out_w
 
 
 def test_reference_jacobian_matches_finite_differences():
