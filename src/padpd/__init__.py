@@ -9,9 +9,7 @@ indirect-learning DPD, spectral metrics, and exact complexity audits.
 from .baselines import (
     GmpConfig,
     GmpModel,
-    gmp_basis,
     gmp_fit_ls,
-    gmp_forward,
     gmp_table_config,
 )
 from .basis_check import contains_basis_terms, expand_power, filter_tap_sum, tanh_taylor

@@ -27,9 +27,7 @@ __all__ = [
     "gmp_table_config",
     "gmp_valid_indices",
     "gmp_basis_at",
-    "gmp_basis",
     "gmp_fit_ls",
-    "gmp_forward",
     "save_gmp",
     "load_gmp",
     "MLP_FEATURE_KINDS",
@@ -166,11 +164,6 @@ def gmp_basis_at(x: ComplexSeq, cfg: GmpConfig, n_indices: np.ndarray) -> np.nda
     return cols
 
 
-def gmp_basis(x: ComplexSeq, cfg: GmpConfig) -> np.ndarray:
-    """Basis over every valid sample (warm-up and look-ahead rows dropped)."""
-    return gmp_basis_at(x, cfg, gmp_valid_indices(cfg, len(x)))
-
-
 def gmp_fit_ls(basis: np.ndarray, y, cfg: GmpConfig, ridge: float = 0.0) -> GmpModel:
     """Least-squares coefficients, optionally ridge-regularized.
 
@@ -204,12 +197,6 @@ def gmp_fit_ls(basis: np.ndarray, y, cfg: GmpConfig, ridge: float = 0.0) -> GmpM
         coeffs = np.linalg.solve(gram, basis.conj().T @ target)
 
     return GmpModel(cfg, coeffs)
-
-
-def gmp_forward(model: GmpModel, x: ComplexSeq) -> ComplexSeq:
-    """Model output over the valid rows of x (same trim as gmp_basis)."""
-    out = gmp_basis(x, model.config) @ model.coeffs
-    return ComplexSeq(out, x.sample_rate_hz)
 
 
 def save_gmp(model: GmpModel, path) -> None:

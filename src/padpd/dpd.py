@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import network
 from .dataset import dpd_dataset, feature_graphs
 from .metrics import ChannelPlan, acpr_db, nmse_db, psd_welch
 from .network import ConvNetArch, ConvNetParams, forward_batch, init_params
@@ -93,25 +94,23 @@ def _complex_outputs(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarra
 
 
 def train_dpd(
-    pa: PolyPaModel,
     drive: ComplexSeq,
+    output: ComplexSeq,
     arch: ConvNetArch,
     adam_cfg: AdamConfig,
     lm_cfg: LmConfig,
     count: int,
     split_seed: int = 0,
     init_seed: int = 0,
-    impairments: ImpairmentConfig | None = None,
 ) -> tuple[ConvNetParams, dict]:
-    """Train the postinverse model on one transmit capture.
+    """Train the postinverse model on one capture: ``drive`` and the PA's ``output``.
 
     Returns the trained parameters and a info dict with the gain estimate,
     the dataset normalization scale, held-out inverse NMSE, and both
     training histories. The parameters expect inputs scaled by info["scale"].
     """
-    y = transmit_chain(pa, drive, impairments)
-    gain = estimate_linear_gain(drive, y)
-    train, test = dpd_dataset(y, drive, gain, arch.memory_depth, count, split_seed)
+    gain = estimate_linear_gain(drive, output)
+    train, test = dpd_dataset(output, drive, gain, arch.memory_depth, count, split_seed)
 
     params = init_params(arch, init_seed)
     params, hist1 = train_stage1_adam(params, arch, train, adam_cfg, test)
@@ -147,14 +146,19 @@ def apply_dpd(
     if len(x) <= m:
         raise ValueError(f"signal needs more than {m} samples")
     z = x.scaled(scale)
-    graphs = feature_graphs(z, m, len(x) - m, m)
-    out = _complex_outputs(params, arch, graphs) / scale
-    return x.with_data(np.concatenate([x.data[:m], out]))
+    out = x.data.copy()
+    # One forward block of graphs at a time, so the whole drive's graphs never coexist.
+    for start in range(m, len(x), network._FORWARD_BLOCK_ROWS):
+        stop = min(start + network._FORWARD_BLOCK_ROWS, len(x))
+        graphs = feature_graphs(z, start, stop - start, m)
+        out[start:stop] = _complex_outputs(params, arch, graphs) / scale
+    return x.with_data(out)
 
 
 def evaluate_linearization(
     pa: PolyPaModel,
     drive: ComplexSeq,
+    output: ComplexSeq,
     params: ConvNetParams,
     arch: ConvNetArch,
     scale: float,
@@ -165,16 +169,15 @@ def evaluate_linearization(
     segment: int = 1024,
     peak_ceiling: float = PEAK_CEILING_DEFAULT,
 ) -> tuple[DpdResult, dict]:
-    """ACPR of the bare PA vs the predistorted cascade on the same drive.
+    """ACPR of the bare PA (its ``output`` for ``drive``) vs the predistorted cascade.
 
     Returns the result plus a spectra dict (freqs and both PSDs) so callers
     can write plot-ready CSVs without recomputing.
     """
-    y_before = transmit_chain(pa, drive, impairments)
     predistorted = apply_dpd(params, arch, drive, scale)
     y_after = transmit_chain(pa, predistorted, impairments)
 
-    freqs, psd_before = psd_welch(y_before, segment)
+    freqs, psd_before = psd_welch(output, segment)
     _, psd_after = psd_welch(y_after, segment)
     result = DpdResult(
         acpr_before_db=acpr_db(freqs, psd_before, plan),
@@ -189,7 +192,7 @@ def evaluate_linearization(
         "psd_before": psd_before,
         "psd_after": psd_after,
         "predistorted": predistorted,
-        "output_before": y_before,
+        "output_before": output,
         "output_after": y_after,
     }
     return result, spectra

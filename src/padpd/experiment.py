@@ -206,10 +206,10 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
             return model, tr_abs, te_abs
 
         model, tr_abs, te_abs = _run_stage("train", fit_gmp)
-        pred_train = gmp_basis_at(xs, cfg.gmp, tr_abs) @ model.coeffs
-        pred_test = gmp_basis_at(xs, cfg.gmp, te_abs) @ model.coeffs
+        # `valid` is a contiguous run of indices holding every train and test row.
         valid = n_idx[(n_idx >= cfg.gmp.max_past) & (n_idx < len(xs) - cfg.gmp.max_future)]
         pred_ordered = gmp_basis_at(xs, cfg.gmp, valid) @ model.coeffs
+        pred_train, pred_test = pred_ordered[tr_abs - valid[0]], pred_ordered[te_abs - valid[0]]
         ref_ordered = ys[valid]
         tr_ref, te_ref = ys[tr_abs], ys[te_abs]
         results.update(coeff_count=gmp_coeff_count(cfg.gmp), flops=gmp_flops(cfg.gmp))
@@ -313,25 +313,26 @@ def run_dpd_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     drive = x.scaled(10.0 ** (-cfg.drive_backoff_db / 20.0))
     pa = _run_stage("pa", default_pa, cfg.pa_seed, cfg.pa_k_order, cfg.pa_q_depth)
     imp = _run_stage("impairment", _impairments, cfg)
+    y = _run_stage("transmit", transmit_chain, pa, drive, imp)
 
     params, info = _run_stage(
         "train",
         train_dpd,
-        pa,
         drive,
+        y,
         cfg.arch,
         cfg.adam,
         cfg.lm,
         cfg.dataset_count,
         cfg.split_seed,
         cfg.init_seed,
-        imp,
     )
     result, spectra = _run_stage(
         "linearize",
         evaluate_linearization,
         pa,
         drive,
+        y,
         params,
         cfg.arch,
         info["scale"],

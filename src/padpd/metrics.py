@@ -45,8 +45,16 @@ def nmse_db(pred, ref) -> float:
     return max(float(10.0 * np.log10(err_energy / ref_energy)), NMSE_FLOOR_DB)
 
 
+# Frames per FFT call: bounds the windowed copy and its spectrum (4 MB each at 1024 bins).
+_WELCH_CHUNK_FRAMES = 256
+
+
 def psd_welch(x: ComplexSeq, segment: int = 1024, overlap_frac: float = 0.5):
     """Two-sided Welch PSD (Hann window, density scaling), fftshifted.
+
+    Frames, window and scaling are those of ``scipy.signal.welch(...,
+    detrend=False, return_onesided=False)``: the mean |FFT|^2 of the windowed
+    frames, scaled by 1 / (fs * sum(w^2)).
 
     Returns (freqs_hz, psd) with freqs ascending from -fs/2; integrating
     psd * df recovers the mean signal power (Parseval, within window bias).
@@ -57,17 +65,15 @@ def psd_welch(x: ComplexSeq, segment: int = 1024, overlap_frac: float = 0.5):
         raise ValueError(f"signal ({len(x)} samples) shorter than one segment ({segment})")
     if not 0.0 <= overlap_frac < 1.0:
         raise ValueError("overlap_frac must lie in [0, 1)")
-    freqs, psd = sp_signal.welch(
-        x.data,
-        fs=x.sample_rate_hz,
-        window="hann",
-        nperseg=segment,
-        noverlap=int(segment * overlap_frac),
-        detrend=False,
-        return_onesided=False,
-        scaling="density",
-    )
-    return np.fft.fftshift(freqs), np.fft.fftshift(psd)
+    step = segment - int(segment * overlap_frac)
+    frames = np.lib.stride_tricks.sliding_window_view(x.data, segment)[::step]
+    window = sp_signal.get_window("hann", segment)
+    power = np.zeros(segment)
+    for start in range(0, len(frames), _WELCH_CHUNK_FRAMES):
+        spec = np.fft.fft(frames[start : start + _WELCH_CHUNK_FRAMES] * window, axis=1)
+        power += (spec.real**2 + spec.imag**2).sum(axis=0)
+    psd = power / (len(frames) * x.sample_rate_hz * np.dot(window, window))
+    return np.fft.fftshift(np.fft.fftfreq(segment, 1.0 / x.sample_rate_hz)), np.fft.fftshift(psd)
 
 
 @dataclass(frozen=True)

@@ -73,22 +73,36 @@ class PolyPaModel:
         return self.c.shape[1] + 1
 
 
+def _horner(coeffs: np.ndarray, env: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of sum_k coeffs[k] * env**k, by Horner's rule."""
+    re = np.full(env.size, coeffs[-1].real)
+    im = np.full(env.size, coeffs[-1].imag)
+    for c in coeffs[-2::-1]:
+        re *= env
+        re += c.real
+        im *= env
+        im += c.imag
+    return re, im
+
+
 def pa_forward(model: PolyPaModel, x: ComplexSeq) -> ComplexSeq:
-    """Run the memory polynomial over a sequence (zero-padded history)."""
+    """Run the memory polynomial over a sequence (zero-padded history).
+
+    The complex gain g(n) = sum_k a_k |x(n)|^k + sum_q sum_k c_kq |x(n-q)|^k is
+    built on the real envelope, one Horner polynomial for the static terms and
+    one per delay q, and applied once: y = x * g.
+    """
     v = x.data
     env = np.abs(v)
-    y = np.zeros_like(v)
-    env_pow = np.ones_like(env)
-    for k in range(model.k_order):
-        if k > 0:
-            env_pow = env_pow * env
-        y = y + model.a[k] * v * env_pow
+    g_re, g_im = _horner(model.a, env)
     for q in range(1, model.q_depth):
-        delayed = np.concatenate([np.zeros(q), env[:-q]]) if q < v.size else np.zeros_like(env)
-        dp = delayed.copy()
-        for k in range(1, model.k_order):
-            y = y + model.c[k - 1, q - 1] * v * dp
-            dp = dp * delayed
+        past = env[:-q]  # |x(n-q)| for n >= q; the zero history adds nothing
+        re, im = _horner(np.append(0.0, model.c[:, q - 1]), past)
+        g_re[q:] += re
+        g_im[q:] += im
+    y = np.empty_like(v)
+    y.real, y.imag = g_re, g_im
+    y *= v
     return x.with_data(y)
 
 

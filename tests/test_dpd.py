@@ -5,9 +5,12 @@ we pin the gain estimator, the result object, the predistorter's signal
 handling, and a short deterministic train/evaluate round trip.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from padpd import network
 from padpd.dataset import feature_graphs
 from padpd.dpd import (
     DpdResult,
@@ -18,7 +21,7 @@ from padpd.dpd import (
 )
 from padpd.metrics import ChannelPlan
 from padpd.network import ConvNetArch, ConvNetParams, forward_batch, init_params
-from padpd.pa import PolyPaModel, default_pa
+from padpd.pa import PolyPaModel, default_pa, pa_forward, transmit_chain
 from padpd.signals import ComplexSeq, OfdmConfig, generate_ofdm
 from padpd.training import AdamConfig, LmConfig
 
@@ -92,6 +95,40 @@ def test_apply_dpd_matches_manual_forward():
     assert len(out) == len(x)
 
 
+@pytest.mark.parametrize("n", [4, 5, 11, 12, 13, 25, 40])
+def test_apply_dpd_blocks_keep_whole_drive_bytes(monkeypatch, n):
+    """Streamed in blocks of 7 graphs, the output has the bytes of one
+    whole-drive forward, on lengths that straddle the block edges."""
+    arch = ConvNetArch()
+    params = init_params(arch, 5)
+    x = _seq(0.5 * (RNG.normal(size=n) + 1j * RNG.normal(size=n)))
+    m = arch.memory_depth
+    pred = forward_batch(params, arch, feature_graphs(x.scaled(1.7), m, n - m, m))
+    whole = np.concatenate([x.data[:m], (pred[:, 0] + 1j * pred[:, 1]) / 1.7])
+    monkeypatch.setattr(network, "_FORWARD_BLOCK_ROWS", 7)
+    assert apply_dpd(params, arch, x, 1.7).data.tobytes() == whole.tobytes()
+
+
+def test_apply_dpd_memory_does_not_grow_with_drive_length():
+    """Net of its input and output, `apply_dpd` holds one block of graphs at a
+    time: the same tracemalloc peak for a 2-block drive as for an 8-block one."""
+    arch = ConvNetArch()
+    params = init_params(arch, 0)
+    net_peaks = []
+    for n_blocks in (2, 8):
+        n = n_blocks * network._FORWARD_BLOCK_ROWS
+        x = _seq(0.5 * (RNG.normal(size=n) + 1j * RNG.normal(size=n)))
+        tracemalloc.start()
+        try:
+            apply_dpd(params, arch, x, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        net_peaks.append(peak - 2 * x.data.nbytes)  # the scaled input and the output
+    block_graphs = network._FORWARD_BLOCK_ROWS * 5 * (arch.memory_depth + 1) * 8
+    assert net_peaks[1] <= net_peaks[0] + block_graphs // 10, net_peaks
+
+
 def test_apply_dpd_zero_params_zero_output():
     arch = ConvNetArch()
     params = ConvNetParams.from_list(
@@ -117,9 +154,10 @@ def test_train_and_evaluate_round_trip():
     pa = default_pa(0)
     cfg = OfdmConfig(n_symbols=4, seed=2)
     drive = generate_ofdm(cfg).scaled(10 ** (-3.0 / 20.0))
+    output = transmit_chain(pa, drive)
     arch = ConvNetArch()
     params, info = train_dpd(
-        pa, drive, arch, AdamConfig(max_iters=800), LmConfig(max_iters=30), count=600
+        drive, output, arch, AdamConfig(max_iters=800), LmConfig(max_iters=30), count=600
     )
     # short run: not linearization-grade, but clearly better than no model
     assert info["nmse_inverse_db"] < -25.0
@@ -129,7 +167,7 @@ def test_train_and_evaluate_round_trip():
 
     plan = ChannelPlan.for_bandwidth(cfg.occupied_bandwidth_hz)
     result, spectra = evaluate_linearization(
-        pa, drive, params, arch, info["scale"], plan,
+        pa, drive, output, params, arch, info["scale"], plan,
         info["gain_estimate"], info["nmse_inverse_db"], segment=256,
     )
     assert result.nmse_inverse_db == pytest.approx(info["nmse_inverse_db"])
@@ -138,8 +176,6 @@ def test_train_and_evaluate_round_trip():
     assert len(spectra["freqs_hz"]) == len(spectra["psd_before"]) == len(spectra["psd_after"])
     assert len(spectra["predistorted"]) == len(drive)
     # the bare-PA output in the spectra dict matches a direct PA run
-    from padpd.pa import pa_forward
-
     np.testing.assert_allclose(
         spectra["output_before"].data, pa_forward(pa, drive).data, rtol=1e-12
     )
@@ -150,7 +186,5 @@ def test_train_dpd_linear_pa_gain():
     pa = PolyPaModel(np.array([0.8 - 0.2j]), np.zeros((0, 0)))
     cfg = OfdmConfig(n_symbols=2, seed=2)
     drive = generate_ofdm(cfg)
-    from padpd.pa import transmit_chain
-
     y = transmit_chain(pa, drive)
     assert estimate_linear_gain(drive, y) == pytest.approx(abs(0.8 - 0.2j), rel=1e-9)

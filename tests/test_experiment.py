@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 import padpd
+from padpd.baselines import GmpConfig, gmp_basis_at, load_gmp
+from padpd.dataset import build_dataset, split_indices
 from padpd.experiment import (
     ExperimentConfig,
     StageError,
@@ -25,8 +27,10 @@ from padpd.experiment import (
     run_experiment,
     sweep_memory,
 )
+from padpd.metrics import nmse_db
 from padpd.network import Activation, ConvNetArch, load_params
-from padpd.signals import OfdmConfig
+from padpd.pa import ImpairmentConfig, default_pa, transmit_chain
+from padpd.signals import OfdmConfig, generate_ofdm
 from padpd.training import AdamConfig, LmConfig
 
 
@@ -210,6 +214,27 @@ def test_run_experiment_gmp(tmp_path):
     assert res["ridge"] == 0.0
     assert (out / "model.json").exists()
     assert json.loads((out / "report.json").read_text()) == report
+
+
+@pytest.mark.parametrize("gmp", [None, GmpConfig(ka=3, la=2, kb=1, lb=1, mb=2, kc=1, lc=1, mc=2)])
+def test_gmp_report_matches_per_split_basis(tmp_path, gmp):
+    """The train/test predictions are rows of the one prediction over the valid
+    samples; each split's NMSE equals that of its own basis, to 1e-12 dB."""
+    cfg = small_config(model="gmp", impairment_case=2, **({"gmp": gmp} if gmp else {}))
+    res = run_experiment(cfg, tmp_path)["results"]
+    model = load_gmp(tmp_path / "model.json")
+    x = generate_ofdm(cfg.signal)
+    y = transmit_chain(default_pa(cfg.pa_seed, cfg.pa_k_order, cfg.pa_q_depth), x,
+                       ImpairmentConfig.case(cfg.impairment_case))
+    m = cfg.arch.memory_depth
+    train, _ = build_dataset(x, y, m, cfg.dataset_count, cfg.split_seed)
+    xs, ys = x.scaled(train.scale), y.data * train.scale
+    lo, hi = cfg.gmp.max_past, cfg.dataset_count + m - cfg.gmp.max_future
+    for split, rel in zip(("train", "test"), split_indices(cfg.dataset_count, cfg.split_seed)):
+        idx = rel + m
+        idx = idx[(idx >= lo) & (idx < hi)]
+        pred = gmp_basis_at(xs, cfg.gmp, idx) @ model.coeffs
+        assert res[f"nmse_{split}_db"] == pytest.approx(nmse_db(pred, ys[idx]), abs=1e-12)
 
 
 def test_run_experiment_mlp_baseline():

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import signal as sp_signal
 
 from padpd.metrics import (
     NMSE_FLOOR_DB,
@@ -61,6 +64,27 @@ def test_welch_parseval_and_tone_location():
         psd_welch(ComplexSeq(np.ones(10), fs), 1024)
     with pytest.raises(ValueError):
         psd_welch(x, 1024, overlap_frac=1.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(segment=st.integers(2, 1024), overlap=st.floats(0.0, 0.75), n_frames=st.integers(1, 300),
+       extra=st.integers(0, 1023), complex_input=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(segment=4, overlap=0.5, n_frames=600, extra=1, complex_input=True, seed=0)  # 3 FFT chunks
+@example(segment=1024, overlap=0.5, n_frames=3, extra=0, complex_input=False, seed=1)
+def test_welch_matches_scipy(segment, overlap, n_frames, extra, complex_input, seed):
+    """Same frames, window and scaling as scipy.signal.welch, at rtol 1e-9
+    with an absolute floor of 1e-12 of the largest bin."""
+    step = segment - int(segment * overlap)
+    n = segment + (n_frames - 1) * step + extra % step  # not a whole number of steps
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_input else 0.0)
+    fs = 3.5e6
+    freqs, psd = psd_welch(ComplexSeq(data, fs), segment, overlap)
+    ref_f, ref_p = sp_signal.welch(data, fs=fs, window="hann", nperseg=segment,
+                                   noverlap=int(segment * overlap), detrend=False,
+                                   return_onesided=False, scaling="density")
+    np.testing.assert_allclose(freqs, np.fft.fftshift(ref_f), rtol=1e-15)
+    np.testing.assert_allclose(psd, np.fft.fftshift(ref_p), rtol=1e-9, atol=1e-12 * ref_p.max())
 
 
 def test_band_power_on_flat_spectrum():

@@ -1,9 +1,12 @@
 """Tests for the synthetic memory-polynomial PA and front-end impairments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padpd.pa import (
     ConstructionError,
@@ -58,6 +61,45 @@ def test_forward_matches_reference():
     x = 0.5 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
     y = pa_forward(model, ComplexSeq(x))
     assert np.allclose(y.data, reference_forward(a, c, x), rtol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k_order=st.integers(1, 7), q_depth=st.integers(1, 5), n=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+@example(k_order=5, q_depth=5, n=2, seed=0)  # shorter than the memory depth
+@example(k_order=1, q_depth=5, n=1, seed=1)  # linear: no memory terms
+def test_forward_matches_reference_property(k_order, q_depth, n, seed):
+    """Horner evaluation against the per-sample sum of terms, at rtol 1e-12.
+
+    The absolute floor is 1e-12 of the same sum over |coefficients| and |x|,
+    which bounds every term, for samples whose terms cancel to about zero.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(k_order) + 1j * rng.standard_normal(k_order)
+    a[0] = 1.0 + 0.5j
+    c = rng.standard_normal((k_order - 1, q_depth - 1)) + 1j * rng.standard_normal(
+        (k_order - 1, q_depth - 1)
+    )
+    x = 0.6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    got = pa_forward(PolyPaModel(a, c), ComplexSeq(x)).data
+    ref = reference_forward(a, c, x)
+    bound = reference_forward(np.abs(a), np.abs(c), np.abs(x)).real
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-12 * bound)
+
+
+def test_forward_memory_on_long_drive():
+    """The gain is built in place: the tracemalloc peak on a 640 000-sample
+    drive stays below four complex arrays of its length (41.1 MB term by term)."""
+    rng = np.random.default_rng(5)
+    x = ComplexSeq(0.5 * (rng.standard_normal(640_000) + 1j * rng.standard_normal(640_000)))
+    model = default_pa(0)
+    tracemalloc.start()
+    try:
+        pa_forward(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * x.data.nbytes, peak
 
 
 def test_forward_memoryless_and_linear_cases():

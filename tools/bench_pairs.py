@@ -1,16 +1,18 @@
 """Paired perfbench runs of two checkouts: one workload, alternating order.
 
     python3 tools/bench_pairs.py --workload model-conv --parent ../parent --change . \
-        --pairs 10 --seed 1 --seconds 24 --out BENCH_6.json
+        --pairs 10 --trace-pairs 2 --seed 1 --seconds 24 --out BENCH_8.json
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
 after the other; the first side alternates from pair to pair, so a drift of
 the host's speed hits both sides alike. Each run's last stdout line is its
 JSON result. The output file holds, per end-to-end metric, both sides'
 values, medians and quartiles and the number of pairs the change won (ties
-count for neither side), plus each run's environment fingerprint. It is
-keyed by workload: a workload already in the file is replaced, the others
-are kept.
+count for neither side), plus each run's environment fingerprint. After
+them, ``--trace-pairs`` pairs of ``--trace 1`` runs, alternating the same
+way, give the same figures for every per-layer metric under "per_layer".
+The file is keyed by workload: a workload already in the file is replaced,
+the others are kept.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ def _describe(checkout: Path) -> str | None:
         return None
 
 
-def run_once(checkout: Path, args) -> tuple[dict, dict]:
-    """One untraced perfbench run in ``checkout``: (result line, fingerprint)."""
+def run_once(checkout: Path, args, trace: int = 0) -> tuple[dict, dict]:
+    """One perfbench run in ``checkout``: (result line, fingerprint)."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}: {proc.stderr.strip()}")
@@ -68,47 +70,55 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--trace-pairs", type=int, default=0, help="pairs of --trace 1 runs")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=24)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 (quartiles need two values)")
+    if args.pairs < 2 or args.trace_pairs == 1:
+        parser.error("--pairs and --trace-pairs must be at least 2 (quartiles need two values)")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    traced: dict[str, list[dict]] = {"parent": [], "change": []}
     fingerprints: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            line, fingerprint = run_once(checkouts[side], args)
-            if not line["correct"]:
-                print(f"warning: pair {i + 1} {side} run failed a check", file=sys.stderr)
-            runs[side].append(line)
-            fingerprints[side].append(fingerprint)
-        wall = {s: runs[s][-1]["metrics"]["wall_s"]["value"] for s in order}
-        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): parent {wall['parent']:.4g} s, "
-              f"change {wall['change']:.4g} s", flush=True)
+    for trace, pairs, out, shown in ((0, args.pairs, runs, "wall_s"),
+                                     (1, args.trace_pairs, traced, "trace.wall_s")):
+        for i in range(pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                line, fingerprint = run_once(checkouts[side], args, trace)
+                if not line["correct"]:
+                    print(f"warning: trace {trace} pair {i + 1} {side} run failed a check", file=sys.stderr)
+                out[side].append(line)
+                fingerprints[side].append(fingerprint)
+            wall = {s: out[s][-1]["metrics"][shown]["value"] for s in order}
+            print(f"trace {trace} pair {i + 1}/{pairs} ({order[0]} first): parent {wall['parent']:.4g} s, "
+                  f"change {wall['change']:.4g} s", flush=True)
 
     entry = {
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,
         "commits": {s: _describe(c) for s, c in checkouts.items()},
-        "all_correct": all(r["correct"] for side in runs.values() for r in side),
+        "trace_pairs": args.trace_pairs,
+        "all_correct": all(r["correct"] for t in (runs, traced) for side in t.values() for r in side),
         "metrics": summarize(runs, better),
+        "per_layer": summarize(traced, better) if args.trace_pairs else {},
         # one fingerprint per side when every run of that side printed the same one
         "fingerprint": {s: f[0] if all(x == f[0] for x in f) else f for s, f in fingerprints.items()},
     }
     table = json.loads(args.out.read_text()) if args.out.is_file() else {}
     table[args.workload] = entry
     args.out.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-    for name, m in entry["metrics"].items():
-        print(f"{name}: parent {m['parent']['median']:.6g} [{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}] "
-              f"change {m['change']['median']:.6g} [{m['change']['q1']:.6g}, {m['change']['q3']:.6g}] "
-              f"{m['unit']}, change better in {m['change_wins']}/{args.pairs}")
+    for metrics, pairs in ((entry["metrics"], args.pairs), (entry["per_layer"], args.trace_pairs)):
+        for name, m in metrics.items():
+            if any(m[s]["values"] != [0.0] * pairs for s in ("parent", "change")):  # skip idle layers
+                print(f"{name}: parent {m['parent']['median']:.6g} [{m['parent']['q1']:.6g}, "
+                      f"{m['parent']['q3']:.6g}] change {m['change']['median']:.6g} [{m['change']['q1']:.6g}, "
+                      f"{m['change']['q3']:.6g}] {m['unit']}, change better in {m['change_wins']}/{pairs}")
     return 0
 
 
