@@ -34,7 +34,7 @@ def _describe(checkout: Path) -> str | None:
         return None
 
 
-def run_once(checkout: Path, args, trace: int = 0) -> tuple[dict, dict]:
+def run_once(checkout: Path, args, trace: int) -> tuple[dict, dict]:
     """One perfbench run in ``checkout``: (result line, fingerprint)."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(trace)]
@@ -75,8 +75,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=24)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 2 or args.trace_pairs == 1:
-        parser.error("--pairs and --trace-pairs must be at least 2 (quartiles need two values)")
+    if args.pairs < 2 or args.trace_pairs < 0 or args.trace_pairs == 1:
+        parser.error("--pairs must be at least 2 and --trace-pairs 0 or at least 2 "
+                     "(quartiles need two values)")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
