@@ -5,7 +5,9 @@ The conv model runs a valid (no padding, stride 1) cross-correlation over the
 C = (M+1)-s+1. Maps are flattened kernel-major (then row-major inside a map)
 and feed the dense head: a T-neuron fully connected layer and a 2-neuron
 linear output for I and Q. The head is an ordinary MLP layer stack, so the
-conv model and the MLP baselines share one forward pass.
+conv model and the MLP baselines share one forward pass: a `Net` holds a
+model's parameters as views into one flat vector, and a `Workspace` holds one
+batch's preallocated buffers, which `Workspace.forward` fills.
 
 Inside, every activation is stored feature-major, shape (features, N), with
 the sample index contiguous: the conv GEMM's output is then the head's input
@@ -29,6 +31,9 @@ __all__ = [
     "Activation",
     "ConvNetArch",
     "ConvNetParams",
+    "Net",
+    "Workspace",
+    "conv_net",
     "forward",
     "forward_batch",
     "init_params",
@@ -67,19 +72,26 @@ class Activation:
         if not 0.0 < self.leak < 1.0:
             raise ValueError("leaky_relu slope must lie in (0, 1)")
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
+    def __call__(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The activation of ``v``, written into ``out`` when it is given."""
         v = np.asarray(v, dtype=float)
+        if out is None:
+            out = np.empty_like(v)
         if self.kind == "sigmoid":
-            return expit(v)
+            return expit(v, out=out)
         if self.kind == "relu":
-            return np.maximum(v, 0.0)
-        if self.kind == "elu":
-            return np.where(v >= 0.0, v, self.alpha * np.expm1(np.minimum(v, 0.0)))
-        if self.kind == "leaky_relu":
-            return np.where(v > 0.0, v, self.leak * v)
+            return np.maximum(v, 0.0, out=out)
         if self.kind == "tanh":
-            return np.tanh(v)
-        return v.copy()
+            return np.tanh(v, out=out)
+        if self.kind == "elu":
+            np.multiply(self.alpha, np.expm1(np.minimum(v, 0.0, out=out), out=out), out=out)
+            np.copyto(out, v, where=v >= 0.0)
+        elif self.kind == "leaky_relu":
+            np.multiply(self.leak, v, out=out)
+            np.copyto(out, v, where=v > 0.0)
+        else:
+            np.copyto(out, v)
+        return out
 
     def derivative(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -97,17 +109,20 @@ class Activation:
             return 1.0 - t * t
         return np.ones_like(v)
 
-    def derivative_from_output(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def derivative_from_output(self, v: np.ndarray, out: np.ndarray,
+                               into: np.ndarray | None = None) -> np.ndarray:
         """`derivative` at ``v``, given ``out = self(v)`` from the forward pass.
 
         tanh and sigmoid take it from ``out`` alone, so the backward pass does
-        not evaluate them a second time; the values equal `derivative` bit for
-        bit. The other kinds compute it from ``v``.
+        not evaluate them a second time, and write it into ``into`` when it is
+        given (``into`` may be ``v``); the values equal `derivative` bit for
+        bit. The other kinds compute it from ``v`` into a new array.
         """
         if self.kind == "sigmoid":
-            return out * (1.0 - out)
+            return np.multiply(out, np.subtract(1.0, out, out=into), out=into)
         if self.kind == "tanh":
-            return 1.0 - out * out
+            sq = np.multiply(out, out, out=into)
+            return np.subtract(1.0, sq, out=sq)
         return self.derivative(v)
 
 
@@ -201,23 +216,6 @@ class ConvNetParams:
                 raise ValueError(f"{name} has shape {got}, expected {shape} for this arch")
 
 
-@dataclass(frozen=True)
-class _ForwardParts:
-    """The conv layer's pre-activations, shape (L, B*C*N), one column per
-    `_im2col` column; the dense head; and the head's per-layer
-    pre-activations and activations, feature-major (``acts[0]`` is the
-    activated maps as the head's (L*B*C, N) input, ``acts[-1]`` the output)."""
-
-    pre_maps: np.ndarray
-    head: list
-    pres: list
-    acts: list
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return self.acts[-1]
-
-
 # Graphs per `forward_batch` block: bounds the im2col columns a long input
 # (a whole DPD drive) holds at once.
 _FORWARD_BLOCK_ROWS = 16384
@@ -253,17 +251,6 @@ def _im2col(graphs: np.ndarray, arch: ConvNetArch) -> np.ndarray:
     return cols.reshape(r * s + 1, -1)
 
 
-def _forward_cols(params: ConvNetParams, arch: ConvNetArch, cols: np.ndarray) -> _ForwardParts:
-    """The forward pass from the `_im2col` columns of a batch of graphs."""
-    ker = params.conv_kernels
-    ker_bias = np.column_stack([ker.reshape(ker.shape[0], -1), params.conv_biases])  # [K | b]
-    pre = ker_bias @ cols
-    maps = arch.conv_activation(pre).reshape(arch.n_flat_features, -1)
-    head = conv_head(arch, params.fc_weights, params.fc_biases, params.out_weights, params.out_biases)
-    pres, acts = mlp_forward_parts(head, maps)
-    return _ForwardParts(pre, head, pres, acts)
-
-
 def forward_batch(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray,
                   features: bool = False) -> np.ndarray:
     """Model outputs, shape (n, 2) with columns (I, Q).
@@ -274,7 +261,7 @@ def forward_batch(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray,
     `_FORWARD_BLOCK_ROWS`, so only one block's unrolled windows are held at a
     time, however long the input.
     """
-    params.check_shapes(arch)
+    net = conv_net(params, arch)
     graphs = _as_graphs(graphs, arch)
     n = graphs.shape[0]
     out = np.empty((arch.n_flat_features if features else N_OUTPUTS, n))
@@ -283,9 +270,9 @@ def forward_batch(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray,
         # numpy sends a one-column product to gemv, whose sums round unlike
         # gemm's; a lone graph runs as two copies, so that `forward` gives
         # the bytes of the same graph's row in a larger batch.
-        cols = _im2col(block if len(block) > 1 else np.repeat(block, 2, axis=0), arch)
-        parts = _forward_cols(params, arch, cols)
-        out[:, start : start + len(block)] = (parts.acts[0] if features else parts.outputs)[:, : len(block)]
+        ws = Workspace(net, _im2col(block if len(block) > 1 else np.repeat(block, 2, axis=0), arch))
+        ws.forward()
+        out[:, start : start + len(block)] = ws.acts[0 if features else -1][:, : len(block)]
     return out.T
 
 
@@ -334,22 +321,115 @@ def conv_head(arch: ConvNetArch, fc_weights, fc_biases, out_weights, out_biases)
     return [MlpLayer(fc_weights, fc_biases, arch.fc_activation), MlpLayer(out_weights, out_biases, LINEAR)]
 
 
+@dataclass(frozen=True)
+class Net:
+    """A conv model or an MLP whose parameters are views into one flat vector.
+
+    ``layers`` is the dense stack. A conv model also has ``conv``, its conv
+    layer as [K | b] rows of shape (L, r*s+1), the layout its GEMM reads,
+    and its ``arch``; an MLP has neither. Every array is a view into
+    ``theta``, so an update written into ``theta`` updates every layer.
+    """
+
+    theta: np.ndarray
+    layers: list
+    conv: np.ndarray | None = None
+    arch: ConvNetArch | None = None
+
+    @classmethod
+    def of(cls, layers: Sequence[MlpLayer], conv: np.ndarray | None = None,
+           arch: ConvNetArch | None = None) -> "Net":
+        """A net over a new vector that holds copies of the given arrays."""
+        template = cls(np.empty(0), list(layers), conv, arch)
+        return template.like(np.concatenate([a.ravel() for a in template.arrays]))
+
+    @property
+    def arrays(self) -> list[np.ndarray]:
+        """Every parameter array, in ``theta`` order."""
+        head = [a for layer in self.layers for a in (layer.weights, layer.biases)]
+        return head if self.conv is None else [self.conv, *head]
+
+    def like(self, flat: np.ndarray) -> "Net":
+        """The same layout over another vector, such as a gradient buffer."""
+        views, start = [], 0
+        for a in self.arrays:
+            views.append(flat[start : start + a.size].reshape(a.shape))
+            start += a.size
+        conv = None if self.conv is None else views.pop(0)
+        layers = [MlpLayer(w, b, layer.act) for w, b, layer in zip(views[::2], views[1::2], self.layers)]
+        return Net(flat, layers, conv, self.arch)
+
+    def conv_params(self) -> ConvNetParams:
+        """A conv model's parameters, copied out of ``theta``."""
+        a, (fc, out) = self.arch, self.layers
+        return ConvNetParams(
+            self.conv[:, :-1].reshape(a.n_kernels, a.kernel_rows, a.kernel_cols).copy(),
+            self.conv[:, -1].copy(), fc.weights.copy(), fc.biases.copy(),
+            out.weights.copy(), out.biases.copy(),
+        )
+
+
+def conv_net(params: ConvNetParams, arch: ConvNetArch) -> Net:
+    """The conv model as a `Net` over a new parameter vector."""
+    params.check_shapes(arch)
+    ker = params.conv_kernels
+    conv = np.column_stack([ker.reshape(ker.shape[0], -1), params.conv_biases])  # [K | b]
+    return Net.of(conv_head(arch, params.fc_weights, params.fc_biases, params.out_weights, params.out_biases),
+                  conv, arch)
+
+
+class Workspace:
+    """A `Net`'s buffers for one batch, allocated once; each `forward`
+    refills them at the net's current parameters.
+
+    ``x`` is the batch, feature-major: a conv model's `_im2col` columns or an
+    MLP's (D, N) features. ``pres`` holds each dense layer's pre-activations
+    and ``acts`` their activations after ``acts[0]``, the dense stack's input:
+    an MLP's ``x``, or a conv model's activated maps, kernel-major, as
+    (L*B*C, N). A conv model's ``conv_pre`` and ``conv_out`` hold its conv
+    layer's pre-activations and activations in the GEMM's (L, B*C*N) shape;
+    ``acts[0]`` is ``conv_out`` reshaped.
+    """
+
+    def __init__(self, net: Net, x: np.ndarray):
+        self.net, self.x = net, x
+        if net.conv is None:
+            head_in = x
+        else:
+            self.conv_pre = np.empty((net.conv.shape[0], x.shape[1]))
+            self.conv_out = np.empty_like(self.conv_pre)
+            head_in = self.conv_out.reshape(net.arch.n_flat_features, -1)
+        self.pres, self.acts = [], [head_in]
+        for layer in net.layers:
+            if self.acts[-1].shape[0] != layer.weights.shape[0]:
+                raise ValueError(
+                    f"layer expects {layer.weights.shape[0]} inputs, got {self.acts[-1].shape[0]}"
+                )
+            self.pres.append(np.empty((layer.weights.shape[1], head_in.shape[1])))
+            self.acts.append(np.empty_like(self.pres[-1]))
+
+    def forward(self) -> np.ndarray:
+        """Fill the buffers; returns the output layer's activations."""
+        net = self.net
+        if net.conv is not None:
+            np.matmul(net.conv, self.x, out=self.conv_pre)
+            net.arch.conv_activation(self.conv_pre, out=self.conv_out)
+        for layer, pre, x, out in zip(net.layers, self.pres, self.acts, self.acts[1:]):
+            np.matmul(layer.weights.T, x, out=pre)
+            pre += layer.biases[:, None]
+            layer.act(pre, out=out)
+        return self.acts[-1]
+
+
 def mlp_forward_parts(layers: Sequence[MlpLayer], x: np.ndarray) -> tuple[list, list]:
     """Per-layer pre-activations and activations over a feature-major batch
     (D, N), each feature-major too.
 
     ``acts`` has one more entry than ``pres``: ``acts[0]`` is the input.
     """
-    acts = [x]
-    pres = []
-    for layer in layers:
-        if acts[-1].shape[0] != layer.weights.shape[0]:
-            raise ValueError(
-                f"layer expects {layer.weights.shape[0]} inputs, got {acts[-1].shape[0]}"
-            )
-        pres.append(layer.weights.T @ acts[-1] + layer.biases[:, None])
-        acts.append(layer.act(pres[-1]))
-    return pres, acts
+    ws = Workspace(Net.of(layers), x)
+    ws.forward()
+    return ws.pres, ws.acts
 
 
 def mlp_forward(layers: Sequence[MlpLayer], x: np.ndarray) -> np.ndarray:

@@ -2,9 +2,12 @@
 Levenberg-Marquardt polish of the fully connected and output layers with the
 convolutional front end frozen (the trained kernels act as a fixed filter).
 
-The conv model's dense head is an MLP layer stack, so one backprop
-(`mlp_backprop`) and one Adam loop (`adam_minimize`) serve both the conv
-model and the MLP baselines; the conv model adds only its kernel gradient.
+The conv model's dense head is an MLP layer stack, so one backward pass
+(`_Split.cost_and_grad`) and one Adam loop (`adam_minimize`) serve both the
+conv model and the MLP baselines; the conv model adds only its kernel
+gradient. A training call packs the parameters into one flat vector (a
+`Net`), gives each data split a `Workspace` of preallocated buffers, and
+Adam updates the vector in place.
 
 The cost everywhere is mse = (1/2N) * sum[(I'-I)^2 + (Q'-Q)^2]. Inside,
 activations, deltas and targets are feature-major, shape (features, N), as
@@ -23,9 +26,11 @@ from .network import (
     ConvNetArch,
     ConvNetParams,
     MlpLayer,
-    _forward_cols,
+    Net,
+    Workspace,
     _im2col,
     conv_head,
+    conv_net,
     forward_batch,
     mlp_forward_parts,
 )
@@ -45,7 +50,6 @@ __all__ = [
     "LmResult",
     "pack_fc",
     "unpack_fc",
-    "mlp_backprop",
     "mlp_cost_and_grads",
     "train_mlp_adam",
     "write_history_csv",
@@ -101,61 +105,66 @@ class LmConfig:
             raise ValueError("max_iters must be >= 1")
 
 
-def _cost_and_output_delta(outputs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """The MSE cost and its gradient with respect to the (2, N) outputs."""
-    n = targets.shape[1]
-    resid = outputs - targets
-    return float((resid * resid).sum() / (2 * n)), resid / n
+class _Split:
+    """One data split's `Workspace` with its (2, N) targets and cost buffers,
+    built once per training call; with ``backward``, also the buffers of
+    each dense layer's input gradient."""
+
+    def __init__(self, net: Net, x: np.ndarray, labels: np.ndarray, backward: bool = False):
+        self.ws = Workspace(net, x)
+        self.targets = labels.T
+        self.resid = np.empty(self.targets.shape)
+        self.sq = np.empty(self.targets.shape)
+        self.deltas = [np.empty(a.shape) for a in self.ws.acts[:-1]] if backward else []
+        if backward and net.conv is None:
+            self.deltas[0] = None  # an MLP needs no gradient at its input
+
+    def cost(self) -> float:
+        """The MSE cost at the net's current parameters; leaves the residual
+        in ``resid``."""
+        np.subtract(self.ws.forward(), self.targets, out=self.resid)
+        np.multiply(self.resid, self.resid, out=self.sq)
+        return float(self.sq.sum() / (2 * self.targets.shape[1]))
+
+    def cost_and_grad(self, grad: Net) -> float:
+        """The MSE cost; writes its gradient into ``grad``, a `Net.like` of the
+        split's net.
+
+        The dense layers backpropagate from the output; a conv model's
+        gradient at the head's input, ``fc_weights @ d_fc``, is the conv
+        layer's (L, B*C*N) delta after a reshape, and its [K | b] gradient is
+        one GEMM, ``d_pre @ cols.T``: the ones row of ``cols`` sums ``d_pre``
+        into the bias gradient. The derivatives of tanh and sigmoid overwrite
+        the pre-activations they no longer need.
+        """
+        cost = self.cost()
+        ws, net = self.ws, self.ws.net
+        delta = np.divide(self.resid, self.targets.shape[1], out=self.resid)
+        for j in range(len(net.layers) - 1, -1, -1):
+            layer, g = net.layers[j], grad.layers[j]
+            if layer.act.kind != "linear":
+                delta *= layer.act.derivative_from_output(ws.pres[j], ws.acts[j + 1], into=ws.pres[j])
+            np.matmul(ws.acts[j], delta.T, out=g.weights)
+            np.sum(delta, axis=1, out=g.biases)
+            if self.deltas[j] is not None:
+                delta = np.matmul(layer.weights, delta, out=self.deltas[j])
+        if net.conv is not None:
+            d_pre = delta.reshape(net.conv.shape[0], -1)
+            d_pre *= net.arch.conv_activation.derivative_from_output(ws.conv_pre, ws.conv_out, into=ws.conv_pre)
+            np.matmul(d_pre, ws.x.T, out=grad.conv)
+        return cost
 
 
 def mse_cost(params: ConvNetParams, arch: ConvNetArch, data: Dataset) -> float:
-    return _cost_and_output_delta(_forward_cols(params, arch, _im2col(data.graphs, arch)).outputs,
-                                  data.labels.T)[0]
-
-
-def mlp_backprop(layers: list[MlpLayer], pres: list, acts: list, d_out: np.ndarray):
-    """Reverse pass over a layer stack, from the cost gradient at its output.
-
-    ``pres``/``acts`` come from `mlp_forward_parts`; ``d_out`` is
-    feature-major like them. Returns the per-layer (dW, db) and the cost
-    gradient at the first layer's pre-activation; a caller that needs the
-    gradient at the stack's input multiplies ``layers[0].weights`` by it
-    (the MLPs do not, so they skip that product).
-    """
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
-    delta = d_out
-    for j in range(len(layers) - 1, -1, -1):
-        delta = delta * layers[j].act.derivative_from_output(pres[j], acts[j + 1])
-        grads[j] = (acts[j] @ delta.T, delta.sum(axis=1))
-        if j:
-            delta = layers[j].weights @ delta
-    return grads, delta
-
-
-def _cost_and_grads(params, arch, cols, targets):
-    """Batch MSE and its gradients: head backprop, then the conv layer's.
-
-    ``cols`` are the graphs' `_im2col` columns and ``targets`` the (2, N)
-    labels. The gradient at the head's input, ``fc_weights @ d_fc``, is the
-    conv layer's (L, B*C*N) delta after a reshape; the kernel and bias
-    gradients come from one GEMM, ``d_pre @ cols.T``: the ones row of
-    ``cols`` sums ``d_pre`` into the bias gradient.
-    """
-    parts = _forward_cols(params, arch, cols)
-    cost, d_out = _cost_and_output_delta(parts.outputs, targets)
-    (g_fc, g_out), d_fc = mlp_backprop(parts.head, parts.pres, parts.acts, d_out)
-
-    d_pre = (params.fc_weights @ d_fc).reshape(arch.n_kernels, -1)
-    d_pre *= arch.conv_activation.derivative_from_output(
-        parts.pre_maps, parts.acts[0].reshape(arch.n_kernels, -1))
-    g_conv = d_pre @ cols.T
-    g_ker = g_conv[:, :-1].reshape(params.conv_kernels.shape)
-    return cost, ConvNetParams(g_ker, g_conv[:, -1], *g_fc, *g_out)
+    return _Split(conv_net(params, arch), _im2col(data.graphs, arch), data.labels).cost()
 
 
 def backprop_grads(params: ConvNetParams, arch: ConvNetArch, data: Dataset) -> ConvNetParams:
     """Gradient of the MSE cost, shaped like the parameters."""
-    return _cost_and_grads(params, arch, _im2col(data.graphs, arch), data.labels.T)[1]
+    net = conv_net(params, arch)
+    grad = net.like(np.empty_like(net.theta))
+    _Split(net, _im2col(data.graphs, arch), data.labels, backward=True).cost_and_grad(grad)
+    return grad.conv_params()
 
 
 @dataclass
@@ -186,26 +195,28 @@ def adam_step(values: list[np.ndarray], grads: list[np.ndarray],
     return out
 
 
-def adam_minimize(values: list[np.ndarray], cost_and_grads, cfg: AdamConfig,
-                  test_cost=None) -> tuple[list[np.ndarray], np.ndarray]:
-    """Full-batch Adam until mse < threshold or max_iters.
+def adam_minimize(train: _Split, cfg: AdamConfig, test: _Split | None = None) -> np.ndarray:
+    """Full-batch Adam on the split's net, until mse < threshold or max_iters.
 
-    ``cost_and_grads(values)`` returns the training cost and one gradient per
-    array. History rows are (iteration, mse_train), or (iteration, mse_train,
-    mse_test) when ``test_cost(values)`` is given. On a threshold stop the
-    returned values are the ones whose cost is the last history row.
+    The net's parameter vector is updated in place, with its gradient in one
+    flat buffer. Returns the history rows, (iteration, mse_train), or
+    (iteration, mse_train, mse_test) when a ``test`` split of the same net is
+    given. On a threshold stop the parameters are the ones whose cost is the
+    last history row.
     """
-    state = adam_init(values)
+    theta = train.ws.net.theta
+    grad = train.ws.net.like(np.empty_like(theta))
+    state = adam_init([theta])
     history = []
     for it in range(1, cfg.max_iters + 1):
-        cost, grads = cost_and_grads(values)
+        cost = train.cost_and_grad(grad)
         if not np.isfinite(cost):
             raise TrainingError(f"Adam diverged at iteration {it} (mse={cost})")
-        history.append((it, cost) if test_cost is None else (it, cost, test_cost(values)))
+        history.append((it, cost) if test is None else (it, cost, test.cost()))
         if cost < cfg.mse_threshold:
             break
-        values = adam_step(values, grads, state, cfg)
-    return values, np.asarray(history)
+        theta[:] = adam_step([theta], [grad.theta], state, cfg)[0]
+    return np.asarray(history)
 
 
 def train_stage1_adam(
@@ -217,25 +228,13 @@ def train_stage1_adam(
 ) -> tuple[ConvNetParams, np.ndarray]:
     """Stage 1: `adam_minimize` over every conv model parameter.
 
-    Each split's `_im2col` columns are built once up front and every
-    iteration reuses them, which gives the same values as
-    `backprop_grads`/`mse_cost` without rebuilding them per call.
+    Each split's `_im2col` columns and buffers are built once up front and
+    every iteration reuses them.
     """
-    params.check_shapes(arch)
-    train_cols = _im2col(train.graphs, arch)
-    test_cols = None if test is None else _im2col(test.graphs, arch)
-
-    def cost_and_grads(values):
-        cost, grads = _cost_and_grads(ConvNetParams.from_list(values), arch, train_cols, train.labels.T)
-        return cost, grads.as_list()
-
-    def test_cost(values):
-        outputs = _forward_cols(ConvNetParams.from_list(values), arch, test_cols).outputs
-        return _cost_and_output_delta(outputs, test.labels.T)[0]
-
-    values, history = adam_minimize([a.copy() for a in params.as_list()], cost_and_grads, cfg,
-                                    None if test is None else test_cost)
-    return ConvNetParams.from_list(values), history
+    net = conv_net(params, arch)
+    history = adam_minimize(_Split(net, _im2col(train.graphs, arch), train.labels, backward=True), cfg,
+                            None if test is None else _Split(net, _im2col(test.graphs, arch), test.labels))
+    return net.conv_params(), history
 
 
 def pack_fc(params: ConvNetParams) -> np.ndarray:
@@ -418,9 +417,10 @@ def train_stage2_lm(
 
 def mlp_cost_and_grads(layers: list[MlpLayer], x: np.ndarray, labels: np.ndarray):
     """MSE cost and per-layer (dW, db) for a plain MLP over x (N, D)."""
-    pres, acts = mlp_forward_parts(layers, np.asarray(x, dtype=float).T)
-    cost, d_out = _cost_and_output_delta(acts[-1], labels.T)
-    return cost, mlp_backprop(layers, pres, acts, d_out)[0]
+    net = Net.of(layers)
+    grad = net.like(np.empty_like(net.theta))
+    cost = _Split(net, np.asarray(x, dtype=float).T, labels, backward=True).cost_and_grad(grad)
+    return cost, [(g.weights, g.biases) for g in grad.layers]
 
 
 def train_mlp_adam(
@@ -430,16 +430,9 @@ def train_mlp_adam(
     cfg: AdamConfig,
 ) -> tuple[list[MlpLayer], np.ndarray]:
     """`adam_minimize` over every MLP layer's weights and biases."""
-    def rebuild(values):
-        return [MlpLayer(values[2 * j], values[2 * j + 1], layer.act) for j, layer in enumerate(layers)]
-
-    def cost_and_grads(values):
-        cost, grads = mlp_cost_and_grads(rebuild(values), x, labels)
-        return cost, [g for dw_db in grads for g in dw_db]
-
-    values = [a.copy() for layer in layers for a in (layer.weights, layer.biases)]
-    values, history = adam_minimize(values, cost_and_grads, cfg)
-    return rebuild(values), history
+    net = Net.of(layers)
+    history = adam_minimize(_Split(net, np.asarray(x, dtype=float).T, labels, backward=True), cfg)
+    return net.layers, history
 
 
 def write_history_csv(history: np.ndarray, path, comment: str | None = None) -> None:

@@ -1,16 +1,22 @@
 """Tests for the Adam stage, the LM polish, and their shared plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from padpd import training
+from padpd.baselines import MLP_BASELINES
 from padpd.dataset import Dataset, build_dataset
 from padpd.network import (
     _im2col,
+    ACTIVATION_KINDS,
     Activation,
     ConvNetArch,
     ConvNetParams,
+    MlpLayer,
     conv_head,
     forward_batch,
     init_params,
@@ -21,12 +27,10 @@ from padpd.network import (
 from padpd.signals import ComplexSeq
 from padpd.training import (
     AdamConfig,
-    _cost_and_grads,
     _fc_normal_equations,
     LmConfig,
     TrainingError,
     adam_init,
-    adam_minimize,
     adam_step,
     backprop_grads,
     mlp_cost_and_grads,
@@ -49,6 +53,105 @@ def tiny_task(arch, n=60, seed=0, label_seed=1):
     labels = forward_batch(teacher, arch, graphs)
     labels = labels + 0.01 * rng.standard_normal(labels.shape)
     return Dataset(graphs, labels, "train")
+
+
+# The list-based training loop that the flat-vector loop replaced, kept as
+# its reference: Adam over one array per layer parameter, with the cost and
+# gradients of allocating forward and backward passes, and the parameters
+# rebuilt from the arrays at every call. Every float operation is the one the
+# flat-vector loop makes, on the same operands, so the two agree bit for bit.
+
+def ref_forward_parts(layers, x):
+    acts, pres = [x], []
+    for layer in layers:
+        pres.append(layer.weights.T @ acts[-1] + layer.biases[:, None])
+        acts.append(layer.act(pres[-1]))
+    return pres, acts
+
+
+def ref_cost_and_output_delta(outputs, targets):
+    n = targets.shape[1]
+    resid = outputs - targets
+    return float((resid * resid).sum() / (2 * n)), resid / n
+
+
+def ref_backprop(layers, pres, acts, d_out):
+    grads = [None] * len(layers)
+    delta = d_out
+    for j in range(len(layers) - 1, -1, -1):
+        delta = delta * layers[j].act.derivative_from_output(pres[j], acts[j + 1])
+        grads[j] = (acts[j] @ delta.T, delta.sum(axis=1))
+        if j:
+            delta = layers[j].weights @ delta
+    return grads, delta
+
+
+def ref_conv_forward(params, arch, cols):
+    ker = params.conv_kernels
+    pre = np.column_stack([ker.reshape(ker.shape[0], -1), params.conv_biases]) @ cols
+    maps = arch.conv_activation(pre).reshape(arch.n_flat_features, -1)
+    head = conv_head(arch, params.fc_weights, params.fc_biases, params.out_weights, params.out_biases)
+    return pre, head, *ref_forward_parts(head, maps)
+
+
+def ref_conv_cost_and_grads(params, arch, cols, targets):
+    pre, head, pres, acts = ref_conv_forward(params, arch, cols)
+    cost, d_out = ref_cost_and_output_delta(acts[-1], targets)
+    (g_fc, g_out), d_fc = ref_backprop(head, pres, acts, d_out)
+    d_pre = (params.fc_weights @ d_fc).reshape(arch.n_kernels, -1)
+    d_pre *= arch.conv_activation.derivative_from_output(pre, acts[0].reshape(arch.n_kernels, -1))
+    g_conv = d_pre @ cols.T
+    return cost, [g_conv[:, :-1].reshape(params.conv_kernels.shape), g_conv[:, -1], *g_fc, *g_out]
+
+
+def ref_adam_minimize(values, cost_and_grads, cfg, test_cost=None):
+    state = adam_init(values)
+    history = []
+    for it in range(1, cfg.max_iters + 1):
+        cost, grads = cost_and_grads(values)
+        if not np.isfinite(cost):
+            raise TrainingError(f"Adam diverged at iteration {it} (mse={cost})")
+        history.append((it, cost) if test_cost is None else (it, cost, test_cost(values)))
+        if cost < cfg.mse_threshold:
+            break
+        values = adam_step(values, grads, state, cfg)
+    return values, np.asarray(history)
+
+
+def ref_train_stage1(params, arch, train, cfg, test=None):
+    train_cols = _im2col(train.graphs, arch)
+    test_cols = None if test is None else _im2col(test.graphs, arch)
+
+    def cost_and_grads(values):
+        return ref_conv_cost_and_grads(ConvNetParams.from_list(values), arch, train_cols, train.labels.T)
+
+    def test_cost(values):
+        outputs = ref_conv_forward(ConvNetParams.from_list(values), arch, test_cols)[3][-1]
+        return ref_cost_and_output_delta(outputs, test.labels.T)[0]
+
+    values, history = ref_adam_minimize([a.copy() for a in params.as_list()], cost_and_grads, cfg,
+                                        None if test is None else test_cost)
+    return ConvNetParams.from_list(values), history
+
+
+def ref_train_mlp(layers, x, labels, cfg):
+    def rebuild(values):
+        return [MlpLayer(values[2 * j], values[2 * j + 1], layer.act) for j, layer in enumerate(layers)]
+
+    def cost_and_grads(values):
+        pres, acts = ref_forward_parts(rebuild(values), x.T)
+        cost, d_out = ref_cost_and_output_delta(acts[-1], labels.T)
+        return cost, [g for dw_db in ref_backprop(rebuild(values), pres, acts, d_out)[0] for g in dw_db]
+
+    values = [a.copy() for layer in layers for a in (layer.weights, layer.biases)]
+    values, history = ref_adam_minimize(values, cost_and_grads, cfg)
+    return rebuild(values), history
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_mse_cost_formula():
@@ -97,7 +200,8 @@ def test_cost_and_grads_match_row_major_oracle(arch, n, seed):
     params = with_random_biases(init_params(arch, seed), rng)
     graphs = rng.standard_normal((n, *arch.input_shape))
     labels = rng.standard_normal((n, 2))
-    cost, grads = _cost_and_grads(params, arch, _im2col(graphs, arch), labels.T)
+    data = Dataset(graphs, labels, "train")
+    cost, grads = mse_cost(params, arch, data), backprop_grads(params, arch, data)
     ref_cost, ref_grads = row_major_cost_and_grads(params, arch, graphs, labels)
     assert cost == pytest.approx(ref_cost, rel=1e-12)
     for got, want in zip(grads.as_list(), ref_grads):
@@ -174,9 +278,9 @@ def test_stage1_descends_and_stops_at_threshold():
 
 
 def test_stage1_matches_the_public_gradient_path():
-    """Stage 1 trains on contiguous copies of the kernel windows; driving the
-    same Adam loop with `backprop_grads`/`mse_cost`, which use the strided
-    view, must give the same bytes."""
+    """Stage 1 trains on one flat vector with preallocated workspaces; driving
+    the list-based reference loop with `backprop_grads`/`mse_cost`, which
+    build theirs afresh at every call, must give the same bytes."""
     arch = ConvNetArch(conv_activation=Activation("sigmoid"))
     train, test = tiny_task(arch, n=70, seed=4), tiny_task(arch, n=30, seed=5)
     params = init_params(arch, 3)
@@ -187,11 +291,142 @@ def test_stage1_matches_the_public_gradient_path():
         p = ConvNetParams.from_list(values)
         return mse_cost(p, arch, train), backprop_grads(p, arch, train).as_list()
 
-    ref, ref_hist = adam_minimize(params.as_list(), cost_and_grads, cfg,
-                                  lambda values: mse_cost(ConvNetParams.from_list(values), arch, test))
+    ref, ref_hist = ref_adam_minimize(params.as_list(), cost_and_grads, cfg,
+                                      lambda values: mse_cost(ConvNetParams.from_list(values), arch, test))
     assert hist.shape == (6, 3) and np.array_equal(hist, ref_hist)
-    for got, want in zip(trained.as_list(), ref):
-        assert np.array_equal(got, want)
+    assert_same_bytes(trained.as_list(), ref)
+
+
+def _stage1_case(case):
+    arch = ConvNetArch()
+    train, test = tiny_task(arch, n=90, seed=21), tiny_task(arch, n=40, seed=22)
+    cfg = AdamConfig(max_iters=40, mse_threshold=0.0)
+    if case == "threshold":
+        full = ref_train_stage1(init_params(arch, 4), arch, train, cfg)[1]
+        cfg = AdamConfig(max_iters=40, mse_threshold=np.nextafter(full[24, 1], np.inf))
+    if case == "diverged":
+        cfg = AdamConfig(learning_rate=1e200, max_iters=40, mse_threshold=0.0)
+    return arch, train, test if case == "test_split" else None, cfg
+
+
+@pytest.mark.parametrize("case", ["train_only", "test_split", "threshold", "diverged"])
+def test_stage1_matches_list_reference(case):
+    """The flat-vector loop gives the list-based loop's history and parameters
+    byte for byte: with and without a test split, on a threshold stop, and
+    the same error when the cost diverges."""
+    arch, train, test, cfg = _stage1_case(case)
+    params = init_params(arch, 4)
+    if case == "diverged":
+        with pytest.raises(TrainingError) as ref_err:
+            ref_train_stage1(params, arch, train, cfg, test)
+        with pytest.raises(TrainingError) as err:
+            train_stage1_adam(params, arch, train, cfg, test)
+        assert str(err.value) == str(ref_err.value)
+        assert "diverged at iteration 2 " in str(err.value)
+        return
+    trained, hist = train_stage1_adam(params, arch, train, cfg, test)
+    ref, ref_hist = ref_train_stage1(params, arch, train, cfg, test)
+    assert hist.tobytes() == ref_hist.tobytes() and hist.shape == ref_hist.shape
+    assert_same_bytes(trained.as_list(), ref.as_list())
+    if case == "threshold":
+        assert len(hist) == 25
+
+
+@pytest.mark.parametrize("name", sorted(MLP_BASELINES))
+def test_mlp_adam_matches_list_reference(name):
+    """`train_mlp_adam` gives the list-based loop's bytes on every baseline's
+    widths and activation."""
+    spec = MLP_BASELINES[name]
+    widths = spec.widths(3)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((150, widths[0])) * 0.5
+    labels = np.tanh(x[:, :2]) * 0.3
+    layers = mlp_init(widths, Activation(spec.hidden_activation), seed=1)
+    cfg = AdamConfig(max_iters=30, mse_threshold=0.0)
+    trained, hist = train_mlp_adam(layers, x, labels, cfg)
+    ref, ref_hist = ref_train_mlp(layers, x, labels, cfg)
+    assert hist.tobytes() == ref_hist.tobytes() and hist.shape == ref_hist.shape
+    assert_same_bytes([a for l in trained for a in (l.weights, l.biases)],
+                      [a for l in ref for a in (l.weights, l.biases)])
+    assert [l.act for l in trained] == [l.act for l in ref]
+
+
+@settings(max_examples=60, deadline=None)
+@given(arch=conv_archs(), n=st.integers(1, 30), n_test=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+@example(arch=ConvNetArch(n_kernels=1), n=1, n_test=1, seed=0)
+def test_stage1_matches_list_reference_on_every_arch(arch, n, n_test, seed):
+    """Byte agreement with the list-based loop for every kernel shape,
+    activation, kernel and neuron count, batch size and test split."""
+    rng = np.random.default_rng(seed)
+    params = with_random_biases(init_params(arch, seed), rng)
+    train = Dataset(rng.standard_normal((n, *arch.input_shape)), rng.standard_normal((n, 2)), "train")
+    test = (Dataset(rng.standard_normal((n_test, *arch.input_shape)), rng.standard_normal((n_test, 2)), "test")
+            if n_test else None)
+    cfg = AdamConfig(learning_rate=0.01, max_iters=4, mse_threshold=0.0)
+    trained, hist = train_stage1_adam(params, arch, train, cfg, test)
+    ref, ref_hist = ref_train_stage1(params, arch, train, cfg, test)
+    assert hist.tobytes() == ref_hist.tobytes()
+    assert_same_bytes(trained.as_list(), ref.as_list())
+
+
+@settings(max_examples=60, deadline=None)
+@given(widths=st.lists(st.integers(1, 8), min_size=2, max_size=5), out=st.integers(1, 3),
+       kind=st.sampled_from(ACTIVATION_KINDS), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_mlp_adam_matches_list_reference_on_every_width(widths, out, kind, n, seed):
+    """Byte agreement with the list-based loop for any depth, widths, hidden
+    activation and batch size; the output may have 1-3 units."""
+    rng = np.random.default_rng(seed)
+    layers = mlp_init([*widths, out], Activation(kind, alpha=0.7, leak=0.1), seed=seed % 1000)
+    x = rng.standard_normal((n, widths[0]))
+    labels = rng.standard_normal((n, out))
+    cfg = AdamConfig(learning_rate=0.01, max_iters=4, mse_threshold=0.0)
+    trained, hist = train_mlp_adam(layers, x, labels, cfg)
+    ref, ref_hist = ref_train_mlp(layers, x, labels, cfg)
+    assert hist.tobytes() == ref_hist.tobytes()
+    assert_same_bytes([a for l in trained for a in (l.weights, l.biases)],
+                      [a for l in ref for a in (l.weights, l.biases)])
+
+
+def _stage1_transient_peaks(max_iters):
+    """tracemalloc's peak over each interval between `adam_step` calls, less
+    the traced memory at the interval's start, on an 8400/5600 split of the
+    paper's arch; and the traced memory at each interval's start."""
+    arch = ConvNetArch()
+    rng = np.random.default_rng(0)
+    train = Dataset(rng.standard_normal((8400, *arch.input_shape)), rng.standard_normal((8400, 2)), "train")
+    test = Dataset(rng.standard_normal((5600, *arch.input_shape)), rng.standard_normal((5600, 2)), "test")
+    peaks, starts = [], []
+
+    def traced_step(*args):
+        current, peak = tracemalloc.get_traced_memory()
+        if starts:
+            peaks.append(peak - starts[-1])
+        out = adam_step(*args)
+        tracemalloc.reset_peak()
+        starts.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "adam_step", traced_step)
+        tracemalloc.start()
+        try:
+            train_stage1_adam(init_params(arch, 1), arch, train, AdamConfig(max_iters=max_iters, mse_threshold=0.0),
+                              test)
+        finally:
+            tracemalloc.stop()
+    return peaks, starts
+
+
+def test_stage1_iteration_allocates_little():
+    """An iteration's transient allocations peak at no more than 3.8 MB on an
+    8400/5600 split (the list-based loop's peak is about 7.7 MB), and neither
+    that peak nor the memory held between iterations grows with the
+    iteration count."""
+    short_peaks, _ = _stage1_transient_peaks(4)
+    peaks, starts = _stage1_transient_peaks(16)
+    assert max(peaks) <= 3.8e6, peaks
+    assert max(peaks) <= max(short_peaks) + 10_000, (short_peaks, peaks)
+    assert starts[-1] - starts[0] <= 10_000, starts
 
 
 def _conv_trainer():
