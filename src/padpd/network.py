@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from . import codec
 
@@ -78,7 +77,11 @@ class Activation:
         if out is None:
             out = np.empty_like(v)
         if self.kind == "sigmoid":
-            return expit(v, out=out)
+            # 1/(1+exp(-v)); exp overflows to inf below v = -709, giving 0
+            with np.errstate(over="ignore"):
+                np.exp(np.negative(v, out=out), out=out)
+            out += 1.0
+            return np.divide(1.0, out, out=out)
         if self.kind == "relu":
             return np.maximum(v, 0.0, out=out)
         if self.kind == "tanh":
@@ -96,7 +99,7 @@ class Activation:
     def derivative(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if self.kind == "sigmoid":
-            s = expit(v)
+            s = self(v)
             return s * (1.0 - s)
         if self.kind == "relu":
             return (v > 0.0).astype(float)

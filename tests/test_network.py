@@ -107,6 +107,19 @@ def test_activation_values_and_derivatives():
         Activation("softmax")
 
 
+@settings(max_examples=300, deadline=None)
+@given(v=st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=50))
+def test_sigmoid_matches_scipy_expit(v):
+    """The sigmoid, 1/(1+exp(-v)), stays within a few ulp of scipy's expit.
+    Below v = -708 the result is subnormal or underflows to 0 (expit keeps
+    subnormals down to about -745), so there it is held to an absolute floor."""
+    v = np.array(v)
+    got = Activation("sigmoid")(v)
+    atol = np.where(v < -708.0, 1e-307, 0.0)
+    assert np.all(np.abs(got - expit(v)) <= 4 * np.finfo(float).eps * expit(v) + atol)
+    assert np.array_equal(Activation("sigmoid")(np.array([-np.inf, np.inf, 0.0])), [0.0, 1.0, 0.5])
+
+
 @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
 def test_derivative_from_output_is_exact(kind):
     """The backward passes take the derivative from the forward outputs; it
