@@ -16,6 +16,7 @@ in `network`; the public functions take (N, features) arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,12 @@ class LmConfig:
             raise ValueError("mu_down must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not 0.0 <= self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be finite and >= 0")
+        if not self.mu_init <= self.mu_max < math.inf:
+            raise ValueError("mu_max must be finite and at least mu_init")
+        if not 0.0 <= self.min_rel_improvement < 1.0:
+            raise ValueError("min_rel_improvement must lie in [0, 1)")
 
 
 class _Split:

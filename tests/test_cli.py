@@ -89,6 +89,26 @@ def test_wrong_json_type_is_a_config_error(override, path, tmp_path, capsys):
     assert err.startswith("error [config]: ") and path in err
 
 
+@pytest.mark.parametrize("override, field", [
+    ("lm.grad_tol=-1e-9", "grad_tol"),
+    ("lm.grad_tol=NaN", "grad_tol"),
+    ("lm.grad_tol=Infinity", "grad_tol"),
+    ("lm.mu_max=1e-6", "mu_max"),
+    ("lm.mu_max=Infinity", "mu_max"),
+    ("lm.mu_max=NaN", "mu_max"),
+    ("lm.min_rel_improvement=1", "min_rel_improvement"),
+    ("lm.min_rel_improvement=-0.1", "min_rel_improvement"),
+    ("lm.min_rel_improvement=NaN", "min_rel_improvement"),
+])
+def test_lm_config_values_are_checked_up_front(override, field, tmp_path, capsys):
+    """An LM setting that could only fail after stage 1 is a config error."""
+    out = tmp_path / "run"
+    assert main(["run", "--set", override, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [config]: ") and field in err
+    assert not out.exists()
+
+
 def test_schema1_checkpoint_is_rejected(tmp_path, capsys):
     # checkpoints written before kernel_depth was removed carry "kernel_depth": 1
     path = tmp_path / "model.json"
