@@ -13,6 +13,17 @@ them, ``--trace-pairs`` pairs of ``--trace 1`` runs, alternating the same
 way, give the same figures for every per-layer metric under "per_layer".
 The file is keyed by workload: a workload already in the file is replaced,
 the others are kept.
+
+Each end-to-end metric also gets a verdict, printed with it (``better`` is
+the direction ``BENCHMARK.json`` gives the metric, ``bound`` its bound):
+
+- ``gain``: the change wins at least 9/10 of the pairs and its median is
+  better than the parent's by more than the parent's interquartile spread;
+- ``worse``: the change's median is worse than the parent's by more than
+  ``bound`` times the parent's median;
+- ``unresolved``: either side's interquartile spread is wider than that
+  bound, and neither rule above applies;
+- ``same``: anything else.
 """
 
 from __future__ import annotations
@@ -64,6 +75,21 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
     return metrics
 
 
+def verdict(metric: dict, bound: float) -> str:
+    """The verdict of one end-to-end metric's `summarize` entry (see the module docstring)."""
+    parent, change = metric["parent"], metric["change"]
+    sign = 1 if metric["better"] == "higher" else -1
+    gain = sign * (change["median"] - parent["median"])
+    allowed = bound * abs(parent["median"])
+    if 10 * metric["change_wins"] >= 9 * len(parent["values"]) and gain > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -gain > allowed:
+        return "worse"
+    if max(side["q3"] - side["q1"] for side in (parent, change)) > allowed:
+        return "unresolved"
+    return "same"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -82,6 +108,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     traced: dict[str, list[dict]] = {"parent": [], "change": []}
     fingerprints: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -99,6 +126,10 @@ def main(argv=None) -> int:
             print(f"trace {trace} pair {i + 1}/{pairs} ({order[0]} first): parent {wall['parent']:.4g} s, "
                   f"change {wall['change']:.4g} s", flush=True)
 
+    metrics = summarize(runs, better)
+    for name, m in metrics.items():
+        if name in bounds:
+            m["verdict"] = verdict(m, bounds[name])
     entry = {
         "seed": args.seed,
         "seconds": args.seconds,
@@ -106,7 +137,7 @@ def main(argv=None) -> int:
         "commits": {s: _describe(c) for s, c in checkouts.items()},
         "trace_pairs": args.trace_pairs,
         "all_correct": all(r["correct"] for t in (runs, traced) for side in t.values() for r in side),
-        "metrics": summarize(runs, better),
+        "metrics": metrics,
         "per_layer": summarize(traced, better) if args.trace_pairs else {},
         # one fingerprint per side when every run of that side printed the same one
         "fingerprint": {s: f[0] if all(x == f[0] for x in f) else f for s, f in fingerprints.items()},
@@ -119,7 +150,8 @@ def main(argv=None) -> int:
             if any(m[s]["values"] != [0.0] * pairs for s in ("parent", "change")):  # skip idle layers
                 print(f"{name}: parent {m['parent']['median']:.6g} [{m['parent']['q1']:.6g}, "
                       f"{m['parent']['q3']:.6g}] change {m['change']['median']:.6g} [{m['change']['q1']:.6g}, "
-                      f"{m['change']['q3']:.6g}] {m['unit']}, change better in {m['change_wins']}/{pairs}")
+                      f"{m['change']['q3']:.6g}] {m['unit']}, change better in {m['change_wins']}/{pairs}"
+                      + (f": {m['verdict']}" if "verdict" in m else ""))
     return 0
 
 
