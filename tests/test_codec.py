@@ -68,7 +68,6 @@ def _number(lo, hi, exclude_min=False, exclude_max=False):
     return floats | st.integers(i_lo, i_hi) if i_lo <= i_hi else floats
 
 
-_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
 _SEED = st.integers(0, 2**32 - 1)
 _ACTIVATIONS = st.builds(Activation, st.sampled_from(ACTIVATION_KINDS), _number(0, 10, exclude_min=True),
                          _number(0, 1, exclude_min=True, exclude_max=True))
@@ -101,8 +100,8 @@ _CONFIGS = st.builds(
                    _number(0, 1, exclude_max=True), _number(0, 1, exclude_min=True),
                    st.integers(1, 10**6), _number(0, 1)),
     lm=st.builds(LmConfig, _number(0, 1e3, exclude_min=True), _number(1, 100, exclude_min=True),
-                 _number(0, 1, exclude_min=True, exclude_max=True), st.integers(1, 1000), _ANY_FLOAT,
-                 _ANY_FLOAT, _ANY_FLOAT),
+                 _number(0, 1, exclude_min=True, exclude_max=True), st.integers(1, 1000), _number(0, 1e3),
+                 _number(1e3, 1e12), _number(0, 1, exclude_max=True)),
     gmp=_GMPS,
     dataset_count=st.integers(10, 10**6),
     split_seed=_SEED,
