@@ -317,9 +317,9 @@ def test_stage1_matches_list_reference(case):
     arch, train, test, cfg = _stage1_case(case)
     params = init_params(arch, 4)
     if case == "diverged":
-        with pytest.raises(TrainingError) as ref_err:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError) as ref_err:
             ref_train_stage1(params, arch, train, cfg, test)
-        with pytest.raises(TrainingError) as err:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError) as err:
             train_stage1_adam(params, arch, train, cfg, test)
         assert str(err.value) == str(ref_err.value)
         assert "diverged at iteration 2 " in str(err.value)
