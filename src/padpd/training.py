@@ -113,9 +113,9 @@ class LmConfig:
 
 
 class _Split:
-    """One data split's `Workspace` with its (2, N) targets and cost buffers,
-    built once per training call; with ``backward``, also the buffers of
-    each dense layer's input gradient."""
+    """One data split's `Workspace` with its feature-major targets and cost
+    buffers, built once per training call; with ``backward``, also the
+    buffers of each dense layer's input gradient."""
 
     def __init__(self, net: Net, x: np.ndarray, labels: np.ndarray, backward: bool = False):
         self.ws = Workspace(net, x)
