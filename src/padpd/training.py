@@ -7,7 +7,8 @@ The conv model's dense head is an MLP layer stack, so one backward pass
 conv model and the MLP baselines; the conv model adds only its kernel
 gradient. A training call packs the parameters into one flat vector (a
 `Net`), gives each data split a `Workspace` of preallocated buffers, and
-Adam updates the vector in place.
+Adam updates the vector in place. LM works on the head's slice of the same
+vector, a head `Net` with one `Workspace` over the frozen conv features.
 
 The cost everywhere is mse = (1/2N) * sum[(I'-I)^2 + (Q'-Q)^2]. Inside,
 activations, deltas and targets are feature-major, shape (features, N), as
@@ -30,10 +31,8 @@ from .network import (
     Net,
     Workspace,
     _im2col,
-    conv_head,
     conv_net,
     forward_batch,
-    mlp_forward_parts,
 )
 
 __all__ = [
@@ -49,8 +48,6 @@ __all__ = [
     "train_stage1_adam",
     "train_stage2_lm",
     "LmResult",
-    "pack_fc",
-    "unpack_fc",
     "mlp_cost_and_grads",
     "train_mlp_adam",
     "write_history_csv",
@@ -244,35 +241,6 @@ def train_stage1_adam(
     return net.conv_params(), history
 
 
-def pack_fc(params: ConvNetParams) -> np.ndarray:
-    """FC + output parameters as one vector (fc_w, fc_b, out_w, out_b)."""
-    return np.concatenate([
-        params.fc_weights.ravel(),
-        params.fc_biases,
-        params.out_weights.ravel(),
-        params.out_biases,
-    ])
-
-
-def unpack_fc(theta: np.ndarray, arch: ConvNetArch) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    f, t = arch.n_flat_features, arch.fc_neurons
-    n_out = 2
-    sizes = [f * t, t, t * n_out, n_out]
-    if theta.size != sum(sizes):
-        raise ValueError(f"theta has {theta.size} entries, expected {sum(sizes)}")
-    o = 0
-    parts = []
-    for size in sizes:
-        parts.append(theta[o : o + size])
-        o += size
-    return (
-        parts[0].reshape(f, t),
-        parts[1].copy(),
-        parts[2].reshape(t, n_out),
-        parts[3].copy(),
-    )
-
-
 @dataclass
 class LmResult:
     """History rows are (iteration, mse, mu, accepted, grad_norm)."""
@@ -284,16 +252,6 @@ class LmResult:
     @property
     def n_iters(self) -> int:
         return self.history.shape[0]
-
-
-def _fc_eval(theta, arch, flat, labels):
-    """The head residual, order (n, comp), and the (N, T) FC layer parts as
-    transposes of the feature-major arrays."""
-    fc_w, fc_b, out_w, out_b = unpack_fc(theta, arch)
-    head = conv_head(arch, fc_w, fc_b, out_w, out_b)
-    (fc_pre, _), (_, fc_out, outputs) = mlp_forward_parts(head, flat.T)
-    resid = (outputs.T - labels).reshape(-1)  # component index fastest
-    return resid, fc_pre.T, fc_out.T, out_w
 
 
 def _fc_normal_equations(arch, flat, fc_pre, fc_out, out_w, resid):
@@ -314,7 +272,7 @@ def _fc_normal_equations(arch, flat, fc_pre, fc_out, out_w, resid):
     """
     n, t = fc_pre.shape
     f = flat.shape[1]
-    m = (f + 1) * t  # FC weights and biases, in `pack_fc` order
+    m = (f + 1) * t  # FC weights and biases, in `Net` order
     e = resid.reshape(n, 2)
     dact = arch.fc_activation.derivative_from_output(fc_pre, fc_out)
 
@@ -349,15 +307,20 @@ def train_stage2_lm(
 
     Steps solve (J'J + mu I) delta = J'e; a step is kept only if the cost
     drops (then mu shrinks), otherwise mu grows and the step is retried.
-    The frozen conv features are computed once up front.
+    The head is a `Net` over the head's slice of the model's vector, with
+    one `Workspace` over the frozen conv features, computed once up front.
+    A step is applied to that slice in place; a rejected one is undone.
     """
-    params.check_shapes(arch)
-    flat = forward_batch(params, arch, train.graphs, features=True)
-    labels = train.labels
+    net = conv_net(params, arch)
+    head = Net(net.theta[net.conv.size :], net.layers)
+    ws = Workspace(head, forward_batch(params, arch, train.graphs, features=True).T)
+    theta, labels = head.theta, train.labels
     n = labels.shape[0]
 
-    theta = pack_fc(params)
-    resid, fc_pre, fc_out, out_w = _fc_eval(theta, arch, flat, labels)
+    def residual() -> np.ndarray:
+        return (ws.forward().T - labels).reshape(-1)  # component index fastest
+
+    resid = residual()
     mse = float(resid @ resid) / (2 * n)
     mu = cfg.mu_init
     history = []
@@ -368,8 +331,10 @@ def train_stage2_lm(
 
     for it in range(1, cfg.max_iters + 1):
         if stale:
-            # rejected steps retry on the same J'J with a larger mu
-            jtj, grad = _fc_normal_equations(arch, flat, fc_pre, fc_out, out_w, resid)
+            # rejected steps retry on the same J'J with a larger mu; after an
+            # accepted one the buffers hold the accepted parameters' pass
+            jtj, grad = _fc_normal_equations(arch, ws.acts[0].T, ws.pres[0].T, ws.acts[1].T,
+                                             head.layers[1].weights, resid)
             stale = False
         gnorm = float(np.max(np.abs(grad))) / n
         if gnorm < cfg.grad_tol:
@@ -387,15 +352,15 @@ def train_stage2_lm(
         if not solved:
             raise TrainingError("LM normal-equation solve failed at every damping level")
 
-        cand = theta - delta
-        cand_resid, cand_pre, cand_out, cand_w = _fc_eval(cand, arch, flat, labels)
+        kept = theta.copy()
+        theta -= delta
+        cand_resid = residual()
         cand_mse = float(cand_resid @ cand_resid) / (2 * n)
 
         accepted = bool(np.isfinite(cand_mse) and cand_mse < mse)
         if accepted:
             rel = (mse - cand_mse) / mse if mse > 0 else 0.0
-            theta, resid, fc_pre, fc_out, out_w = cand, cand_resid, cand_pre, cand_out, cand_w
-            mse = cand_mse
+            resid, mse = cand_resid, cand_mse
             mu = max(mu * cfg.mu_down, 1e-14)
             stale = True
             history.append((it, mse, mu, 1, gnorm))
@@ -403,23 +368,15 @@ def train_stage2_lm(
                 converged, reason = True, "stalled"
                 break
         else:
+            theta[:] = kept
             mu *= cfg.mu_up
             history.append((it, mse, mu, 0, gnorm))
             if mu > cfg.mu_max:
                 converged, reason = True, "damping_limit"
                 break
 
-    fc_w, fc_b, out_w_fin, out_b = unpack_fc(theta, arch)
-    trained = ConvNetParams(
-        params.conv_kernels.copy(),
-        params.conv_biases.copy(),
-        fc_w,
-        fc_b,
-        out_w_fin,
-        out_b,
-    )
     hist_arr = np.asarray(history, dtype=float) if history else np.zeros((0, 5))
-    return trained, LmResult(hist_arr, converged, reason)
+    return net.conv_params(), LmResult(hist_arr, converged, reason)
 
 
 def mlp_cost_and_grads(layers: list[MlpLayer], x: np.ndarray, labels: np.ndarray):

@@ -17,7 +17,9 @@ from padpd.network import (
     ConvNetArch,
     ConvNetParams,
     MlpLayer,
+    Net,
     conv_head,
+    conv_net,
     forward_batch,
     init_params,
     mlp_forward,
@@ -35,11 +37,9 @@ from padpd.training import (
     backprop_grads,
     mlp_cost_and_grads,
     mse_cost,
-    pack_fc,
     train_mlp_adam,
     train_stage1_adam,
     train_stage2_lm,
-    unpack_fc,
     write_history_csv,
 )
 from test_network import conv_archs, with_random_biases
@@ -472,18 +472,18 @@ def test_adam_loop_stop_rules(make_trainer):
     assert cost == hist[-1, 1]
 
 
-def test_pack_unpack_roundtrip():
+def test_conv_net_layout():
+    """A conv model's vector holds the conv layer, then the head in the order
+    `_fc_normal_equations` assumes; `conv_params` gives back the bytes."""
     arch = ConvNetArch()
-    params = init_params(arch, 1)
-    theta = pack_fc(params)
-    assert theta.size == 18 * 6 + 6 + 6 * 2 + 2  # 128 trainables past the conv layer
-    fc_w, fc_b, out_w, out_b = unpack_fc(theta, arch)
-    assert np.array_equal(fc_w, params.fc_weights)
-    assert np.array_equal(fc_b, params.fc_biases)
-    assert np.array_equal(out_w, params.out_weights)
-    assert np.array_equal(out_b, params.out_biases)
-    with pytest.raises(ValueError):
-        unpack_fc(theta[:-1], arch)
+    params = with_random_biases(init_params(arch, 1), np.random.default_rng(1))
+    net = conv_net(params, arch)
+    for back, orig in zip(net.conv_params().as_list(), params.as_list()):
+        assert back.shape == orig.shape and back.tobytes() == orig.tobytes()
+    head = net.theta[net.conv.size :]
+    assert head.size == 18 * 6 + 6 + 6 * 2 + 2  # 128 trainables past the conv layer
+    assert np.array_equal(head, np.concatenate([params.fc_weights.ravel(), params.fc_biases,
+                                                params.out_weights.ravel(), params.out_biases]))
 
 
 def test_lm_polish_improves_and_freezes_conv():
@@ -492,8 +492,10 @@ def test_lm_polish_improves_and_freezes_conv():
     params = init_params(arch, 3)
     warm, _ = train_stage1_adam(params, arch, data, AdamConfig(max_iters=150, mse_threshold=0.0))
     cost_before = mse_cost(warm, arch, data)
+    warm_bytes = [a.tobytes() for a in warm.as_list()]
 
     polished, result = train_stage2_lm(warm, arch, data, LmConfig())
+    assert [a.tobytes() for a in warm.as_list()] == warm_bytes  # the caller's arrays are not written
     cost_after = mse_cost(polished, arch, data)
     assert cost_after <= cost_before * (1 + 1e-12)
     assert result.converged
@@ -542,12 +544,18 @@ def reference_fc_jacobian(arch, flat, fc_pre, fc_out, out_w):
     return full.reshape(2 * n, -1)
 
 
-def head_parts(theta, arch, flat, labels):
-    """The head residual (order (n, comp)) at ``theta`` and the reference
-    Jacobian's inputs, (N, ·) views of the feature-major head parts."""
-    fc_w, fc_b, out_w, out_b = unpack_fc(theta, arch)
-    pres, acts = mlp_forward_parts(conv_head(arch, fc_w, fc_b, out_w, out_b), flat.T)
-    return (acts[-1].T - labels).reshape(-1), pres[0].T, acts[1].T, out_w
+def head_of(params, arch):
+    """The head's slice of the conv model's vector, as a `Net` of its own."""
+    net = conv_net(params, arch)
+    return Net(net.theta[net.conv.size :], net.layers)
+
+
+def head_parts(head, flat, labels):
+    """The head residual (order (n, comp)) at the head net's parameters and
+    the reference Jacobian's inputs, (N, ·) views of the feature-major head
+    parts."""
+    pres, acts = mlp_forward_parts(head.layers, flat.T)
+    return (acts[-1].T - labels).reshape(-1), pres[0].T, acts[1].T, head.layers[1].weights
 
 
 def test_reference_jacobian_matches_finite_differences():
@@ -555,8 +563,9 @@ def test_reference_jacobian_matches_finite_differences():
     data = tiny_task(arch, n=7, seed=2)
     params = init_params(arch, 5)
     flat = forward_batch(params, arch, data.graphs, features=True)
-    theta = pack_fc(params)
-    _, fc_pre, fc_out, out_w = head_parts(theta, arch, flat, data.labels)
+    head = head_of(params, arch)
+    theta = head.theta
+    _, fc_pre, fc_out, out_w = head_parts(head, flat, data.labels)
     jac = reference_fc_jacobian(arch, flat, fc_pre, fc_out, out_w)
     assert jac.shape == (14, theta.size)
 
@@ -565,8 +574,8 @@ def test_reference_jacobian_matches_finite_differences():
     for k in range(theta.size):
         bump = np.zeros_like(theta)
         bump[k] = h
-        numeric[:, k] = (head_parts(theta + bump, arch, flat, data.labels)[0]
-                         - head_parts(theta - bump, arch, flat, data.labels)[0]) / (2 * h)
+        numeric[:, k] = (head_parts(head.like(theta + bump), flat, data.labels)[0]
+                         - head_parts(head.like(theta - bump), flat, data.labels)[0]) / (2 * h)
     np.testing.assert_allclose(jac, numeric, rtol=1e-6, atol=1e-8)
 
 
@@ -582,7 +591,7 @@ def test_fc_normal_equations_match_reference_jacobian(arch, n, seed):
     graphs = rng.standard_normal((n, *arch.input_shape))
     labels = rng.standard_normal((n, 2))
     flat = forward_batch(params, arch, graphs, features=True)
-    resid, fc_pre, fc_out, out_w = head_parts(pack_fc(params), arch, flat, labels)
+    resid, fc_pre, fc_out, out_w = head_parts(head_of(params, arch), flat, labels)
 
     jtj, jte = _fc_normal_equations(arch, flat, fc_pre, fc_out, out_w, resid)
     jac = reference_fc_jacobian(arch, flat, fc_pre, fc_out, out_w)
@@ -599,12 +608,13 @@ def reference_lm(params, arch, data, cfg):
     iteration and the stop reason."""
     flat = forward_batch(params, arch, data.graphs, features=True)
     n = data.labels.shape[0]
+    head = head_of(params, arch)
 
     def evaluate(theta):
-        resid, fc_pre, fc_out, out_w = head_parts(theta, arch, flat, data.labels)
+        resid, fc_pre, fc_out, out_w = head_parts(head.like(theta), flat, data.labels)
         return resid, float(resid @ resid) / (2 * n), reference_fc_jacobian(arch, flat, fc_pre, fc_out, out_w)
 
-    theta = pack_fc(params)
+    theta = head.theta
     resid, mse, jac = evaluate(theta)
     mu = cfg.mu_init
     rows = []
