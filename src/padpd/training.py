@@ -68,14 +68,14 @@ class AdamConfig:
     mse_threshold: float = 1.2e-7
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
             if not 0.0 <= b < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.mse_threshold >= 0:

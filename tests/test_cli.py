@@ -99,9 +99,13 @@ def test_wrong_json_type_is_a_config_error(override, path, tmp_path, capsys):
     ("lm.min_rel_improvement=1", "min_rel_improvement"),
     ("lm.min_rel_improvement=-0.1", "min_rel_improvement"),
     ("lm.min_rel_improvement=NaN", "min_rel_improvement"),
+    ("adam.epsilon=Infinity", "epsilon"),
+    ("adam.learning_rate=Infinity", "learning_rate"),
+    ("adam.learning_rate=NaN", "learning_rate"),
 ])
 def test_lm_config_values_are_checked_up_front(override, field, tmp_path, capsys):
-    """An LM setting that could only fail after stage 1 is a config error."""
+    """An LM or Adam setting that could only fail, or do nothing, once
+    training has started is a config error."""
     out = tmp_path / "run"
     assert main(["run", "--set", override, "--output-dir", str(out)]) == 2
     err = capsys.readouterr().err
