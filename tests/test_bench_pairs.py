@@ -46,6 +46,10 @@ PARENT = [3.30, 3.34, 3.28, 3.36, 3.31, 3.33, 3.29, 3.35, 3.32, 3.30]
     ([-35.0, -35.1, -34.9, -35.0, -35.0], [-34.0, -34.1, -33.9, -34.0, -33.5], "higher", "gain"),
     # identical success ratios
     ([1.0] * 5, [1.0] * 5, "higher", "same"),
+    # a spread wider than the bound leaves a metric resolved when every run of
+    # the change reads better than every run of the parent
+    ([1.0, 3.0, 1.2, 2.8, 1.1, 2.9, 1.0, 3.1, 1.2, 2.9], [0.9] * 10, "lower", "same"),
+    ([-40.0, -30.0, -30.5, -30.2, -40.1], [-29.9] * 5, "higher", "same"),
 ])
 def test_verdicts(parent, change, better, expect):
     bound = 0.15 if better == "higher" else 0.25

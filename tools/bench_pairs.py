@@ -22,7 +22,8 @@ the direction ``BENCHMARK.json`` gives the metric, ``bound`` its bound):
 - ``worse``: the change's median is worse than the parent's by more than
   ``bound`` times the parent's median;
 - ``unresolved``: either side's interquartile spread is wider than that
-  bound, and neither rule above applies;
+  bound, neither rule above applies, and not every run of the change reads
+  better than every run of the parent;
 - ``same``: anything else.
 """
 
@@ -85,7 +86,8 @@ def verdict(metric: dict, bound: float) -> str:
         return "gain"
     if -gain > allowed:
         return "worse"
-    if max(side["q3"] - side["q1"] for side in (parent, change)) > allowed:
+    apart = min(sign * v for v in change["values"]) > max(sign * v for v in parent["values"])
+    if max(side["q3"] - side["q1"] for side in (parent, change)) > allowed and not apart:
         return "unresolved"
     return "same"
 
