@@ -21,7 +21,7 @@ from .complexity import (
     mlp_coeff_count,
     mlp_flops,
 )
-from .dataset import Dataset, build_dataset, build_feature_graph, feature_graphs
+from .dataset import Dataset, build_dataset, feature_graphs
 from .dpd import DpdResult, apply_dpd, estimate_linear_gain, evaluate_linearization, train_dpd
 from .experiment import (
     ExperimentConfig,
@@ -31,7 +31,7 @@ from .experiment import (
     run_experiment,
     sweep_memory,
 )
-from .metrics import ChannelPlan, acpr_db, am_characteristics, nmse_db, psd_welch
+from .metrics import ChannelPlan, acpr_db, nmse_db, psd_welch
 from .network import (
     Activation,
     ConvNetArch,

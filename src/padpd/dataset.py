@@ -10,17 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
 from .signals import ComplexSeq
 
 __all__ = [
     "Dataset",
-    "build_feature_graph",
     "feature_graphs",
     "build_dataset",
     "split_indices",
     "dpd_dataset",
-    "export_dataset_csv",
 ]
 
 N_FEATURE_ROWS = 5
@@ -59,17 +56,6 @@ class Dataset:
     @property
     def memory_depth(self) -> int:
         return self.graphs.shape[2] - 1
-
-
-def build_feature_graph(x: ComplexSeq, n: int, memory_depth: int) -> np.ndarray:
-    """Feature graph for sample index n (requires n >= memory_depth)."""
-    if memory_depth < 0:
-        raise ValueError("memory_depth must be >= 0")
-    if n < memory_depth:
-        raise ValueError(f"n must be >= memory_depth ({memory_depth}), got {n}")
-    if n >= len(x):
-        raise ValueError(f"n={n} is past the end of the signal ({len(x)} samples)")
-    return feature_graphs(x, n, 1, memory_depth)[0]
 
 
 def feature_graphs(x: ComplexSeq, start: int, count: int, memory_depth: int) -> np.ndarray:
@@ -152,10 +138,3 @@ def dpd_dataset(
     if not gain > 0:
         raise ValueError(f"gain must be positive, got {gain}")
     return build_dataset(y_pa.scaled(1.0 / gain), x_in, memory_depth, count, split_seed)
-
-
-def export_dataset_csv(ds: Dataset, path, comment: str | None = None) -> None:
-    """One row per entry: the flattened (row-major) graph then the two labels."""
-    m1 = ds.memory_depth + 1
-    cols = [f"g{r}_{c}" for r in range(N_FEATURE_ROWS) for c in range(m1)]
-    write_csv(path, cols + ["i_out", "q_out"], [*ds.graphs.reshape(len(ds), -1).T, *ds.labels.T], comment)

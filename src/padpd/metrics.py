@@ -1,4 +1,4 @@
-"""Accuracy and spectral metrics: NMSE, Welch PSD, ACPR, AM/AM and AM/PM."""
+"""Accuracy and spectral metrics: NMSE, Welch PSD and ACPR."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ __all__ = [
     "ChannelPlan",
     "band_power",
     "acpr_db",
-    "am_characteristics",
     "write_spectrum_csv",
 ]
 
@@ -134,22 +133,6 @@ def acpr_db(freqs: np.ndarray, psd: np.ndarray, plan: ChannelPlan) -> tuple[floa
         freqs, psd, c + plan.adj_offset_hz - plan.adj_bw_hz / 2, c + plan.adj_offset_hz + plan.adj_bw_hz / 2
     )
     return (float(10.0 * np.log10(lo / main)), float(10.0 * np.log10(hi / main)))
-
-
-def am_characteristics(x: ComplexSeq, y: ComplexSeq, min_amplitude: float = 1e-6):
-    """Per-sample AM/AM and AM/PM scatter.
-
-    Returns (input_amplitude, gain_db, phase_shift_deg) arrays over the
-    samples whose input amplitude exceeds ``min_amplitude``.
-    """
-    if len(x) != len(y):
-        raise ValueError("input and output lengths differ")
-    ax = np.abs(x.data)
-    keep = ax > min_amplitude
-    ratio = y.data[keep] / x.data[keep]
-    gain_db = 20.0 * np.log10(np.abs(ratio))
-    phase_deg = np.degrees(np.angle(ratio))
-    return ax[keep], gain_db, phase_deg
 
 
 def write_spectrum_csv(freqs: np.ndarray, psd: np.ndarray, path, comment: str | None = None) -> None:

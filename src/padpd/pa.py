@@ -7,10 +7,8 @@ cross terms c_kq * x(n) * |x(n-q)|^k with zero-padded history. Impairments
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -25,8 +23,6 @@ __all__ = [
     "default_pa",
     "apply_impairments",
     "transmit_chain",
-    "save_pa",
-    "load_pa",
 ]
 
 
@@ -260,25 +256,3 @@ def transmit_chain(
     if impairments is not None:
         x = apply_impairments(x, impairments)
     return pa_forward(model, x)
-
-
-def save_pa(model: PolyPaModel, path) -> None:
-    doc = {
-        "k_order": model.k_order,
-        "q_depth": model.q_depth,
-        "a": [[float(v.real), float(v.imag)] for v in model.a],
-        "c": [[[float(v.real), float(v.imag)] for v in row] for row in model.c],
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-
-
-def load_pa(path) -> PolyPaModel:
-    doc = json.loads(Path(path).read_text())
-    a = np.array([complex(re, im) for re, im in doc["a"]])
-    rows = doc["c"]
-    k = len(a)
-    if rows and any(len(r) for r in rows):
-        c = np.array([[complex(re, im) for re, im in row] for row in rows])
-    else:
-        c = np.zeros((k - 1, 0), dtype=np.complex128)
-    return PolyPaModel(a, c)

@@ -30,7 +30,6 @@ __all__ = [
     "papr_db",
     "normalize_peak",
     "write_signal_csv",
-    "read_signal_csv",
 ]
 
 
@@ -253,17 +252,3 @@ def write_signal_csv(x: ComplexSeq, path, comment: str | None = None) -> None:
     write_csv(path, ["n", "i", "q"], [np.arange(len(x)), x.data.real, x.data.imag], comment)
     meta = {"n_samples": len(x), "sample_rate_hz": x.sample_rate_hz}
     _meta_path(path).write_text(json.dumps(meta, sort_keys=True) + "\n")
-
-
-def read_signal_csv(path) -> ComplexSeq:
-    path = Path(path)
-    meta = json.loads(_meta_path(path).read_text())
-    re, im = [], []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("n,"):
-            continue
-        _, i_part, q_part = line.split(",")
-        re.append(float(i_part))
-        im.append(float(q_part))
-    return ComplexSeq(np.asarray(re) + 1j * np.asarray(im), meta["sample_rate_hz"])

@@ -6,13 +6,19 @@ import pytest
 from padpd.dataset import (
     Dataset,
     build_dataset,
-    build_feature_graph,
     dpd_dataset,
-    export_dataset_csv,
     feature_graphs,
     split_indices,
 )
 from padpd.signals import ComplexSeq
+
+
+def build_feature_graph(x, n, memory_depth):
+    """The oracle for `feature_graphs`: sample n's graph built on its own,
+    columns newest-first, rows I, Q, |x|, |x|^2, |x|^3."""
+    window = x.data[n - np.arange(memory_depth + 1)]
+    env = np.abs(window)
+    return np.stack([window.real, window.imag, env, env**2, env**3])
 
 
 def test_feature_graph_rows_and_column_order():
@@ -32,12 +38,14 @@ def test_feature_graph_rows_and_column_order():
 
 def test_feature_graph_bounds():
     x = ComplexSeq(np.arange(1, 7, dtype=complex))
-    with pytest.raises(ValueError):
-        build_feature_graph(x, 1, 3)  # not enough history
-    with pytest.raises(ValueError):
-        build_feature_graph(x, 6, 2)  # past the end
-    g0 = build_feature_graph(x, 3, 0)
-    assert g0.shape == (5, 1)
+    with pytest.raises(ValueError, match="count"):
+        feature_graphs(x, 3, 0, 2)  # no graphs asked for
+    with pytest.raises(ValueError, match="memory_depth"):
+        feature_graphs(x, 1, 1, 3)  # not enough history
+    with pytest.raises(ValueError, match="past the end"):
+        feature_graphs(x, 6, 1, 2)
+    assert feature_graphs(x, 5, 1, 2).shape == (1, 5, 3)  # the last sample
+    assert feature_graphs(x, 3, 1, 0).shape == (1, 5, 1)
 
 
 def test_feature_graphs_batch_matches_single():
@@ -114,20 +122,3 @@ def test_dpd_dataset_normalizes_by_gain():
     assert np.array_equal(test.graphs, ref_test.graphs)
     with pytest.raises(ValueError):
         dpd_dataset(y, x, 0.0, m, count, 0)
-
-
-def test_export_dataset_csv(tmp_path):
-    rng = np.random.default_rng(3)
-    x = ComplexSeq(rng.standard_normal(30) + 1j * rng.standard_normal(30))
-    y = ComplexSeq(x.data * 1.5)
-    train, _ = build_dataset(x, y, 1, 20, 0)
-    path = tmp_path / "train.csv"
-    export_dataset_csv(train, path, comment="case 1")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# case 1"
-    assert lines[1].startswith("g0_0,g0_1,g1_0")
-    assert lines[1].endswith("i_out,q_out")
-    assert len(lines) == 2 + len(train)
-    first = np.array([float(v) for v in lines[2].split(",")])
-    assert np.allclose(first[:10], train.graphs[0].reshape(-1))
-    assert np.allclose(first[10:], train.labels[0])

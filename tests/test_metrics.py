@@ -1,4 +1,4 @@
-"""Tests for NMSE, Welch PSD, ACPR integration, and AM/AM-AM/PM extraction."""
+"""Tests for NMSE, Welch PSD, and ACPR integration."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from padpd.metrics import (
     NMSE_FLOOR_DB,
     ChannelPlan,
     acpr_db,
-    am_characteristics,
     band_power,
     nmse_db,
     psd_welch,
@@ -128,30 +127,6 @@ def test_acpr_of_shaped_noise():
     expect = 10 * np.log10((0.01 * 100) / (80 + 0.01 * 20))
     assert lo == pytest.approx(expect, abs=0.3)
     assert hi == pytest.approx(expect, abs=0.3)
-
-
-def test_am_characteristics_static_nonlinearity():
-    rng = np.random.default_rng(2)
-    raw = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-    x = ComplexSeq(0.9 * raw / np.max(np.abs(raw)))  # keep 1 - 0.2|x|^2 > 0
-    # y = x * (1 - 0.2|x|^2): pure AM/AM, zero AM/PM
-    y = ComplexSeq(x.data * (1 - 0.2 * np.abs(x.data) ** 2))
-    amp, gain_db, phase_deg = am_characteristics(x, y)
-    assert amp.size == 300
-    expect = 20 * np.log10(np.abs(1 - 0.2 * amp**2))
-    assert np.allclose(gain_db, expect, atol=1e-9)
-    assert np.allclose(phase_deg, 0.0, atol=1e-9)
-
-    # constant complex gain: flat gain, constant phase rotation
-    g = 0.5 * np.exp(1j * np.pi / 6)
-    amp, gain_db, phase_deg = am_characteristics(x, x.scaled(g))
-    assert np.allclose(gain_db, 20 * np.log10(0.5), atol=1e-9)
-    assert np.allclose(phase_deg, 30.0, atol=1e-9)
-
-    # tiny samples are dropped
-    withzero = ComplexSeq(np.concatenate([x.data, [1e-9 + 0j]]))
-    amp, _, _ = am_characteristics(withzero, withzero)
-    assert amp.size == 300
 
 
 def test_write_spectrum_csv(tmp_path):

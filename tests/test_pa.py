@@ -16,9 +16,7 @@ from padpd.pa import (
     default_pa,
     gain_compression_db,
     iq_imbalance_coefficients,
-    load_pa,
     pa_forward,
-    save_pa,
     steady_state_gain,
     transmit_chain,
 )
@@ -219,12 +217,3 @@ def test_transmit_chain_composition():
     direct = pa_forward(pa, apply_impairments(x, cfg))
     assert np.array_equal(transmit_chain(pa, x, cfg).data, direct.data)
     assert np.array_equal(transmit_chain(pa, x).data, pa_forward(pa, x).data)
-
-
-def test_pa_save_load_roundtrip(tmp_path):
-    pa = default_pa(4)
-    path = tmp_path / "pa.json"
-    save_pa(pa, path)
-    back = load_pa(path)
-    assert np.array_equal(back.a, pa.a)
-    assert np.array_equal(back.c, pa.c)
