@@ -62,6 +62,8 @@ def feature_graphs(x: ComplexSeq, start: int, count: int, memory_depth: int) -> 
     """Graphs for n = start..start+count-1, shape (count, 5, M+1)."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if memory_depth < 0:
+        raise ValueError("memory_depth must be >= 0")
     if start < memory_depth:
         raise ValueError("start must be >= memory_depth (no zero-padded warm-up rows)")
     if start + count > len(x):

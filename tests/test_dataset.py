@@ -40,7 +40,9 @@ def test_feature_graph_bounds():
     x = ComplexSeq(np.arange(1, 7, dtype=complex))
     with pytest.raises(ValueError, match="count"):
         feature_graphs(x, 3, 0, 2)  # no graphs asked for
-    with pytest.raises(ValueError, match="memory_depth"):
+    with pytest.raises(ValueError, match="memory_depth must be >= 0"):
+        feature_graphs(x, 3, 1, -1)
+    with pytest.raises(ValueError, match="start must be"):
         feature_graphs(x, 1, 1, 3)  # not enough history
     with pytest.raises(ValueError, match="past the end"):
         feature_graphs(x, 6, 1, 2)
