@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -110,6 +111,30 @@ class ExperimentConfig:
             raise ValueError("dataset_count must be at least 10")
         if self.drive_backoff_db < 0:
             raise ValueError("drive_backoff_db must be >= 0")
+        if self.pa_k_order < 2:
+            raise ValueError(f"pa_k_order must be >= 2 to realize gain compression, got {self.pa_k_order}")
+        if self.pa_q_depth < 1:
+            raise ValueError(f"pa_q_depth must be >= 1, got {self.pa_q_depth}")
+        if not 0.0 <= self.ridge < math.inf:
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
+        if self.segment < 2:
+            raise ValueError(f"segment must be >= 2, got {self.segment}")
+        rows = self._error_spectrum_rows()
+        if rows < self.segment:
+            raise ValueError(
+                f"dataset_count {self.dataset_count} leaves {rows} error-spectrum samples "
+                f"for model {self.model!r}, fewer than one segment ({self.segment})"
+            )
+
+    def _error_spectrum_rows(self) -> int:
+        """Samples in `run_experiment`'s error spectrum: one per dataset row,
+        or for gmp one per row whose basis reaches no further back than the
+        signal's start. (A dataset that runs past the signal's end fails in
+        the dataset stage.)"""
+        if self.model != "gmp":
+            return self.dataset_count
+        m = self.arch.memory_depth
+        return m + self.dataset_count - max(m, self.gmp.max_past)
 
     def to_dict(self) -> dict:
         return codec.to_dict(self)

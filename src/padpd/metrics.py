@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .csvio import write_csv
 from .signals import ComplexSeq
@@ -44,6 +43,20 @@ def nmse_db(pred, ref) -> float:
     return max(float(10.0 * np.log10(err_energy / ref_energy)), NMSE_FLOOR_DB)
 
 
+def _hann(m: int) -> np.ndarray:
+    """Periodic Hann window of length m, ``scipy.signal.get_window("hann", m)``.
+
+    Built with scipy's own formula and in its order of operations (a
+    cosine-sum window over m + 1 points, last point dropped), so the two
+    agree byte for byte and importing scipy is not needed.
+    """
+    fac = np.linspace(-np.pi, np.pi, m + 1)
+    w = np.zeros(m + 1)
+    w += 0.5 * np.cos(0 * fac)
+    w += 0.5 * np.cos(1 * fac)
+    return w[:-1]
+
+
 # Frames per FFT call: bounds the windowed copy and its spectrum (4 MB each at 1024 bins).
 _WELCH_CHUNK_FRAMES = 256
 
@@ -66,7 +79,7 @@ def psd_welch(x: ComplexSeq, segment: int = 1024, overlap_frac: float = 0.5):
         raise ValueError("overlap_frac must lie in [0, 1)")
     step = segment - int(segment * overlap_frac)
     frames = np.lib.stride_tricks.sliding_window_view(x.data, segment)[::step]
-    window = sp_signal.get_window("hann", segment)
+    window = _hann(segment)
     power = np.zeros(segment)
     for start in range(0, len(frames), _WELCH_CHUNK_FRAMES):
         spec = np.fft.fft(frames[start : start + _WELCH_CHUNK_FRAMES] * window, axis=1)

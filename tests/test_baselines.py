@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padpd.baselines import (
     GmpConfig,
     GmpFitError,
     GmpModel,
     MLP_BASELINES,
+    _column_specs,
     gmp_basis_at,
     gmp_fit_ls,
     gmp_table_config,
@@ -85,6 +88,29 @@ def test_basis_matches_reference_enumeration():
         assert np.allclose(got, ref, rtol=1e-12)
     with pytest.raises(ValueError):
         gmp_basis_at(seq, cfg, np.array([1]))  # inside the warm-up region
+
+
+# (ka, la, kb, lb, mb, kc, lc, mc) with at least one term
+_SMALL_GMPS = st.tuples(*[st.integers(0, 3)] * 8).filter(
+    lambda v: v[0] * v[1] + v[2] * v[3] * v[4] + v[5] * v[6] * v[7]).map(lambda v: GmpConfig(*v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=_SMALL_GMPS, extra=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_basis_columns_follow_their_formula(cfg, extra, seed):
+    """Column j is x(n-l)|x(n-d)|^k for the j-th (l, d, k) of `_column_specs`,
+    and the columns are the block definitions in order, at every valid n."""
+    rng = np.random.default_rng(seed)
+    n_samples = cfg.max_past + cfg.max_future + 1 + extra
+    x = rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
+    idx = gmp_valid_indices(cfg, n_samples)
+    basis = gmp_basis_at(ComplexSeq(x), cfg, idx)
+    specs = _column_specs(cfg)
+    assert basis.shape == (idx.size, cfg.n_terms) and len(specs) == cfg.n_terms
+    for j, (l, d, k) in enumerate(specs):
+        assert np.array_equal(basis[:, j], x[idx - l] * np.abs(x[idx - d]) ** k)
+    ref = np.array([reference_basis_row(x, cfg, n) for n in idx])
+    np.testing.assert_allclose(basis, ref, rtol=1e-12)
 
 
 def test_fit_recovers_known_model():

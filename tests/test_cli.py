@@ -1,9 +1,14 @@
 """CLI surface tests: argument handling, exit codes, printed summaries."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import padpd
 from padpd.cli import main
 from padpd.network import ConvNetArch, init_params, load_params, save_params
 
@@ -102,15 +107,32 @@ def test_wrong_json_type_is_a_config_error(override, path, tmp_path, capsys):
     ("adam.epsilon=Infinity", "epsilon"),
     ("adam.learning_rate=Infinity", "learning_rate"),
     ("adam.learning_rate=NaN", "learning_rate"),
+    ("segment=1", "segment"),
+    ("dataset_count=1023", "dataset_count"),  # fewer error-spectrum samples than one segment
+    ("ridge=-1e-9", "ridge"),
+    ("pa_q_depth=0", "pa_q_depth"),
+    ("pa_k_order=1", "pa_k_order"),
 ])
 def test_lm_config_values_are_checked_up_front(override, field, tmp_path, capsys):
-    """An LM or Adam setting that could only fail, or do nothing, once
-    training has started is a config error."""
+    """A setting that could only fail, or do nothing, once the pipeline has
+    started is a config error: an LM or Adam value, the PA's order or depth,
+    the GMP ridge, or a Welch segment the error spectrum cannot fill."""
     out = tmp_path / "run"
     assert main(["run", "--set", override, "--output-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error [config]: ") and field in err
     assert not out.exists()
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test and benchmark dependency only: importing the package
+    and its CLI in a fresh interpreter loads no scipy module."""
+    src = str(Path(padpd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, padpd, padpd.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_schema1_checkpoint_is_rejected(tmp_path, capsys):

@@ -86,12 +86,11 @@ def _archs(draw):
 _GMPS = st.tuples(*[st.integers(0, 6)] * 8).filter(
     lambda v: v[0] * v[1] + v[2] * v[3] * v[4] + v[5] * v[6] * v[7]).map(lambda v: GmpConfig(*v))
 
-_CONFIGS = st.builds(
-    ExperimentConfig,
+_FIELDS = st.fixed_dictionaries(dict(
     signal=st.builds(OfdmConfig, st.integers(1, 256), st.sampled_from([4, 16, 64, 256]),
                      st.integers(1, 5000), st.integers(1, 8), _number(0, 1), _SEED, _number(1, 1e10)),
     pa_seed=_SEED,
-    pa_k_order=st.integers(1, 9),
+    pa_k_order=st.integers(2, 9),
     pa_q_depth=st.integers(1, 9),
     impairment_case=st.sampled_from([1, 2, 3]),
     model=st.sampled_from(MODEL_KINDS),
@@ -103,14 +102,26 @@ _CONFIGS = st.builds(
                  _number(0, 1, exclude_min=True, exclude_max=True), st.integers(1, 1000), _number(0, 1e3),
                  _number(1e3, 1e12), _number(0, 1, exclude_max=True)),
     gmp=_GMPS,
-    dataset_count=st.integers(10, 10**6),
     split_seed=_SEED,
     init_seed=_SEED,
     ridge=_number(0, 10),
     drive_backoff_db=_number(0, 30),
-    segment=st.integers(1, 4096),
+    segment=st.integers(2, 4096),
     reuse_filter_from=st.none() | st.text(max_size=20),
-)
+))
+
+
+@st.composite
+def _configs(draw):
+    """Any valid config: `dataset_count` leaves at least one `segment` of
+    error-spectrum samples, which for gmp start at the basis' reach."""
+    f = draw(_FIELDS)
+    m = f["arch"].memory_depth
+    lost = max(m, f["gmp"].max_past) - m if f["model"] == "gmp" else 0
+    return ExperimentConfig(**f, dataset_count=draw(st.integers(max(10, f["segment"] + lost), 10**6)))
+
+
+_CONFIGS = _configs()
 
 
 def _respelled(obj):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padpd.dataset import (
     Dataset,
@@ -61,6 +63,22 @@ def test_feature_graphs_batch_matches_single():
         feature_graphs(x, 2, 5, 3)
     with pytest.raises(ValueError):
         feature_graphs(x, 25, 10, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(memory_depth=st.integers(0, 6), offset=st.integers(0, 20), count=st.integers(1, 40),
+       tail=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_feature_graphs_match_oracle(memory_depth, offset, count, tail, seed):
+    """Every graph of a batch equals the oracle's, byte for byte, over depths,
+    start offsets past the warm-up, and counts up to the signal's end."""
+    rng = np.random.default_rng(seed)
+    n = memory_depth + offset + count + tail
+    x = ComplexSeq(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    start = memory_depth + offset
+    batch = feature_graphs(x, start, count, memory_depth)
+    assert batch.shape == (count, 5, memory_depth + 1)
+    for k in range(count):
+        assert np.array_equal(batch[k], build_feature_graph(x, start + k, memory_depth))
 
 
 def test_split_indices_partition_and_determinism():

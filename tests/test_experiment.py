@@ -77,6 +77,11 @@ def test_config_validation():
         ExperimentConfig(dataset_count=5)
     with pytest.raises(ValueError):
         ExperimentConfig(drive_backoff_db=-1.0)
+    # gmp's error spectrum starts at the basis' reach, max_past = 6, not at M = 3
+    with pytest.raises(ValueError, match="dataset_count 1026 leaves 1023 error-spectrum samples"):
+        ExperimentConfig(model="gmp", dataset_count=1026)
+    ExperimentConfig(model="gmp", dataset_count=1027)
+    ExperimentConfig(dataset_count=1024)
 
 
 def test_config_hash_stable_and_sensitive():

@@ -9,6 +9,7 @@ from scipy import signal as sp_signal
 from padpd.metrics import (
     NMSE_FLOOR_DB,
     ChannelPlan,
+    _hann,
     acpr_db,
     band_power,
     nmse_db,
@@ -84,6 +85,13 @@ def test_welch_matches_scipy(segment, overlap, n_frames, extra, complex_input, s
                                    return_onesided=False, scaling="density")
     np.testing.assert_allclose(freqs, np.fft.fftshift(ref_f), rtol=1e-15)
     np.testing.assert_allclose(psd, np.fft.fftshift(ref_p), rtol=1e-9, atol=1e-12 * ref_p.max())
+
+
+def test_welch_window_is_scipys_hann():
+    """The window psd_welch builds equals scipy's periodic Hann window byte
+    for byte at every length it accepts up to 4096."""
+    for m in range(2, 4097):
+        assert np.array_equal(_hann(m), sp_signal.get_window("hann", m)), m
 
 
 def test_band_power_on_flat_spectrum():
