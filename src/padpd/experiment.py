@@ -119,22 +119,15 @@ class ExperimentConfig:
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.segment < 2:
             raise ValueError(f"segment must be >= 2, got {self.segment}")
-        rows = self._error_spectrum_rows()
+        # run_experiment's error spectrum has a sample per dataset row, but for
+        # gmp only per row whose basis reaches back no further than the signal.
+        m = self.arch.memory_depth
+        rows = self.dataset_count - (max(m, self.gmp.max_past) - m if self.model == "gmp" else 0)
         if rows < self.segment:
             raise ValueError(
                 f"dataset_count {self.dataset_count} leaves {rows} error-spectrum samples "
                 f"for model {self.model!r}, fewer than one segment ({self.segment})"
             )
-
-    def _error_spectrum_rows(self) -> int:
-        """Samples in `run_experiment`'s error spectrum: one per dataset row,
-        or for gmp one per row whose basis reaches no further back than the
-        signal's start. (A dataset that runs past the signal's end fails in
-        the dataset stage.)"""
-        if self.model != "gmp":
-            return self.dataset_count
-        m = self.arch.memory_depth
-        return m + self.dataset_count - max(m, self.gmp.max_past)
 
     def to_dict(self) -> dict:
         return codec.to_dict(self)
