@@ -16,7 +16,7 @@ import numpy as np
 
 from .codec import from_dict, to_dict
 from .dataset import Dataset
-from .network import Activation, MlpLayer, mlp_forward, mlp_init
+from .network import Activation, MlpLayer, mlp_init
 from .signals import ComplexSeq
 from .training import AdamConfig, train_mlp_adam
 
@@ -36,7 +36,6 @@ __all__ = [
     "MLP_BASELINES",
     "mlp_baseline_spec",
     "train_mlp_baseline",
-    "mlp_baseline_nmse_db",
 ]
 
 
@@ -289,13 +288,3 @@ def train_mlp_baseline(
     layers = mlp_init(spec.widths(train.memory_depth), Activation(spec.hidden_activation), seed)
     return train_mlp_adam(layers, feats, train.labels, cfg)
 
-
-def mlp_baseline_nmse_db(spec: MlpBaselineSpec, layers: list[MlpLayer], data: Dataset) -> float:
-    """NMSE of a trained baseline on a dataset split."""
-    from .metrics import nmse_db
-
-    feats = mlp_features_from_graphs(data.graphs, spec.feature_kind)
-    pred = mlp_forward(layers, feats)
-    pred_c = pred[:, 0] + 1j * pred[:, 1]
-    ref_c = data.labels[:, 0] + 1j * data.labels[:, 1]
-    return nmse_db(pred_c, ref_c)

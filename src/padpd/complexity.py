@@ -24,10 +24,6 @@ __all__ = [
     "gmp_flops",
     "mlp_coeff_count",
     "mlp_flops",
-    "lstm_layer_coeff_count",
-    "lstm_layer_flops",
-    "lstm_coeff_count",
-    "lstm_flops",
     "complexity_report",
 ]
 
@@ -91,44 +87,9 @@ def mlp_flops(widths: Sequence[int], act_cost: int = DEFAULT_ACT_COST) -> int:
     return total
 
 
-def lstm_layer_coeff_count(n_in: int, units: int) -> int:
-    """4 gate blocks, each (n_in + units + 1) * units scalars."""
-    if n_in < 0 or units < 0:
-        raise ValueError("sizes must be non-negative")
-    return 4 * units * (n_in + units + 1)
-
-
-def lstm_layer_flops(n_in: int, units: int) -> int:
-    """Gate matmuls plus elementwise/state updates and activations."""
-    if n_in < 0 or units < 0:
-        raise ValueError("sizes must be non-negative")
-    return units * (8 * n_in + 8 * units + 71)
-
-
-def lstm_coeff_count(n_in: int, units: int, fc_widths: Sequence[int], n_out: int) -> int:
-    """Recurrent layer followed by a dense tail (hidden widths then output)."""
-    return lstm_layer_coeff_count(n_in, units) + mlp_coeff_count([units, *fc_widths, n_out])
-
-
-def lstm_flops(
-    n_in: int, units: int, fc_widths: Sequence[int], n_out: int,
-    act_cost: int = DEFAULT_ACT_COST,
-) -> int:
-    return lstm_layer_flops(n_in, units) + mlp_flops([units, *fc_widths, n_out], act_cost)
-
-
 @dataclass(frozen=True)
 class _MlpSpec:
     widths: list[int]
-    act_cost: int
-
-
-@dataclass(frozen=True)
-class _LstmSpec:
-    n_in: int
-    units: int
-    fc_widths: list[int]
-    n_out: int
     act_cost: int
 
 
@@ -136,9 +97,8 @@ def complexity_report(spec: dict) -> dict:
     """Dispatch a {"model": ..., ...} spec to the matching calculators.
 
     Models: "conv_net" (ConvNetArch fields, defaults for those left out),
-    "gmp" (GmpConfig fields, 0 for those left out), "mlp" ({"widths": [...],
-    "act_cost"?}), "lstm" ({"n_in", "units", "fc_widths", "n_out",
-    "act_cost"?}). Every field is type-checked like a config field.
+    "gmp" (GmpConfig fields, 0 for those left out) and "mlp" ({"widths":
+    [...], "act_cost"?}). Every field is type-checked like a config field.
     """
     if not isinstance(spec, dict) or "model" not in spec:
         raise ValueError('spec must be an object with a "model" key')
@@ -156,13 +116,5 @@ def complexity_report(spec: dict) -> dict:
             "model": kind,
             "coefficients": mlp_coeff_count(mlp.widths),
             "flops": mlp_flops(mlp.widths, mlp.act_cost),
-        }
-    if kind == "lstm":
-        lstm = from_dict(_LstmSpec, {"fc_widths": [], "act_cost": DEFAULT_ACT_COST} | params)
-        args = (lstm.n_in, lstm.units, lstm.fc_widths, lstm.n_out)
-        return {
-            "model": kind,
-            "coefficients": lstm_coeff_count(*args),
-            "flops": lstm_flops(*args, lstm.act_cost),
         }
     raise ValueError(f"unknown model kind {kind!r}")

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .signals import ComplexSeq, OfdmConfig, generate_ofdm, papr_db
 from .training import (
     AdamConfig,
     LmConfig,
+    LmResult,
     train_stage1_adam,
     train_stage2_lm,
     write_history_csv,
@@ -80,6 +82,12 @@ class StageError(RuntimeError):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def _gmp_rows(gmp: GmpConfig, m: int, count: int, n_samples: int) -> np.ndarray:
+    """The dataset's sample indices, m..m+count-1, at which every term of the
+    basis stays inside a signal of ``n_samples``: one contiguous run."""
+    return np.arange(max(m, gmp.max_past), min(m + count, n_samples - gmp.max_future))
 
 
 @dataclass(frozen=True)
@@ -120,9 +128,14 @@ class ExperimentConfig:
         if self.segment < 2:
             raise ValueError(f"segment must be >= 2, got {self.segment}")
         # run_experiment's error spectrum has a sample per dataset row, but for
-        # gmp only per row whose basis reaches back no further than the signal.
+        # gmp only per row whose basis stays inside the signal.
         m = self.arch.memory_depth
-        rows = self.dataset_count - (max(m, self.gmp.max_past) - m if self.model == "gmp" else 0)
+        rows = self.dataset_count
+        if self.model == "gmp":
+            n = self.signal.n_symbols * self.signal.n_fft
+            if m + rows > n:  # past the signal's end: the dataset stage's error
+                n = m + rows + self.gmp.max_future
+            rows = len(_gmp_rows(self.gmp, m, rows, n))
         if rows < self.segment:
             raise ValueError(
                 f"dataset_count {self.dataset_count} leaves {rows} error-spectrum samples "
@@ -185,17 +198,78 @@ def _train_conv_net(cfg: ExperimentConfig, train, test):
     return params, hist1, lm_result
 
 
+@dataclass
+class _Fit:
+    """A trained model's prediction ``pred`` over ``rows``, a contiguous run of
+    ordered sample indices; the train and test splits' positions in that run,
+    in split order; and what the report and the output directory take from
+    the model."""
+
+    rows: np.ndarray
+    pred: np.ndarray
+    train_pos: np.ndarray
+    test_pos: np.ndarray
+    results: dict
+    hist1: np.ndarray | None = None
+    lm_result: LmResult | None = None
+    save: Callable | None = None
+
+
+def _fit_gmp(cfg: ExperimentConfig, xs: ComplexSeq, ys: np.ndarray, train, test) -> _Fit:
+    m = cfg.arch.memory_depth
+    rows = _gmp_rows(cfg.gmp, m, cfg.dataset_count, len(xs))
+    # a split row's leading envelopes also stay inside the dataset
+    lo, hi = cfg.gmp.max_past, cfg.dataset_count + m - cfg.gmp.max_future
+    tr, te = (rel + m for rel in split_indices(cfg.dataset_count, cfg.split_seed))
+    tr, te = tr[(tr >= lo) & (tr < hi)], te[(te >= lo) & (te < hi)]
+    model = gmp_fit_ls(gmp_basis_at(xs, cfg.gmp, tr), ys[tr], cfg.gmp, cfg.ridge)
+    pred = gmp_basis_at(xs, cfg.gmp, rows) @ model.coeffs
+    results = {"coeff_count": gmp_coeff_count(cfg.gmp), "flops": gmp_flops(cfg.gmp), "ridge": float(cfg.ridge)}
+    return _Fit(rows, pred, tr - rows[0], te - rows[0], results, save=lambda path: save_gmp(model, path))
+
+
+def _fit_network(cfg: ExperimentConfig, xs: ComplexSeq, ys: np.ndarray, train, test) -> _Fit:
+    m = cfg.arch.memory_depth
+    if cfg.model == "conv_net":
+        params, hist1, lm_result = _train_conv_net(cfg, train, test)
+
+        def predict(graphs):
+            return forward_batch(params, cfg.arch, graphs)
+
+        def save(path):
+            save_params(params, cfg.arch, path)
+
+        results = {"coeff_count": conv_net_coeff_count(cfg.arch), "flops": conv_net_flops(cfg.arch)}
+    else:
+        spec = mlp_baseline_spec(cfg.model)
+        layers, hist1 = train_mlp_baseline(spec, train, cfg.adam, cfg.init_seed)
+        lm_result = save = None  # the MLP baselines write no model file
+
+        def predict(graphs):
+            return mlp_forward(layers, mlp_features_from_graphs(graphs, spec.feature_kind))
+
+        widths = spec.widths(m)
+        results = {"coeff_count": mlp_coeff_count(widths), "flops": mlp_flops(widths), "widths": widths}
+    pred = _complex(predict(feature_graphs(xs, m, cfg.dataset_count, m)))
+    return _Fit(m + np.arange(cfg.dataset_count), pred, *split_indices(cfg.dataset_count, cfg.split_seed),
+                results, hist1, lm_result, save)
+
+
 def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
-    """Forward-modeling pipeline; returns (and optionally writes) the report."""
+    """Forward-modeling pipeline; returns (and optionally writes) the report.
+
+    Every model family is scored the same way: its train and test
+    predictions and references are rows of one prediction over the ordered
+    samples and of the PA output at those samples.
+    """
     chash = config_hash(cfg)
 
     x = _run_stage("signal", generate_ofdm, cfg.signal)
     pa = _run_stage("pa", default_pa, cfg.pa_seed, cfg.pa_k_order, cfg.pa_q_depth)
     imp = _run_stage("impairment", _impairments, cfg)
     y = _run_stage("transmit", transmit_chain, pa, x, imp)
-    m = cfg.arch.memory_depth
     train, test = _run_stage(
-        "dataset", build_dataset, x, y, m, cfg.dataset_count, cfg.split_seed
+        "dataset", build_dataset, x, y, cfg.arch.memory_depth, cfg.dataset_count, cfg.split_seed
     )
 
     results: dict = {
@@ -207,87 +281,33 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     }
     xs = x.scaled(train.scale)
     ys = y.data * train.scale
-    n_idx = m + np.arange(cfg.dataset_count)
-    ref_ordered = ys[n_idx]
-    hist1 = lm_result = None
-
-    if cfg.model == "gmp":
-        def fit_gmp():
-            tr_rel, te_rel = split_indices(cfg.dataset_count, cfg.split_seed)
-            lo, hi = cfg.gmp.max_past, cfg.dataset_count + m - cfg.gmp.max_future
-            tr_abs = tr_rel + m
-            te_abs = te_rel + m
-            tr_abs = tr_abs[(tr_abs >= lo) & (tr_abs < hi)]
-            te_abs = te_abs[(te_abs >= lo) & (te_abs < hi)]
-            basis_tr = gmp_basis_at(xs, cfg.gmp, tr_abs)
-            model = gmp_fit_ls(basis_tr, ys[tr_abs], cfg.gmp, cfg.ridge)
-            return model, tr_abs, te_abs
-
-        model, tr_abs, te_abs = _run_stage("train", fit_gmp)
-        # `valid` is a contiguous run of indices holding every train and test row.
-        valid = n_idx[(n_idx >= cfg.gmp.max_past) & (n_idx < len(xs) - cfg.gmp.max_future)]
-        pred_ordered = gmp_basis_at(xs, cfg.gmp, valid) @ model.coeffs
-        pred_train, pred_test = pred_ordered[tr_abs - valid[0]], pred_ordered[te_abs - valid[0]]
-        ref_ordered = ys[valid]
-        tr_ref, te_ref = ys[tr_abs], ys[te_abs]
-        results.update(coeff_count=gmp_coeff_count(cfg.gmp), flops=gmp_flops(cfg.gmp))
-        results["ridge"] = float(cfg.ridge)
-
-        def save_model(path):
-            save_gmp(model, path)
-    else:
-        if cfg.model == "conv_net":
-            conv_params, hist1, lm_result = _run_stage("train", _train_conv_net, cfg, train, test)
-
-            def predict(graphs):
-                return forward_batch(conv_params, cfg.arch, graphs)
-
-            def save_model(path):
-                save_params(conv_params, cfg.arch, path)
-
-            results.update(
-                coeff_count=conv_net_coeff_count(cfg.arch),
-                flops=conv_net_flops(cfg.arch),
-                stage2={
-                    "iters": lm_result.n_iters,
-                    "converged": bool(lm_result.converged),
-                    "reason": lm_result.reason,
-                    # a rejected row carries the mse of the last accepted step
-                    "final_mse": float(lm_result.history[-1, 1])
-                    if lm_result.history.size
-                    else None,
-                },
-            )
-        else:
-            spec = mlp_baseline_spec(cfg.model)
-            layers, hist1 = _run_stage(
-                "train", train_mlp_baseline, spec, train, cfg.adam, cfg.init_seed
-            )
-
-            def predict(graphs):
-                return mlp_forward(layers, mlp_features_from_graphs(graphs, spec.feature_kind))
-
-            save_model = None  # the MLP baselines write no model file
-            widths = spec.widths(m)
-            results.update(coeff_count=mlp_coeff_count(widths), flops=mlp_flops(widths), widths=widths)
+    fit = _run_stage("train", _fit_gmp if cfg.model == "gmp" else _fit_network, cfg, xs, ys, train, test)
+    results.update(fit.results)
+    hist1, lm_result = fit.hist1, fit.lm_result
+    if hist1 is not None:
         results["stage1"] = {
             "iters": int(hist1.shape[0]),
             "final_mse": float(hist1[-1, 1]) if hist1.size else None,
         }
-        pred_train = _complex(predict(train.graphs))
-        pred_test = _complex(predict(test.graphs))
-        pred_ordered = _complex(predict(feature_graphs(xs, m, cfg.dataset_count, m)))
-        tr_ref, te_ref = _complex(train.labels), _complex(test.labels)
+    if lm_result is not None:
+        results["stage2"] = {
+            "iters": lm_result.n_iters,
+            "converged": bool(lm_result.converged),
+            "reason": lm_result.reason,
+            # a rejected row carries the mse of the last accepted step
+            "final_mse": float(lm_result.history[-1, 1]) if lm_result.history.size else None,
+        }
+    ref = ys[fit.rows]
 
     def compute_metrics():
-        results["nmse_train_db"] = nmse_db(pred_train, tr_ref)
-        results["nmse_test_db"] = nmse_db(pred_test, te_ref)
+        for split, pos in (("train", fit.train_pos), ("test", fit.test_pos)):
+            results[f"nmse_{split}_db"] = nmse_db(fit.pred[pos], ref[pos])
         plan = _channel_plan(cfg)
         freqs, psd_out = psd_welch(y, cfg.segment)
         lo_db, hi_db = acpr_db(freqs, psd_out, plan)
         results["acpr_output_db"] = [lo_db, hi_db]
-        err = ComplexSeq(pred_ordered - ref_ordered, x.sample_rate_hz)
-        ref_seq = ComplexSeq(ref_ordered, x.sample_rate_hz)
+        err = ComplexSeq(fit.pred - ref, x.sample_rate_hz)
+        ref_seq = ComplexSeq(ref, x.sample_rate_hz)
         ef, err_psd = psd_welch(err, cfg.segment)
         _, ref_psd = psd_welch(ref_seq, cfg.segment)
         return ef, ref_psd, err_psd
@@ -316,8 +336,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
         ref_db = 10.0 * np.log10(np.maximum(ref_psd, 1e-30))
         write_csv(out / "error_spectrum.csv", ["freq_hz", "ref_psd_db", "error_psd_db"],
                   [ef, ref_db, err_db], tag)
-        if save_model is not None:
-            save_model(out / "model.json")
+        if fit.save is not None:
+            fit.save(out / "model.json")
     return report
 
 

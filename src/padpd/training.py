@@ -41,14 +41,11 @@ __all__ = [
     "TrainingError",
     "mse_cost",
     "backprop_grads",
-    "AdamState",
-    "adam_init",
     "adam_step",
     "adam_minimize",
     "train_stage1_adam",
     "train_stage2_lm",
     "LmResult",
-    "mlp_cost_and_grads",
     "train_mlp_adam",
     "write_history_csv",
 ]
@@ -171,32 +168,17 @@ def backprop_grads(params: ConvNetParams, arch: ConvNetArch, data: Dataset) -> C
     return grad.conv_params()
 
 
-@dataclass
-class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    step: int = 0
-
-
-def adam_init(values: list[np.ndarray]) -> AdamState:
-    return AdamState([np.zeros_like(a) for a in values], [np.zeros_like(a) for a in values])
-
-
-def adam_step(values: list[np.ndarray], grads: list[np.ndarray],
-              state: AdamState, cfg: AdamConfig) -> list[np.ndarray]:
-    """One Adam update with bias correction; returns the new values."""
-    state.step += 1
-    k = state.step
+def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+              k: int, cfg: AdamConfig) -> None:
+    """Adam update number ``k`` (from 1) with bias correction, in place on
+    ``theta`` and on its moment buffers ``m`` and ``v``."""
     b1c = 1.0 - cfg.beta1**k
     b2c = 1.0 - cfg.beta2**k
-    out = []
-    for val, grad, m, v in zip(values, grads, state.m, state.v):
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * grad
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * grad * grad
-        out.append(val - cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + cfg.epsilon))
-    return out
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * grad * grad
+    theta -= cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + cfg.epsilon)
 
 
 def adam_minimize(train: _Split, cfg: AdamConfig, test: _Split | None = None) -> np.ndarray:
@@ -210,7 +192,7 @@ def adam_minimize(train: _Split, cfg: AdamConfig, test: _Split | None = None) ->
     """
     theta = train.ws.net.theta
     grad = train.ws.net.like(np.empty_like(theta))
-    state = adam_init([theta])
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     history = []
     for it in range(1, cfg.max_iters + 1):
         cost = train.cost_and_grad(grad)
@@ -219,7 +201,7 @@ def adam_minimize(train: _Split, cfg: AdamConfig, test: _Split | None = None) ->
         history.append((it, cost) if test is None else (it, cost, test.cost()))
         if cost < cfg.mse_threshold:
             break
-        theta[:] = adam_step([theta], [grad.theta], state, cfg)[0]
+        adam_step(theta, grad.theta, m, v, it, cfg)
     return np.asarray(history)
 
 
@@ -377,14 +359,6 @@ def train_stage2_lm(
 
     hist_arr = np.asarray(history, dtype=float) if history else np.zeros((0, 5))
     return net.conv_params(), LmResult(hist_arr, converged, reason)
-
-
-def mlp_cost_and_grads(layers: list[MlpLayer], x: np.ndarray, labels: np.ndarray):
-    """MSE cost and per-layer (dW, db) for a plain MLP over x (N, D)."""
-    net = Net.of(layers)
-    grad = net.like(np.empty_like(net.theta))
-    cost = _Split(net, np.asarray(x, dtype=float).T, labels, backward=True).cost_and_grad(grad)
-    return cost, [(g.weights, g.biases) for g in grad.layers]
 
 
 def train_mlp_adam(

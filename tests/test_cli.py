@@ -124,6 +124,19 @@ def test_lm_config_values_are_checked_up_front(override, field, tmp_path, capsys
     assert not out.exists()
 
 
+def test_gmp_rows_past_the_signal_end_are_a_config_error(tmp_path, capsys):
+    """gmp's error spectrum also loses the rows whose leading envelopes reach
+    past the signal's end; the config counts them before anything runs."""
+    out = tmp_path / "run"
+    argv = ["run", "--set", "signal.n_symbols=4", "--set", "model=gmp", "--set", "gmp.kc=1",
+            "--set", "gmp.lc=1", "--set", "gmp.mc=3", "--set", "dataset_count=1277",
+            "--set", "segment=1274", "--output-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [config]: dataset_count 1277 leaves 1271 error-spectrum samples")
+    assert not out.exists()
+
+
 def test_import_loads_no_scipy():
     """scipy is a test and benchmark dependency only: importing the package
     and its CLI in a fresh interpreter loads no scipy module."""
@@ -187,8 +200,10 @@ def test_complexity_errors(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["complexity", "--spec", str(bad)]) == 2
     unk = tmp_path / "unk.json"
-    unk.write_text('{"model": "transformer"}')
-    assert main(["complexity", "--spec", str(unk)]) == 2
+    for kind in ("transformer", "lstm"):
+        unk.write_text(json.dumps({"model": kind}))
+        assert main(["complexity", "--spec", str(unk)]) == 2
+        assert "unknown model kind" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec, path", [
@@ -198,8 +213,6 @@ def test_complexity_errors(tmp_path, capsys):
     ({"model": "mlp"}, "widths"),
     ({"model": "mlp", "widths": [2.7, 3]}, "widths[0]"),
     ({"model": "mlp", "widths": [4, 3, 2], "act_cost": 2.5}, "act_cost"),
-    ({"model": "lstm", "n_in": 2.9, "units": 4, "n_out": 2}, "n_in"),
-    ({"model": "lstm", "n_in": 2, "units": 4, "n_out": 2, "fc_widths": [1.5]}, "fc_widths[0]"),
     (5, "object"),
 ])
 def test_complexity_spec_fields_are_type_checked(spec, path, monkeypatch, capsys):

@@ -13,10 +13,6 @@ from padpd.complexity import (
     conv_net_flops,
     gmp_coeff_count,
     gmp_flops,
-    lstm_coeff_count,
-    lstm_flops,
-    lstm_layer_coeff_count,
-    lstm_layer_flops,
     mlp_coeff_count,
     mlp_flops,
 )
@@ -84,19 +80,6 @@ def test_mlp_formula_structure():
         mlp_flops([4, 0, 2])
 
 
-def test_lstm_counts():
-    assert lstm_layer_coeff_count(8, 8) == 4 * 8 * (8 + 8 + 1)
-    assert lstm_layer_flops(8, 8) == 8 * (8 * 8 + 8 * 8 + 71)
-    # recurrent layer plus dense tail [7, 5] -> 2 outputs
-    total = lstm_coeff_count(8, 8, [7, 5], 2)
-    assert total == 544 + mlp_coeff_count([8, 7, 5, 2])
-    assert total == 659
-    assert lstm_flops(8, 8, [7, 5], 2) == lstm_layer_flops(8, 8) + mlp_flops([8, 7, 5, 2])
-    assert lstm_flops(8, 8, [7, 5], 2) == 1950
-    with pytest.raises(ValueError):
-        lstm_layer_coeff_count(-1, 4)
-
-
 def test_complexity_report_dispatch():
     out = complexity_report({"model": "conv_net"})
     assert out == {"model": "conv_net", "coefficients": 158, "flops": 876}
@@ -108,11 +91,8 @@ def test_complexity_report_dispatch():
     out = complexity_report({"model": "mlp", "widths": [20, 17, 2]})
     assert out["coefficients"] == 393
 
-    out = complexity_report({"model": "lstm", "n_in": 8, "units": 8,
-                             "fc_widths": [7, 5], "n_out": 2})
-    assert out["coefficients"] == 659
-
     with pytest.raises(ValueError):
         complexity_report({"widths": [3, 2]})
-    with pytest.raises(ValueError):
-        complexity_report({"model": "transformer"})
+    for kind in ("transformer", "lstm"):
+        with pytest.raises(ValueError, match="unknown model kind"):
+            complexity_report({"model": kind})

@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 
 import padpd
-from padpd.baselines import GmpConfig, gmp_basis_at, load_gmp
+from padpd.baselines import (
+    GmpConfig,
+    gmp_basis_at,
+    load_gmp,
+    mlp_baseline_spec,
+    mlp_features_from_graphs,
+    train_mlp_baseline,
+)
 from padpd.dataset import build_dataset, split_indices
 from padpd.experiment import (
     ExperimentConfig,
@@ -28,7 +35,7 @@ from padpd.experiment import (
     sweep_memory,
 )
 from padpd.metrics import nmse_db
-from padpd.network import Activation, ConvNetArch, load_params
+from padpd.network import Activation, ConvNetArch, forward_batch, load_params, mlp_forward
 from padpd.pa import ImpairmentConfig, default_pa, transmit_chain
 from padpd.signals import OfdmConfig, generate_ofdm
 from padpd.training import AdamConfig, LmConfig
@@ -82,6 +89,21 @@ def test_config_validation():
         ExperimentConfig(model="gmp", dataset_count=1026)
     ExperimentConfig(model="gmp", dataset_count=1027)
     ExperimentConfig(dataset_count=1024)
+
+
+def test_gmp_row_count_stops_at_the_signal_end():
+    """A 4-symbol drive has 1280 samples. With M = 3 and a leading block
+    reaching 3 samples ahead (max_past 6), gmp keeps rows 6..1276: a dataset
+    of 1277 rows, ending at the signal's end, leaves 1271 of them. A dataset
+    that runs past the end is left to the dataset stage."""
+    gmp = replace(ExperimentConfig().gmp, kc=1, lc=1, mc=3)
+    cfg = small_config(model="gmp", gmp=gmp, dataset_count=1277, segment=1271)
+    with pytest.raises(ValueError, match="dataset_count 1277 leaves 1271 error-spectrum samples"):
+        replace(cfg, segment=1272)
+    assert run_experiment(cfg)["results"]["n_train"] == 766
+    past_end = replace(cfg, dataset_count=1278, segment=1272)
+    with pytest.raises(StageError, match=r"\[dataset\]"):
+        run_experiment(past_end)
 
 
 def test_config_hash_stable_and_sensitive():
@@ -240,6 +262,35 @@ def test_gmp_report_matches_per_split_basis(tmp_path, gmp):
         idx = idx[(idx >= lo) & (idx < hi)]
         pred = gmp_basis_at(xs, cfg.gmp, idx) @ model.coeffs
         assert res[f"nmse_{split}_db"] == pytest.approx(nmse_db(pred, ys[idx]), abs=1e-12)
+
+
+@pytest.mark.parametrize("model", ["conv_net", "rvtdnn"])
+def test_network_report_matches_per_split_forward(tmp_path, model):
+    """The train/test predictions are rows of the one prediction over the
+    ordered samples; each split's NMSE equals that of its own forward pass,
+    to 1e-12 dB: the saved conv model's, or an MLP retrained with the same
+    seed."""
+    cfg = small_config(model=model)
+    res = run_experiment(cfg, tmp_path)["results"]
+    x = generate_ofdm(cfg.signal)
+    y = transmit_chain(default_pa(cfg.pa_seed, cfg.pa_k_order, cfg.pa_q_depth), x,
+                       ImpairmentConfig.case(cfg.impairment_case))
+    splits = build_dataset(x, y, cfg.arch.memory_depth, cfg.dataset_count, cfg.split_seed)
+    if model == "conv_net":
+        params, arch = load_params(tmp_path / "model.json")
+
+        def predict(graphs):
+            return forward_batch(params, arch, graphs)
+    else:
+        spec = mlp_baseline_spec(model)
+        layers, _ = train_mlp_baseline(spec, splits[0], cfg.adam, cfg.init_seed)
+
+        def predict(graphs):
+            return mlp_forward(layers, mlp_features_from_graphs(graphs, spec.feature_kind))
+    for split, data in zip(("train", "test"), splits):
+        pred, ref = predict(data.graphs), data.labels
+        expect = nmse_db(pred[:, 0] + 1j * pred[:, 1], ref[:, 0] + 1j * ref[:, 1])
+        assert res[f"nmse_{split}_db"] == pytest.approx(expect, abs=1e-12)
 
 
 def test_run_experiment_mlp_baseline():

@@ -32,10 +32,9 @@ from padpd.training import (
     _fc_normal_equations,
     LmConfig,
     TrainingError,
-    adam_init,
+    _Split,
     adam_step,
     backprop_grads,
-    mlp_cost_and_grads,
     mse_cost,
     train_mlp_adam,
     train_stage1_adam,
@@ -43,6 +42,14 @@ from padpd.training import (
     write_history_csv,
 )
 from test_network import conv_archs, with_random_biases
+
+
+def mlp_cost_and_grads(layers, x, labels):
+    """MSE cost and per-layer (dW, db) of a plain MLP over x (N, D)."""
+    net = Net.of(layers)
+    grad = net.like(np.empty_like(net.theta))
+    cost = _Split(net, x.T, labels, backward=True).cost_and_grad(grad)
+    return cost, [(g.weights, g.biases) for g in grad.layers]
 
 
 def tiny_task(arch, n=60, seed=0, label_seed=1):
@@ -104,8 +111,21 @@ def ref_conv_cost_and_grads(params, arch, cols, targets):
     return cost, [g_conv[:, :-1].reshape(params.conv_kernels.shape), g_conv[:, -1], *g_fc, *g_out]
 
 
+def ref_adam_step(values, grads, ms, vs, k, cfg):
+    b1c = 1.0 - cfg.beta1**k
+    b2c = 1.0 - cfg.beta2**k
+    out = []
+    for val, grad, m, v in zip(values, grads, ms, vs):
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * grad
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * grad * grad
+        out.append(val - cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + cfg.epsilon))
+    return out
+
+
 def ref_adam_minimize(values, cost_and_grads, cfg, test_cost=None):
-    state = adam_init(values)
+    ms, vs = [np.zeros_like(a) for a in values], [np.zeros_like(a) for a in values]
     history = []
     for it in range(1, cfg.max_iters + 1):
         cost, grads = cost_and_grads(values)
@@ -114,7 +134,7 @@ def ref_adam_minimize(values, cost_and_grads, cfg, test_cost=None):
         history.append((it, cost) if test_cost is None else (it, cost, test_cost(values)))
         if cost < cfg.mse_threshold:
             break
-        values = adam_step(values, grads, state, cfg)
+        values = ref_adam_step(values, grads, ms, vs, it, cfg)
     return values, np.asarray(history)
 
 
@@ -237,12 +257,12 @@ def test_backprop_matches_finite_differences():
 
 def test_adam_step_reference_update():
     cfg = AdamConfig(learning_rate=0.1)
-    values = [np.array([1.0, -2.0])]
-    state = adam_init(values)
+    theta = np.array([1.0, -2.0])
+    moments = np.zeros(2), np.zeros(2)
 
     m = np.zeros(2)
     v = np.zeros(2)
-    ref = values[0].copy()
+    ref = theta.copy()
     for k in range(1, 4):
         grad = np.array([0.5, -1.5]) * k
         m = cfg.beta1 * m + (1 - cfg.beta1) * grad
@@ -250,9 +270,8 @@ def test_adam_step_reference_update():
         m_hat = m / (1 - cfg.beta1**k)
         v_hat = v / (1 - cfg.beta2**k)
         ref = ref - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        values = adam_step(values, [np.array([0.5, -1.5]) * k], state, cfg)
-    assert np.allclose(values[0], ref, rtol=1e-12)
-    assert state.step == 3
+        adam_step(theta, np.array([0.5, -1.5]) * k, *moments, k, cfg)
+    assert np.allclose(theta, ref, rtol=1e-12)
 
 
 def test_stage1_descends_and_stops_at_threshold():
