@@ -215,7 +215,7 @@ class _Fit:
     save: Callable | None = None
 
 
-def _fit_gmp(cfg: ExperimentConfig, xs: ComplexSeq, ys: np.ndarray, train, test) -> _Fit:
+def _fit_gmp(cfg: ExperimentConfig, xs: ComplexSeq, ys: np.ndarray) -> _Fit:
     m = cfg.arch.memory_depth
     rows = _gmp_rows(cfg.gmp, m, cfg.dataset_count, len(xs))
     # a split row's leading envelopes also stay inside the dataset
@@ -228,7 +228,7 @@ def _fit_gmp(cfg: ExperimentConfig, xs: ComplexSeq, ys: np.ndarray, train, test)
     return _Fit(rows, pred, tr - rows[0], te - rows[0], results, save=lambda path: save_gmp(model, path))
 
 
-def _fit_network(cfg: ExperimentConfig, xs: ComplexSeq, ys: np.ndarray, train, test) -> _Fit:
+def _fit_network(cfg: ExperimentConfig, xs: ComplexSeq, train, test) -> _Fit:
     m = cfg.arch.memory_depth
     if cfg.model == "conv_net":
         params, hist1, lm_result = _train_conv_net(cfg, train, test)
@@ -281,7 +281,10 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     }
     xs = x.scaled(train.scale)
     ys = y.data * train.scale
-    fit = _run_stage("train", _fit_gmp if cfg.model == "gmp" else _fit_network, cfg, xs, ys, train, test)
+    if cfg.model == "gmp":
+        fit = _run_stage("train", _fit_gmp, cfg, xs, ys)
+    else:
+        fit = _run_stage("train", _fit_network, cfg, xs, train, test)
     results.update(fit.results)
     hist1, lm_result = fit.hist1, fit.lm_result
     if hist1 is not None:
