@@ -68,12 +68,12 @@ def feature_graphs(x: ComplexSeq, start: int, count: int, memory_depth: int) -> 
         raise ValueError("start must be >= memory_depth (no zero-padded warm-up rows)")
     if start + count > len(x):
         raise ValueError("requested graphs run past the end of the signal")
-    v = x.data
-    idx = (start + np.arange(count))[:, None] - np.arange(memory_depth + 1)[None, :]
-    env = np.abs(v[idx])
-    return np.stack(
-        [v.real[idx], v.imag[idx], env, env**2, env**3], axis=1
-    )
+    # Each sample's five features once, then every graph a newest-first window of them.
+    v = x.data[start - memory_depth : start + count]
+    env = np.abs(v)
+    rows = np.stack([v.real, v.imag, env, env**2, env**3])
+    windows = np.lib.stride_tricks.sliding_window_view(rows, memory_depth + 1, axis=1)[:, :, ::-1]
+    return windows.transpose(1, 0, 2).copy()
 
 
 def _joint_scale(x: ComplexSeq, y: ComplexSeq) -> float:

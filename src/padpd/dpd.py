@@ -108,12 +108,14 @@ def train_dpd(
     Returns the trained parameters and a info dict with the gain estimate,
     the dataset normalization scale, held-out inverse NMSE, and both
     training histories. The parameters expect inputs scaled by info["scale"].
+    The held-out split is scored once, after LM: the stage-1 history rows
+    are (iteration, mse_train), with no test column.
     """
     gain = estimate_linear_gain(drive, output)
     train, test = dpd_dataset(output, drive, gain, arch.memory_depth, count, split_seed)
 
     params = init_params(arch, init_seed)
-    params, hist1 = train_stage1_adam(params, arch, train, adam_cfg, test)
+    params, hist1 = train_stage1_adam(params, arch, train, adam_cfg)
     params, lm_result = train_stage2_lm(params, arch, train, lm_cfg)
 
     pred = _complex_outputs(params, arch, test.graphs)

@@ -276,8 +276,6 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
         "model": cfg.model,
         "papr_db": float(papr_db(x)),
         "scale": float(train.scale),
-        "n_train": len(train),
-        "n_test": len(test),
     }
     xs = x.scaled(train.scale)
     ys = y.data * train.scale
@@ -286,6 +284,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     else:
         fit = _run_stage("train", _fit_network, cfg, xs, train, test)
     results.update(fit.results)
+    # the rows each split's NMSE scores: gmp drops those its basis cannot reach
+    results["n_train"], results["n_test"] = len(fit.train_pos), len(fit.test_pos)
     hist1, lm_result = fit.hist1, fit.lm_result
     if hist1 is not None:
         results["stage1"] = {

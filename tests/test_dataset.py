@@ -12,6 +12,7 @@ from padpd.dataset import (
     feature_graphs,
     split_indices,
 )
+from padpd.network import _FORWARD_BLOCK_ROWS
 from padpd.signals import ComplexSeq
 
 
@@ -78,6 +79,33 @@ def test_feature_graphs_match_oracle(memory_depth, offset, count, tail, seed):
     batch = feature_graphs(x, start, count, memory_depth)
     assert batch.shape == (count, 5, memory_depth + 1)
     for k in range(count):
+        assert np.array_equal(batch[k], build_feature_graph(x, start + k, memory_depth))
+
+
+def gathered_feature_graphs(x, start, count, memory_depth):
+    """The reference batch layout: every (row, tap) sample gathered by a fancy
+    index and its features taken per gathered sample, M+1 times each."""
+    v = x.data
+    idx = (start + np.arange(count))[:, None] - np.arange(memory_depth + 1)[None, :]
+    env = np.abs(v[idx])
+    return np.stack([v.real[idx], v.imag[idx], env, env**2, env**3], axis=1)
+
+
+@pytest.mark.parametrize("memory_depth", [0, 3])
+def test_feature_graphs_full_block(memory_depth):
+    """One `apply_dpd` block plus a tail, so `abs` and the powers run their
+    long vector loops: byte-equal to the gathered layout, C-contiguous, and
+    equal to the oracle on sampled rows."""
+    rng = np.random.default_rng(memory_depth)
+    count = _FORWARD_BLOCK_ROWS + 1237
+    n = memory_depth + 5 + count + 3
+    x = ComplexSeq(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    start = memory_depth + 5
+    batch = feature_graphs(x, start, count, memory_depth)
+    want = gathered_feature_graphs(x, start, count, memory_depth)
+    assert batch.shape == want.shape and batch.flags.c_contiguous
+    assert batch.tobytes() == want.tobytes()
+    for k in (0, 1, _FORWARD_BLOCK_ROWS - 1, _FORWARD_BLOCK_ROWS, *rng.integers(0, count, 20), count - 1):
         assert np.array_equal(batch[k], build_feature_graph(x, start + k, memory_depth))
 
 

@@ -163,7 +163,7 @@ def test_train_and_evaluate_round_trip():
     assert info["nmse_inverse_db"] < -25.0
     assert info["gain_estimate"] > 0
     assert info["scale"] > 0
-    assert info["stage1_history"].shape == (800, 3)
+    assert info["stage1_history"].shape == (800, 2)  # (iteration, mse_train): no test column
 
     plan = ChannelPlan.for_bandwidth(cfg.occupied_bandwidth_hz)
     result, spectra = evaluate_linearization(

@@ -94,13 +94,20 @@ def test_config_validation():
 def test_gmp_row_count_stops_at_the_signal_end():
     """A 4-symbol drive has 1280 samples. With M = 3 and a leading block
     reaching 3 samples ahead (max_past 6), gmp keeps rows 6..1276: a dataset
-    of 1277 rows, ending at the signal's end, leaves 1271 of them. A dataset
-    that runs past the end is left to the dataset stage."""
+    of 1277 rows, ending at the signal's end, leaves 1271 of them. The
+    report counts the split rows inside that window, the rows its NMSE
+    scores. A dataset that runs past the end is left to the dataset stage."""
     gmp = replace(ExperimentConfig().gmp, kc=1, lc=1, mc=3)
     cfg = small_config(model="gmp", gmp=gmp, dataset_count=1277, segment=1271)
     with pytest.raises(ValueError, match="dataset_count 1277 leaves 1271 error-spectrum samples"):
         replace(cfg, segment=1272)
-    assert run_experiment(cfg)["results"]["n_train"] == 766
+    m = cfg.arch.memory_depth
+    lo, hi = gmp.max_past, cfg.dataset_count + m - gmp.max_future
+    scored = [np.count_nonzero((rel + m >= lo) & (rel + m < hi))
+              for rel in split_indices(cfg.dataset_count, cfg.split_seed)]
+    assert scored[0] < 766 and sum(scored) == 1271  # 766 train rows before the window
+    res = run_experiment(cfg)["results"]
+    assert [res["n_train"], res["n_test"]] == scored
     past_end = replace(cfg, dataset_count=1278, segment=1272)
     with pytest.raises(StageError, match=r"\[dataset\]"):
         run_experiment(past_end)
@@ -262,6 +269,7 @@ def test_gmp_report_matches_per_split_basis(tmp_path, gmp):
         idx = idx[(idx >= lo) & (idx < hi)]
         pred = gmp_basis_at(xs, cfg.gmp, idx) @ model.coeffs
         assert res[f"nmse_{split}_db"] == pytest.approx(nmse_db(pred, ys[idx]), abs=1e-12)
+        assert res[f"n_{split}"] == len(idx)
 
 
 @pytest.mark.parametrize("model", ["conv_net", "rvtdnn"])

@@ -388,6 +388,26 @@ def test_stage1_matches_list_reference_on_every_arch(arch, n, n_test, seed):
     assert_same_bytes(trained.as_list(), ref.as_list())
 
 
+@settings(max_examples=40, deadline=None)
+@given(arch=conv_archs(), n=st.integers(1, 30), n_test=st.integers(1, 12),
+       threshold=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1))
+@example(arch=ConvNetArch(), n=30, n_test=12, threshold=0.0, seed=0)
+def test_stage1_test_split_only_observes(arch, n, n_test, threshold, seed):
+    """Scoring a test split each iteration changes neither the trained
+    parameters nor the (iteration, mse_train) columns, byte for byte: the
+    split's forward pass reads the parameters and writes only its own buffers."""
+    rng = np.random.default_rng(seed)
+    params = with_random_biases(init_params(arch, seed), rng)
+    train = Dataset(rng.standard_normal((n, *arch.input_shape)), rng.standard_normal((n, 2)), "train")
+    test = Dataset(rng.standard_normal((n_test, *arch.input_shape)), rng.standard_normal((n_test, 2)), "test")
+    cfg = AdamConfig(learning_rate=0.01, max_iters=6, mse_threshold=threshold)
+    trained, hist = train_stage1_adam(params, arch, train, cfg)
+    observed, observed_hist = train_stage1_adam(params, arch, train, cfg, test)
+    assert hist.shape[1] == 2 and observed_hist.shape == (hist.shape[0], 3)
+    assert observed_hist[:, :2].tobytes() == hist.tobytes()
+    assert_same_bytes(trained.as_list(), observed.as_list())
+
+
 @settings(max_examples=60, deadline=None)
 @given(widths=st.lists(st.integers(1, 8), min_size=2, max_size=5), out=st.integers(1, 3),
        kind=st.sampled_from(ACTIVATION_KINDS), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
