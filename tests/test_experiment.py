@@ -105,7 +105,7 @@ def test_gmp_row_count_stops_at_the_signal_end():
     lo, hi = gmp.max_past, cfg.dataset_count + m - gmp.max_future
     scored = [np.count_nonzero((rel + m >= lo) & (rel + m < hi))
               for rel in split_indices(cfg.dataset_count, cfg.split_seed)]
-    assert scored[0] < 766 and sum(scored) == 1271  # 766 train rows before the window
+    assert scored[0] < 766 and sum(scored) == 1271  # the train split has 766 rows, not all inside
     res = run_experiment(cfg)["results"]
     assert [res["n_train"], res["n_test"]] == scored
     past_end = replace(cfg, dataset_count=1278, segment=1272)
