@@ -22,7 +22,7 @@ from .complexity import (
     mlp_flops,
 )
 from .dataset import Dataset, build_dataset, feature_graphs
-from .dpd import DpdResult, apply_dpd, estimate_linear_gain, evaluate_linearization, train_dpd
+from .dpd import DpdResult, apply_dpd, estimate_linear_gain, evaluate_linearization
 from .experiment import (
     ExperimentConfig,
     config_hash,
@@ -30,6 +30,7 @@ from .experiment import (
     run_dpd_experiment,
     run_experiment,
     sweep_memory,
+    train_dpd,
 )
 from .metrics import ChannelPlan, acpr_db, nmse_db, psd_welch
 from .network import (

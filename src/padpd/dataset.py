@@ -16,8 +16,8 @@ __all__ = [
     "Dataset",
     "feature_graphs",
     "build_dataset",
+    "joint_scale",
     "split_indices",
-    "dpd_dataset",
 ]
 
 N_FEATURE_ROWS = 5
@@ -76,7 +76,15 @@ def feature_graphs(x: ComplexSeq, start: int, count: int, memory_depth: int) -> 
     return windows.transpose(1, 0, 2).copy()
 
 
-def _joint_scale(x: ComplexSeq, y: ComplexSeq) -> float:
+def joint_scale(x: ComplexSeq, y: ComplexSeq, memory_depth: int, count: int) -> float:
+    """The shared peak-normalization factor of x and y, once both are known
+    to hold the ``count`` rows of a dataset of memory depth M."""
+    if len(x) != len(y):
+        raise ValueError(f"input and output lengths differ: {len(x)} vs {len(y)}")
+    if len(x) < count + memory_depth:
+        raise ValueError(
+            f"need at least count+M = {count + memory_depth} samples, have {len(x)}"
+        )
     return 1.0 / max(x.peak(), y.peak())
 
 
@@ -94,13 +102,7 @@ def build_dataset(
     scale). Graphs cover n = M..M+count-1; the first M samples are skipped
     rather than zero-padded.
     """
-    if len(x) != len(y):
-        raise ValueError(f"input and output lengths differ: {len(x)} vs {len(y)}")
-    if len(x) < count + memory_depth:
-        raise ValueError(
-            f"need at least count+M = {count + memory_depth} samples, have {len(x)}"
-        )
-    scale = _joint_scale(x, y)
+    scale = joint_scale(x, y, memory_depth, count)
     xs = x.scaled(scale)
     ys = y.data * scale
 
@@ -127,16 +129,3 @@ def split_indices(count: int, split_seed: int) -> tuple[np.ndarray, np.ndarray]:
     n_train = (count * TRAIN_FRACTION_NUM) // TRAIN_FRACTION_DEN
     return perm[:n_train], perm[n_train:]
 
-
-def dpd_dataset(
-    y_pa: ComplexSeq,
-    x_in: ComplexSeq,
-    gain: float,
-    memory_depth: int,
-    count: int,
-    split_seed: int,
-) -> tuple[Dataset, Dataset]:
-    """Indirect-learning dataset: graphs from y_pa/gain, labels from x_in."""
-    if not gain > 0:
-        raise ValueError(f"gain must be positive, got {gain}")
-    return build_dataset(y_pa.scaled(1.0 / gain), x_in, memory_depth, count, split_seed)

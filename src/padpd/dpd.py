@@ -1,7 +1,8 @@
 """Indirect-learning digital predistortion.
 
 The postinverse network is trained on (PA output / linear gain) -> PA input
-pairs, then copied unchanged in front of the PA. Predistorting the drive and
+pairs by `experiment.train_dpd`, the forward model's trainer, then copied
+unchanged in front of the PA. Predistorting the drive and
 re-running the PA should collapse the spectral regrowth; the result object
 reports ACPR before/after, the inverse-model accuracy, and the predistorted
 peak (flagged, never clipped, when it exceeds the configured ceiling).
@@ -14,18 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .dataset import dpd_dataset, feature_graphs
-from .metrics import ChannelPlan, acpr_db, nmse_db, psd_welch
-from .network import ConvNetArch, ConvNetParams, forward_batch, init_params
+from .dataset import feature_graphs
+from .metrics import ChannelPlan, acpr_db, psd_welch
+from .network import ConvNetArch, ConvNetParams, forward_batch
 from .pa import ImpairmentConfig, PolyPaModel, transmit_chain
 from .signals import ComplexSeq
-from .training import AdamConfig, LmConfig, train_stage1_adam, train_stage2_lm
+
+# Not called here: DPD trains through `experiment.train_dpd`. perfbench/spans.py
+# still binds its stage spans under these names.
+from .training import train_stage1_adam, train_stage2_lm  # noqa: F401
 
 __all__ = [
     "PEAK_CEILING_DEFAULT",
     "DpdResult",
     "estimate_linear_gain",
-    "train_dpd",
     "apply_dpd",
     "evaluate_linearization",
 ]
@@ -91,43 +94,6 @@ def estimate_linear_gain(x: ComplexSeq, y: ComplexSeq) -> float:
 def _complex_outputs(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray) -> np.ndarray:
     out = forward_batch(params, arch, graphs)
     return out[:, 0] + 1j * out[:, 1]
-
-
-def train_dpd(
-    drive: ComplexSeq,
-    output: ComplexSeq,
-    arch: ConvNetArch,
-    adam_cfg: AdamConfig,
-    lm_cfg: LmConfig,
-    count: int,
-    split_seed: int = 0,
-    init_seed: int = 0,
-) -> tuple[ConvNetParams, dict]:
-    """Train the postinverse model on one capture: ``drive`` and the PA's ``output``.
-
-    Returns the trained parameters and a info dict with the gain estimate,
-    the dataset normalization scale, held-out inverse NMSE, and both
-    training histories. The parameters expect inputs scaled by info["scale"].
-    The held-out split is scored once, after LM: the stage-1 history rows
-    are (iteration, mse_train), with no test column.
-    """
-    gain = estimate_linear_gain(drive, output)
-    train, test = dpd_dataset(output, drive, gain, arch.memory_depth, count, split_seed)
-
-    params = init_params(arch, init_seed)
-    params, hist1 = train_stage1_adam(params, arch, train, adam_cfg)
-    params, lm_result = train_stage2_lm(params, arch, train, lm_cfg)
-
-    pred = _complex_outputs(params, arch, test.graphs)
-    ref = test.labels[:, 0] + 1j * test.labels[:, 1]
-    info = {
-        "gain_estimate": gain,
-        "scale": train.scale,
-        "nmse_inverse_db": nmse_db(pred, ref),
-        "stage1_history": hist1,
-        "lm_result": lm_result,
-    }
-    return params, info
 
 
 def apply_dpd(

@@ -37,8 +37,8 @@ from .complexity import (
     mlp_flops,
 )
 from .csvio import write_csv
-from .dataset import build_dataset, feature_graphs, split_indices
-from .dpd import evaluate_linearization, train_dpd
+from .dataset import build_dataset, feature_graphs, joint_scale, split_indices
+from .dpd import estimate_linear_gain, evaluate_linearization
 from .metrics import ChannelPlan, acpr_db, nmse_db, psd_welch, write_spectrum_csv
 from .network import (
     ConvNetArch,
@@ -67,6 +67,7 @@ __all__ = [
     "config_hash",
     "run_experiment",
     "run_dpd_experiment",
+    "train_dpd",
     "sweep_memory",
 ]
 
@@ -127,6 +128,11 @@ class ExperimentConfig:
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.segment < 2:
             raise ValueError(f"segment must be >= 2, got {self.segment}")
+        if self.reuse_filter_from is not None:
+            if self.model != "conv_net":
+                raise ValueError(f"reuse_filter_from needs model 'conv_net', got {self.model!r}")
+            if not self.reuse_filter_from:
+                raise ValueError("reuse_filter_from must be a path or null, got an empty string")
         # run_experiment's error spectrum has a sample per dataset row, but for
         # gmp only per row whose basis stays inside the signal.
         m = self.arch.memory_depth
@@ -182,7 +188,7 @@ def _channel_plan(cfg: ExperimentConfig) -> ChannelPlan:
 _FILTER_FIELDS = ("memory_depth", "n_kernels", "kernel_rows", "kernel_cols", "conv_activation")
 
 
-def _train_conv_net(cfg: ExperimentConfig, train, test):
+def _train_conv_net(cfg: ExperimentConfig, train, test=None):
     params = init_params(cfg.arch, cfg.init_seed)
     if cfg.reuse_filter_from:
         loaded, loaded_arch = load_params(cfg.reuse_filter_from)
@@ -268,17 +274,20 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     pa = _run_stage("pa", default_pa, cfg.pa_seed, cfg.pa_k_order, cfg.pa_q_depth)
     imp = _run_stage("impairment", _impairments, cfg)
     y = _run_stage("transmit", transmit_chain, pa, x, imp)
-    train, test = _run_stage(
-        "dataset", build_dataset, x, y, cfg.arch.memory_depth, cfg.dataset_count, cfg.split_seed
-    )
+    m = cfg.arch.memory_depth
+    if cfg.model == "gmp":  # gmp fits on the scaled signals and needs only the dataset's scale
+        scale = _run_stage("dataset", joint_scale, x, y, m, cfg.dataset_count)
+    else:
+        train, test = _run_stage("dataset", build_dataset, x, y, m, cfg.dataset_count, cfg.split_seed)
+        scale = train.scale
 
     results: dict = {
         "model": cfg.model,
         "papr_db": float(papr_db(x)),
-        "scale": float(train.scale),
+        "scale": float(scale),
     }
-    xs = x.scaled(train.scale)
-    ys = y.data * train.scale
+    xs = x.scaled(scale)
+    ys = y.data * scale
     if cfg.model == "gmp":
         fit = _run_stage("train", _fit_gmp, cfg, xs, ys)
     else:
@@ -344,6 +353,23 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     return report
 
 
+def train_dpd(cfg: ExperimentConfig, drive: ComplexSeq, output: ComplexSeq):
+    """Train the postinverse model on one capture: ``drive`` and the PA's ``output``.
+
+    Indirect learning: the graphs come from the output over its linear gain,
+    the labels from the drive, and the forward model's trainer fits them, so
+    a saved filter is reused here too. Returns the parameters, the gain, the
+    dataset scale the parameters expect their inputs in, and the held-out
+    inverse NMSE, scored once, after LM: stage 1 never sees the held-out split.
+    """
+    gain = estimate_linear_gain(drive, output)
+    train, test = build_dataset(output.scaled(1.0 / gain), drive, cfg.arch.memory_depth,
+                                cfg.dataset_count, cfg.split_seed)
+    params, _, _ = _train_conv_net(cfg, train)
+    pred = _complex(forward_batch(params, cfg.arch, test.graphs))
+    return params, gain, train.scale, nmse_db(pred, _complex(test.labels))
+
+
 def run_dpd_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     """Indirect-learning DPD pipeline; returns (and optionally writes) a report."""
     if cfg.model != "conv_net":
@@ -356,33 +382,9 @@ def run_dpd_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     imp = _run_stage("impairment", _impairments, cfg)
     y = _run_stage("transmit", transmit_chain, pa, drive, imp)
 
-    params, info = _run_stage(
-        "train",
-        train_dpd,
-        drive,
-        y,
-        cfg.arch,
-        cfg.adam,
-        cfg.lm,
-        cfg.dataset_count,
-        cfg.split_seed,
-        cfg.init_seed,
-    )
-    result, spectra = _run_stage(
-        "linearize",
-        evaluate_linearization,
-        pa,
-        drive,
-        y,
-        params,
-        cfg.arch,
-        info["scale"],
-        _channel_plan(cfg),
-        info["gain_estimate"],
-        info["nmse_inverse_db"],
-        imp,
-        cfg.segment,
-    )
+    params, gain, scale, nmse_inverse_db = _run_stage("train", train_dpd, cfg, drive, y)
+    result, spectra = _run_stage("linearize", evaluate_linearization, pa, drive, y, params, cfg.arch,
+                                 scale, _channel_plan(cfg), gain, nmse_inverse_db, imp, cfg.segment)
 
     report = {
         "schema_version": SCHEMA_VERSION,

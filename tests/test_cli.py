@@ -112,6 +112,7 @@ def test_wrong_json_type_is_a_config_error(override, path, tmp_path, capsys):
     ("ridge=-1e-9", "ridge"),
     ("pa_q_depth=0", "pa_q_depth"),
     ("pa_k_order=1", "pa_k_order"),
+    ('reuse_filter_from=""', "reuse_filter_from"),  # empty: not a path, and not null either
 ])
 def test_lm_config_values_are_checked_up_front(override, field, tmp_path, capsys):
     """A setting that could only fail, or do nothing, once the pipeline has
@@ -121,6 +122,17 @@ def test_lm_config_values_are_checked_up_front(override, field, tmp_path, capsys
     assert main(["run", "--set", override, "--output-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error [config]: ") and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["gmp", "dnn"])
+def test_reuse_filter_from_needs_the_conv_net(model, tmp_path, capsys):
+    """Only the conv net has a filter to load; other models would ignore the path."""
+    out = tmp_path / "run"
+    argv = ["run", "--set", f"model={model}", "--set", "reuse_filter_from=model.json", "--output-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [config]: ") and "reuse_filter_from" in err
     assert not out.exists()
 
 
@@ -176,6 +188,18 @@ def test_dpd_command(tmp_path, capsys):
     assert (out_dir / "spectrum_before.csv").exists()
     assert (out_dir / "spectrum_after.csv").exists()
     assert (out_dir / "inverse_model.json").exists()
+
+
+def test_dpd_filter_of_another_memory_depth_fails_in_train(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    save_params(init_params(ConvNetArch()), ConvNetArch(), path)  # memory depth 3
+    out = tmp_path / "dpd"
+    argv = ["dpd", "--config", write_config(tmp_path), "--set", "arch.memory_depth=2",
+            "--set", f"reuse_filter_from={json.dumps(str(path))}", "--output-dir", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [train]: ") and "memory_depth" in err
+    assert not out.exists()
 
 
 def test_complexity_from_file_and_stdin(tmp_path, capsys, monkeypatch):

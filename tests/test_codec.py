@@ -107,18 +107,20 @@ _FIELDS = st.fixed_dictionaries(dict(
     ridge=_number(0, 10),
     drive_backoff_db=_number(0, 30),
     segment=st.integers(2, 4096),
-    reuse_filter_from=st.none() | st.text(max_size=20),
 ))
 
 
 @st.composite
 def _configs(draw):
     """Any valid config: `dataset_count` leaves at least one `segment` of
-    error-spectrum samples, which for gmp start at the basis' reach."""
+    error-spectrum samples, which for gmp start at the basis' reach, and only
+    a conv net names a saved filter, by a non-empty path."""
     f = draw(_FIELDS)
     m = f["arch"].memory_depth
     lost = max(m, f["gmp"].max_past) - m if f["model"] == "gmp" else 0
-    return ExperimentConfig(**f, dataset_count=draw(st.integers(max(10, f["segment"] + lost), 10**6)))
+    reuse = draw(st.none() | st.text(min_size=1, max_size=20)) if f["model"] == "conv_net" else None
+    return ExperimentConfig(**f, dataset_count=draw(st.integers(max(10, f["segment"] + lost), 10**6)),
+                            reuse_filter_from=reuse)
 
 
 _CONFIGS = _configs()

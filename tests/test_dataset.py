@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padpd import experiment
 from padpd.dataset import (
     Dataset,
     build_dataset,
-    dpd_dataset,
     feature_graphs,
+    joint_scale,
     split_indices,
 )
-from padpd.network import _FORWARD_BLOCK_ROWS
+from padpd.experiment import ExperimentConfig, train_dpd
+from padpd.network import _FORWARD_BLOCK_ROWS, ConvNetArch
 from padpd.signals import ComplexSeq
+from padpd.training import AdamConfig, LmConfig
 
 
 def build_feature_graph(x, n, memory_depth):
@@ -153,20 +156,40 @@ def test_build_dataset_validation():
         build_dataset(x, ComplexSeq(np.ones(9, dtype=complex)), 2, 5, 0)
     with pytest.raises(ValueError):
         build_dataset(x, x, 3, 8, 0)  # needs count+M = 11 samples
+    # the scale alone makes the same checks
+    with pytest.raises(ValueError, match="lengths differ"):
+        joint_scale(x, ComplexSeq(np.ones(9, dtype=complex)), 2, 5)
+    with pytest.raises(ValueError, match=r"count\+M = 11"):
+        joint_scale(x, x, 3, 8)
+    y = x.with_data(4.0 * x.data)
+    assert joint_scale(x, y, 3, 7) == build_dataset(x, y, 3, 7, 0)[0].scale == 0.25
     with pytest.raises(ValueError):
         Dataset(np.zeros((4, 5, 3)), np.zeros((4, 2)), "validation")
 
 
-def test_dpd_dataset_normalizes_by_gain():
+def test_dpd_dataset_normalizes_by_gain(monkeypatch):
+    """`train_dpd` builds its dataset from the PA output over the linear gain
+    (graphs) and the drive (labels)."""
     rng = np.random.default_rng(2)
     n = 120
     x = ComplexSeq(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    y = ComplexSeq(3.0 * x.data)
+    y = ComplexSeq(2.0 * x.data)  # a gain the least-squares estimate hits exactly
     m, count = 2, 100
-    train, test = dpd_dataset(y, x, 3.0, m, count, 0)
-    ref_train, ref_test = build_dataset(y.scaled(1 / 3.0), x, m, count, 0)
+    built = []
+
+    def recording_build(*args):
+        built.append(build_dataset(*args))
+        return built[-1]
+
+    monkeypatch.setattr(experiment, "build_dataset", recording_build)
+    cfg = ExperimentConfig(arch=ConvNetArch(memory_depth=m, kernel_cols=3), adam=AdamConfig(max_iters=1),
+                           lm=LmConfig(max_iters=1), dataset_count=count, segment=64)
+    _, gain, scale, _ = train_dpd(cfg, x, y)
+    ((train, test),) = built
+    ref_train, ref_test = build_dataset(y.scaled(1 / 2.0), x, m, count, 0)
+    assert gain == 2.0 and scale == ref_train.scale
     assert np.array_equal(train.graphs, ref_train.graphs)
     assert np.array_equal(train.labels, ref_train.labels)
     assert np.array_equal(test.graphs, ref_test.graphs)
     with pytest.raises(ValueError):
-        dpd_dataset(y, x, 0.0, m, count, 0)
+        train_dpd(cfg, x, y.with_data(np.zeros(n, dtype=complex)))  # zero gain

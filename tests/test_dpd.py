@@ -10,15 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from padpd import network
+from padpd import experiment, network
 from padpd.dataset import feature_graphs
-from padpd.dpd import (
-    DpdResult,
-    apply_dpd,
-    estimate_linear_gain,
-    evaluate_linearization,
-    train_dpd,
-)
+from padpd.dpd import DpdResult, apply_dpd, estimate_linear_gain, evaluate_linearization
+from padpd.experiment import ExperimentConfig, train_dpd
 from padpd.metrics import ChannelPlan
 from padpd.network import ConvNetArch, ConvNetParams, forward_batch, init_params
 from padpd.pa import PolyPaModel, default_pa, pa_forward, transmit_chain
@@ -150,27 +145,29 @@ def test_apply_dpd_validation():
         apply_dpd(params, arch, _seq([1.0, 1.0, 1.0]), 1.0)  # len == memory_depth
 
 
-def test_train_and_evaluate_round_trip():
+def _dpd_capture(n_symbols=4):
+    """A small drive at 3 dB backoff and the default PA's output for it."""
     pa = default_pa(0)
-    cfg = OfdmConfig(n_symbols=4, seed=2)
-    drive = generate_ofdm(cfg).scaled(10 ** (-3.0 / 20.0))
-    output = transmit_chain(pa, drive)
-    arch = ConvNetArch()
-    params, info = train_dpd(
-        drive, output, arch, AdamConfig(max_iters=800), LmConfig(max_iters=30), count=600
-    )
-    # short run: not linearization-grade, but clearly better than no model
-    assert info["nmse_inverse_db"] < -25.0
-    assert info["gain_estimate"] > 0
-    assert info["scale"] > 0
-    assert info["stage1_history"].shape == (800, 2)  # (iteration, mse_train): no test column
+    drive = generate_ofdm(OfdmConfig(n_symbols=n_symbols, seed=2)).scaled(10 ** (-3.0 / 20.0))
+    return pa, drive, transmit_chain(pa, drive)
 
-    plan = ChannelPlan.for_bandwidth(cfg.occupied_bandwidth_hz)
+
+def test_train_and_evaluate_round_trip():
+    pa, drive, output = _dpd_capture()
+    cfg = ExperimentConfig(signal=OfdmConfig(n_symbols=4, seed=2), adam=AdamConfig(max_iters=800),
+                           lm=LmConfig(max_iters=30), dataset_count=600, segment=256)
+    arch = cfg.arch
+    params, gain, scale, nmse_inverse_db = train_dpd(cfg, drive, output)
+    # short run: not linearization-grade, but clearly better than no model
+    assert nmse_inverse_db < -25.0
+    assert gain > 0
+    assert scale > 0
+
+    plan = ChannelPlan.for_bandwidth(cfg.signal.occupied_bandwidth_hz)
     result, spectra = evaluate_linearization(
-        pa, drive, output, params, arch, info["scale"], plan,
-        info["gain_estimate"], info["nmse_inverse_db"], segment=256,
+        pa, drive, output, params, arch, scale, plan, gain, nmse_inverse_db, segment=256,
     )
-    assert result.nmse_inverse_db == pytest.approx(info["nmse_inverse_db"])
+    assert result.nmse_inverse_db == pytest.approx(nmse_inverse_db)
     assert all(np.isfinite(v) for v in result.acpr_before_db + result.acpr_after_db)
     assert 0 < result.predistorted_peak < 1.2
     assert len(spectra["freqs_hz"]) == len(spectra["psd_before"]) == len(spectra["psd_after"])
@@ -179,6 +176,23 @@ def test_train_and_evaluate_round_trip():
     np.testing.assert_allclose(
         spectra["output_before"].data, pa_forward(pa, drive).data, rtol=1e-12
     )
+
+
+def test_dpd_stage1_never_sees_the_held_out_split(monkeypatch):
+    """The held-out split is scored once, after LM: stage 1 gets no test set."""
+    _, drive, output = _dpd_capture(n_symbols=2)
+    seen = []
+    stage1 = experiment.train_stage1_adam
+
+    def recording_stage1(params, arch, train, cfg, test=None):
+        seen.append(test)
+        return stage1(params, arch, train, cfg, test)
+
+    monkeypatch.setattr(experiment, "train_stage1_adam", recording_stage1)
+    cfg = ExperimentConfig(adam=AdamConfig(max_iters=5), lm=LmConfig(max_iters=2),
+                           dataset_count=300, segment=256)
+    train_dpd(cfg, drive, output)
+    assert seen == [None]
 
 
 def test_train_dpd_linear_pa_gain():

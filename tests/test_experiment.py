@@ -372,6 +372,30 @@ def test_run_dpd_experiment(tmp_path):
         run_dpd_experiment(small_config(model="gmp"))
 
 
+def test_dpd_reuses_a_saved_filter(tmp_path, monkeypatch):
+    """DPD trains through the forward model's trainer, so it loads a saved
+    filter as `run` does: the inverse model keeps the file's conv weights
+    and stage 1 never runs."""
+    cfg = small_config(adam=AdamConfig(max_iters=300))
+    run_dpd_experiment(cfg, tmp_path / "first")
+    saved_path = str(tmp_path / "first" / "inverse_model.json")
+    saved, _ = load_params(saved_path)
+
+    def no_stage1(*args):
+        raise AssertionError("stage 1 ran on a reused filter")
+
+    monkeypatch.setattr("padpd.experiment.train_stage1_adam", no_stage1)
+    report = run_dpd_experiment(replace(cfg, reuse_filter_from=saved_path), tmp_path / "second")
+    assert report["result"]["nmse_inverse_db"] < -20
+    params, _ = load_params(tmp_path / "second" / "inverse_model.json")
+    assert params.conv_kernels.tobytes() == saved.conv_kernels.tobytes()
+    assert params.conv_biases.tobytes() == saved.conv_biases.tobytes()
+
+    mismatched = replace(cfg, arch=ConvNetArch(memory_depth=2, kernel_cols=3), reuse_filter_from=saved_path)
+    with pytest.raises(StageError, match=r"\[train\].*memory_depth"):
+        run_dpd_experiment(mismatched)
+
+
 def test_stage_error_wraps_pipeline_failures():
     # dataset_count beyond the signal length fails inside the dataset stage
     cfg = small_config(dataset_count=5000)

@@ -16,7 +16,7 @@ _SPEC.loader.exec_module(output_trees)
 
 def test_run_names_are_unique():
     names = [name for name, _, _ in output_trees.RUNS]
-    assert len(names) == 17 and len(set(names)) == len(names)
+    assert len(names) == 18 and len(set(names)) == len(names)
 
 
 @pytest.mark.parametrize("name, command, overrides", output_trees.RUNS, ids=[r[0] for r in output_trees.RUNS])

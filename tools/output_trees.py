@@ -9,7 +9,7 @@ OPENBLAS_NUM_THREADS=1 (outputs keep their bytes only at a fixed BLAS thread
 count), with ``--out`` as the working directory, so that the paths written
 into the outputs are the same for every checkout. A run's output directory
 is ``<out>/<name>``, and its stdout goes to ``<out>/<name>/stdout.txt``. The
-runs go in list order, since one reuses the filter of an earlier one; a run
+runs go in list order, since two reuse the filter of an earlier one; a run
 that exits non-zero stops the tool with exit 1.
 """
 
@@ -28,6 +28,8 @@ _SEED_1 = ("signal.seed=1", "split_seed=1")
 RUNS = [
     ("conv-300", "run", ["adam.max_iters=300"]),
     ("dpd-2000", "dpd", ["dataset_count=5000", "adam.max_iters=2000"]),
+    ("dpd-reuse", "dpd",
+     ["dataset_count=5000", "adam.max_iters=2000", "reuse_filter_from=dpd-2000/inverse_model.json"]),
     ("conv-case3-sigmoid", "run",
      ["adam.max_iters=300", "impairment_case=3", "arch.fc_activation.kind=sigmoid"]),
     ("criterion-10", "run",
