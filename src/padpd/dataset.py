@@ -128,4 +128,3 @@ def split_indices(count: int, split_seed: int) -> tuple[np.ndarray, np.ndarray]:
     perm = np.random.default_rng(split_seed).permutation(count)
     n_train = (count * TRAIN_FRACTION_NUM) // TRAIN_FRACTION_DEN
     return perm[:n_train], perm[n_train:]
-
