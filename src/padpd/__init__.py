@@ -37,7 +37,6 @@ from .network import (
     Activation,
     ConvNetArch,
     ConvNetParams,
-    forward,
     forward_batch,
     init_params,
     load_params,

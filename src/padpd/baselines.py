@@ -2,8 +2,8 @@
 
 Two families: a generalized memory polynomial (GMP) identified by least
 squares, and a set of fully connected networks (time-delay real-valued nets
-over I/Q, with or without envelope features, and a deeper sigmoid variant)
-trained with the shared Adam loop.
+over I/Q, with or without envelope features, and a deeper sigmoid variant),
+which `training.train_mlp_baseline` trains with the shared Adam loop.
 """
 
 from __future__ import annotations
@@ -15,17 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .codec import from_dict, to_dict
-from .dataset import Dataset
-from .network import Activation, MlpLayer, mlp_init
 from .signals import ComplexSeq
-from .training import AdamConfig, train_mlp_adam
 
 __all__ = [
     "GmpFitError",
     "GmpConfig",
     "GmpModel",
     "gmp_table_config",
-    "gmp_valid_indices",
     "gmp_basis_at",
     "gmp_fit_ls",
     "save_gmp",
@@ -35,7 +31,6 @@ __all__ = [
     "MlpBaselineSpec",
     "MLP_BASELINES",
     "mlp_baseline_spec",
-    "train_mlp_baseline",
 ]
 
 
@@ -134,18 +129,6 @@ def _column_specs(cfg: GmpConfig) -> list[tuple[int, int, int]]:
             for k in range(1, cfg.kc + 1):
                 specs.append((l, l - m, k))
     return specs
-
-
-def gmp_valid_indices(cfg: GmpConfig, n_samples: int) -> np.ndarray:
-    """All sample indices n whose every term stays inside the signal."""
-    start = cfg.max_past
-    stop = n_samples - cfg.max_future
-    if stop <= start:
-        raise ValueError(
-            f"signal too short: {n_samples} samples cannot host delays up to "
-            f"{cfg.max_past} past / {cfg.max_future} future"
-        )
-    return np.arange(start, stop)
 
 
 def gmp_basis_at(x: ComplexSeq, cfg: GmpConfig, n_indices: np.ndarray) -> np.ndarray:
@@ -275,16 +258,4 @@ def mlp_baseline_spec(name: str) -> MlpBaselineSpec:
         raise ValueError(
             f"unknown baseline {name!r}; expected one of {sorted(MLP_BASELINES)}"
         ) from None
-
-
-def train_mlp_baseline(
-    spec: MlpBaselineSpec,
-    train: Dataset,
-    cfg: AdamConfig,
-    seed: int = 0,
-) -> tuple[list[MlpLayer], np.ndarray]:
-    """Adam-train a baseline on a dataset's graphs; returns (layers, history)."""
-    feats = mlp_features_from_graphs(train.graphs, spec.feature_kind)
-    layers = mlp_init(spec.widths(train.memory_depth), Activation(spec.hidden_activation), seed)
-    return train_mlp_adam(layers, feats, train.labels, cfg)
 

@@ -3,7 +3,7 @@
 Subcommands: gen-signal, run, dpd, complexity, sweep-memory, basis-check.
 Experiments are described by a JSON config file; individual fields can be
 overridden with repeated --set dotted.path=value flags. Set PADPD_VERBOSE=1
-for per-stage progress lines (output verbosity is the only thing the
+for one progress line per command (output verbosity is the only thing the
 environment controls).
 """
 

@@ -91,11 +91,6 @@ def estimate_linear_gain(x: ComplexSeq, y: ComplexSeq) -> float:
     return mag
 
 
-def _complex_outputs(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray) -> np.ndarray:
-    out = forward_batch(params, arch, graphs)
-    return out[:, 0] + 1j * out[:, 1]
-
-
 def apply_dpd(
     params: ConvNetParams,
     arch: ConvNetArch,
@@ -118,8 +113,9 @@ def apply_dpd(
     # One forward block of graphs at a time, so the whole drive's graphs never coexist.
     for start in range(m, len(x), network._FORWARD_BLOCK_ROWS):
         stop = min(start + network._FORWARD_BLOCK_ROWS, len(x))
-        graphs = feature_graphs(z, start, stop - start, m)
-        out[start:stop] = _complex_outputs(params, arch, graphs) / scale
+        rows = forward_batch(params, arch, feature_graphs(z, start, stop - start, m))
+        out[start:stop] = (rows[:, 0] + 1j * rows[:, 1]) / scale
+        del rows  # not held through the next block's forward pass
     return x.with_data(out)
 
 

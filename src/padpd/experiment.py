@@ -26,7 +26,6 @@ from .baselines import (
     mlp_baseline_spec,
     mlp_features_from_graphs,
     save_gmp,
-    train_mlp_baseline,
 )
 from .complexity import (
     conv_net_coeff_count,
@@ -54,9 +53,9 @@ from .training import (
     AdamConfig,
     LmConfig,
     LmResult,
+    train_mlp_baseline,
     train_stage1_adam,
     train_stage2_lm,
-    write_history_csv,
 )
 
 __all__ = [
@@ -172,10 +171,6 @@ def _run_stage(stage: str, fn, *args, **kwargs):
         raise StageError(stage, exc) from exc
 
 
-def _impairments(cfg: ExperimentConfig) -> ImpairmentConfig:
-    return ImpairmentConfig.case(cfg.impairment_case)
-
-
 def _complex(rows: np.ndarray) -> np.ndarray:
     return rows[:, 0] + 1j * rows[:, 1]
 
@@ -188,12 +183,16 @@ def _channel_plan(cfg: ExperimentConfig) -> ChannelPlan:
 _FILTER_FIELDS = ("memory_depth", "n_kernels", "kernel_rows", "kernel_cols", "conv_activation")
 
 
+def _filter_mismatch(saved: ConvNetArch, arch: ConvNetArch) -> list[str]:
+    """The filter fields in which a saved model's arch differs from ``arch``."""
+    return [name for name in _FILTER_FIELDS if getattr(saved, name) != getattr(arch, name)]
+
+
 def _train_conv_net(cfg: ExperimentConfig, train, test=None):
     params = init_params(cfg.arch, cfg.init_seed)
     if cfg.reuse_filter_from:
         loaded, loaded_arch = load_params(cfg.reuse_filter_from)
-        differ = [name for name in _FILTER_FIELDS if getattr(loaded_arch, name) != getattr(cfg.arch, name)]
-        if differ:
+        if differ := _filter_mismatch(loaded_arch, cfg.arch):
             raise ValueError(f"saved filter does not match the configured architecture in {differ}")
         params = replace(params, conv_kernels=loaded.conv_kernels.copy(),
                          conv_biases=loaded.conv_biases.copy())
@@ -272,7 +271,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
 
     x = _run_stage("signal", generate_ofdm, cfg.signal)
     pa = _run_stage("pa", default_pa, cfg.pa_seed, cfg.pa_k_order, cfg.pa_q_depth)
-    imp = _run_stage("impairment", _impairments, cfg)
+    imp = ImpairmentConfig.case(cfg.impairment_case)
     y = _run_stage("transmit", transmit_chain, pa, x, imp)
     m = cfg.arch.memory_depth
     if cfg.model == "gmp":  # gmp fits on the scaled signals and needs only the dataset's scale
@@ -339,7 +338,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
         tag = f"config_hash={chash}"
         (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         if hist1 is not None and hist1.size:
-            write_history_csv(hist1, out / "history_stage1.csv", tag)
+            write_csv(out / "history_stage1.csv", ["iter", "mse_train", "mse_test"][: hist1.shape[1]],
+                      [hist1[:, 0].astype(int), *hist1[:, 1:].T], tag)
         if lm_result is not None and lm_result.history.size:
             it, mse, mu, accepted, gnorm = lm_result.history.T
             write_csv(out / "history_stage2.csv", ["iter", "mse", "mu", "accepted", "grad_norm"],
@@ -379,7 +379,7 @@ def run_dpd_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     x = _run_stage("signal", generate_ofdm, cfg.signal)
     drive = x.scaled(10.0 ** (-cfg.drive_backoff_db / 20.0))
     pa = _run_stage("pa", default_pa, cfg.pa_seed, cfg.pa_k_order, cfg.pa_q_depth)
-    imp = _run_stage("impairment", _impairments, cfg)
+    imp = ImpairmentConfig.case(cfg.impairment_case)
     y = _run_stage("transmit", transmit_chain, pa, drive, imp)
 
     params, gain, scale, nmse_inverse_db = _run_stage("train", train_dpd, cfg, drive, y)
@@ -410,20 +410,24 @@ def sweep_memory(cfg: ExperimentConfig, m_values, output_dir=None) -> list[dict]
 
     Each run rebuilds the PA with a matched memory span (q_depth = M + 1)
     and resizes the feature graphs; kernel width shrinks if a depth is too
-    small to host it. Returns one row per depth.
+    small to host it. A saved filter (``reuse_filter_from``) must fit every
+    depth's arch, which is checked before any run starts. Returns one row per
+    depth.
     """
     m_values = [int(v) for v in m_values]
     if not m_values:
         raise ValueError("need at least one memory depth")
+    archs = [replace(cfg.arch, memory_depth=m, kernel_cols=min(cfg.arch.kernel_cols, m + 1))
+             for m in m_values]
+    if cfg.reuse_filter_from:
+        saved = load_params(cfg.reuse_filter_from)[1]
+        differ = {m: d for m, arch in zip(m_values, archs) if (d := _filter_mismatch(saved, arch))}
+        if differ:
+            raise ValueError(f"reuse_filter_from: the saved filter does not fit every memory depth; by depth, "
+                             f"it differs in {differ}")
     rows = []
-    for m in m_values:
-        arch = replace(
-            cfg.arch,
-            memory_depth=m,
-            kernel_cols=min(cfg.arch.kernel_cols, m + 1),
-        )
-        sub = replace(cfg, arch=arch, pa_q_depth=m + 1)
-        report = run_experiment(sub)
+    for m, arch in zip(m_values, archs):
+        report = run_experiment(replace(cfg, arch=arch, pa_q_depth=m + 1))
         rows.append(
             {
                 "memory_depth": m,

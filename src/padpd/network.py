@@ -33,13 +33,10 @@ __all__ = [
     "Net",
     "Workspace",
     "conv_net",
-    "forward",
     "forward_batch",
     "init_params",
     "MlpLayer",
-    "conv_head",
     "mlp_forward",
-    "mlp_forward_parts",
     "mlp_init",
     "save_params",
     "load_params",
@@ -271,17 +268,12 @@ def forward_batch(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray,
     for start in range(0, n, _FORWARD_BLOCK_ROWS):
         block = graphs[start : start + _FORWARD_BLOCK_ROWS]
         # numpy sends a one-column product to gemv, whose sums round unlike
-        # gemm's; a lone graph runs as two copies, so that `forward` gives
-        # the bytes of the same graph's row in a larger batch.
+        # gemm's; a lone graph runs as two copies, so that it gets the bytes
+        # of the same graph's row in a larger batch.
         ws = Workspace(net, _im2col(block if len(block) > 1 else np.repeat(block, 2, axis=0), arch))
         ws.forward()
         out[:, start : start + len(block)] = ws.acts[0 if features else -1][:, : len(block)]
     return out.T
-
-
-def forward(params: ConvNetParams, arch: ConvNetArch, graph: np.ndarray) -> tuple[float, float]:
-    out = forward_batch(params, arch, np.asarray(graph, dtype=float)[None])[0]
-    return float(out[0]), float(out[1])
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -317,11 +309,6 @@ class MlpLayer:
             raise ValueError("layer weights must be (n_in, n_out) with matching biases")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "biases", b)
-
-
-def conv_head(arch: ConvNetArch, fc_weights, fc_biases, out_weights, out_biases) -> list[MlpLayer]:
-    """The conv model's dense head as a layer stack: FC layer, linear output."""
-    return [MlpLayer(fc_weights, fc_biases, arch.fc_activation), MlpLayer(out_weights, out_biases, LINEAR)]
 
 
 @dataclass(frozen=True)
@@ -373,12 +360,14 @@ class Net:
 
 
 def conv_net(params: ConvNetParams, arch: ConvNetArch) -> Net:
-    """The conv model as a `Net` over a new parameter vector."""
+    """The conv model as a `Net` over a new parameter vector; its dense head is
+    the FC layer and the linear output."""
     params.check_shapes(arch)
     ker = params.conv_kernels
     conv = np.column_stack([ker.reshape(ker.shape[0], -1), params.conv_biases])  # [K | b]
-    return Net.of(conv_head(arch, params.fc_weights, params.fc_biases, params.out_weights, params.out_biases),
-                  conv, arch)
+    head = [MlpLayer(params.fc_weights, params.fc_biases, arch.fc_activation),
+            MlpLayer(params.out_weights, params.out_biases, LINEAR)]
+    return Net.of(head, conv, arch)
 
 
 class Workspace:
@@ -424,21 +413,10 @@ class Workspace:
         return self.acts[-1]
 
 
-def mlp_forward_parts(layers: Sequence[MlpLayer], x: np.ndarray) -> tuple[list, list]:
-    """Per-layer pre-activations and activations over a feature-major batch
-    (D, N), each feature-major too.
-
-    ``acts`` has one more entry than ``pres``: ``acts[0]`` is the input.
-    """
-    ws = Workspace(Net.of(layers), x)
-    ws.forward()
-    return ws.pres, ws.acts
-
-
 def mlp_forward(layers: Sequence[MlpLayer], x: np.ndarray) -> np.ndarray:
     """Chain the layers over a single vector (D,) or a batch (N, D)."""
     x = np.asarray(x, dtype=float)
-    out = mlp_forward_parts(layers, x[:, None] if x.ndim == 1 else x.T)[1][-1]
+    out = Workspace(Net.of(layers), x[:, None] if x.ndim == 1 else x.T).forward()
     return out[:, 0] if x.ndim == 1 else out.T
 
 

@@ -8,7 +8,7 @@ cross terms c_kq * x(n) * |x(n-q)|^k with zero-padded history. Impairments
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,14 +181,13 @@ def default_pa(seed: int = 0, k_order: int = 5, q_depth: int = 4) -> PolyPaModel
 
 @dataclass(frozen=True)
 class ImpairmentConfig:
-    """Transmitter front-end impairments applied to the drive before the PA."""
+    """Transmitter front-end impairments applied to the drive before the PA;
+    each applies when one of its values is non-zero."""
 
     iq_gain_imbalance_db: float = 0.0
     iq_phase_imbalance_deg: float = 0.0
     dc_offset_i_frac: float = 0.0
     dc_offset_q_frac: float = 0.0
-    enable_iq_imbalance: bool = False
-    enable_dc_offset: bool = False
 
     def __post_init__(self):
         if abs(self.iq_gain_imbalance_db) > 3.0:
@@ -200,35 +199,14 @@ class ImpairmentConfig:
                 raise ValueError("dc offset fractions must lie in [0, 0.2]")
 
     @classmethod
-    def case1(cls) -> "ImpairmentConfig":
-        """PA only, no transmitter impairments."""
-        return cls()
-
-    @classmethod
-    def case2(cls) -> "ImpairmentConfig":
-        """1 dB gain and 3 degree phase imbalance."""
-        return cls(
-            iq_gain_imbalance_db=1.0,
-            iq_phase_imbalance_deg=3.0,
-            enable_iq_imbalance=True,
-        )
-
-    @classmethod
-    def case3(cls) -> "ImpairmentConfig":
-        """Case 2 plus DC offsets of 3% (I) and 5% (Q) of the rms level."""
-        return replace(
-            cls.case2(),
-            dc_offset_i_frac=0.03,
-            dc_offset_q_frac=0.05,
-            enable_dc_offset=True,
-        )
-
-    @classmethod
     def case(cls, number: int) -> "ImpairmentConfig":
-        try:
-            return {1: cls.case1, 2: cls.case2, 3: cls.case3}[number]()
-        except KeyError:
-            raise ValueError(f"impairment case must be 1, 2 or 3, got {number}") from None
+        """Case 1: PA only. Case 2: 1 dB gain and 3 degree phase imbalance.
+        Case 3: case 2 plus DC offsets of 3% (I) and 5% (Q) of the rms level."""
+        if number not in (1, 2, 3):
+            raise ValueError(f"impairment case must be 1, 2 or 3, got {number}")
+        iq = {"iq_gain_imbalance_db": 1.0, "iq_phase_imbalance_deg": 3.0} if number > 1 else {}
+        dc = {"dc_offset_i_frac": 0.03, "dc_offset_q_frac": 0.05} if number > 2 else {}
+        return cls(**iq, **dc)
 
 
 def iq_imbalance_coefficients(cfg: ImpairmentConfig) -> tuple[complex, complex]:
@@ -241,10 +219,10 @@ def iq_imbalance_coefficients(cfg: ImpairmentConfig) -> tuple[complex, complex]:
 def apply_impairments(x: ComplexSeq, cfg: ImpairmentConfig) -> ComplexSeq:
     """x' = mu*x + nu*conj(x) (+ DC offset scaled by the input rms)."""
     v = x.data
-    if cfg.enable_iq_imbalance:
+    if cfg.iq_gain_imbalance_db or cfg.iq_phase_imbalance_deg:
         mu, nu = iq_imbalance_coefficients(cfg)
         v = mu * v + nu * np.conj(v)
-    if cfg.enable_dc_offset:
+    if cfg.dc_offset_i_frac or cfg.dc_offset_q_frac:
         v = v + (cfg.dc_offset_i_frac + 1j * cfg.dc_offset_q_frac) * x.rms()
     return x.with_data(v)
 

@@ -55,18 +55,6 @@ class ComplexSeq:
     def __len__(self) -> int:
         return self.data.size
 
-    @property
-    def i(self) -> np.ndarray:
-        return self.data.real
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.data.imag
-
-    @property
-    def envelope(self) -> np.ndarray:
-        return np.abs(self.data)
-
     def power(self) -> float:
         """Mean of |x(n)|^2."""
         return float(np.mean(np.abs(self.data) ** 2))

@@ -4,11 +4,12 @@ convolutional front end frozen (the trained kernels act as a fixed filter).
 
 The conv model's dense head is an MLP layer stack, so one backward pass
 (`_Split.cost_and_grad`) and one Adam loop (`adam_minimize`) serve both the
-conv model and the MLP baselines; the conv model adds only its kernel
-gradient. A training call packs the parameters into one flat vector (a
-`Net`), gives each data split a `Workspace` of preallocated buffers, and
-Adam updates the vector in place. LM works on the head's slice of the same
-vector, a head `Net` with one `Workspace` over the frozen conv features.
+conv model and the MLP baselines (`train_mlp_baseline`); the conv model
+adds only its kernel gradient. A training call packs the parameters into one
+flat vector (a `Net`), gives each data split a `Workspace` of preallocated
+buffers, and Adam updates the vector in place. LM works on the head's slice
+of the same vector, a head `Net` with one `Workspace` over the frozen conv
+features. Every trainer lives here, and none writes a file.
 
 The cost everywhere is mse = (1/2N) * sum[(I'-I)^2 + (Q'-Q)^2]. Inside,
 activations, deltas and targets are feature-major, shape (features, N), as
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
+from .baselines import MlpBaselineSpec, mlp_features_from_graphs
 from .dataset import Dataset
 from .network import (
+    Activation,
     ConvNetArch,
     ConvNetParams,
     MlpLayer,
@@ -33,6 +35,7 @@ from .network import (
     _im2col,
     conv_net,
     forward_batch,
+    mlp_init,
 )
 
 __all__ = [
@@ -46,8 +49,7 @@ __all__ = [
     "train_stage1_adam",
     "train_stage2_lm",
     "LmResult",
-    "train_mlp_adam",
-    "write_history_csv",
+    "train_mlp_baseline",
 ]
 
 
@@ -361,20 +363,15 @@ def train_stage2_lm(
     return net.conv_params(), LmResult(hist_arr, converged, reason)
 
 
-def train_mlp_adam(
-    layers: list[MlpLayer],
-    x: np.ndarray,
-    labels: np.ndarray,
+def train_mlp_baseline(
+    spec: MlpBaselineSpec,
+    train: Dataset,
     cfg: AdamConfig,
+    seed: int = 0,
 ) -> tuple[list[MlpLayer], np.ndarray]:
-    """`adam_minimize` over every MLP layer's weights and biases."""
-    net = Net.of(layers)
-    history = adam_minimize(_Split(net, np.asarray(x, dtype=float).T, labels, backward=True), cfg)
+    """`adam_minimize` over every weight and bias of a baseline MLP, on a
+    dataset's graphs; returns (layers, history)."""
+    feats = mlp_features_from_graphs(train.graphs, spec.feature_kind)
+    net = Net.of(mlp_init(spec.widths(train.memory_depth), Activation(spec.hidden_activation), seed))
+    history = adam_minimize(_Split(net, feats.T, train.labels, backward=True), cfg)
     return net.layers, history
-
-
-def write_history_csv(history: np.ndarray, path, comment: str | None = None) -> None:
-    """Convergence curve: iter,mse_train[,mse_test] rows."""
-    history = np.asarray(history)
-    cols = ["iter", "mse_train"] + (["mse_test"] if history.shape[1] > 2 else [])
-    write_csv(path, cols, [history[:, 0].astype(int), *history[:, 1:].T], comment)

@@ -14,18 +14,16 @@ from padpd.baselines import (
     gmp_basis_at,
     gmp_fit_ls,
     gmp_table_config,
-    gmp_valid_indices,
     load_gmp,
     mlp_baseline_spec,
     mlp_features_from_graphs,
     save_gmp,
-    train_mlp_baseline,
 )
 from padpd.dataset import build_dataset
 from padpd.metrics import nmse_db
 from padpd.network import mlp_forward
 from padpd.signals import ComplexSeq
-from padpd.training import AdamConfig
+from padpd.training import AdamConfig, train_mlp_baseline
 
 
 def reference_basis_row(x, cfg, n):
@@ -65,13 +63,20 @@ def test_config_term_counts_and_reach():
         GmpConfig(ka=-1, la=2)
 
 
+def valid_indices(cfg, n_samples):
+    """Every sample index whose terms all stay inside the signal."""
+    return np.arange(cfg.max_past, n_samples - cfg.max_future)
+
+
 def test_valid_indices_window():
     cfg = GmpConfig(ka=2, la=3, kb=1, lb=1, mb=2, kc=1, lc=1, mc=2)
     # max_past = max(2, 0+2, 0) = 2; max_future = 2
-    idx = gmp_valid_indices(cfg, 10)
-    assert idx.tolist() == [2, 3, 4, 5, 6, 7]
-    with pytest.raises(ValueError):
-        gmp_valid_indices(cfg, 4)
+    x = ComplexSeq(np.arange(1, 11) * (1 + 1j))
+    assert valid_indices(cfg, 10).tolist() == [2, 3, 4, 5, 6, 7]
+    assert gmp_basis_at(x, cfg, valid_indices(cfg, 10)).shape == (6, cfg.n_terms)
+    for outside in (1, 8):  # one step past either end of the window
+        with pytest.raises(ValueError, match="outside the signal"):
+            gmp_basis_at(x, cfg, np.array([outside]))
 
 
 def test_basis_matches_reference_enumeration():
@@ -79,7 +84,7 @@ def test_basis_matches_reference_enumeration():
     x = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     seq = ComplexSeq(x)
     cfg = GmpConfig(ka=3, la=2, kb=2, lb=2, mb=2, kc=2, lc=1, mc=2)
-    idx = gmp_valid_indices(cfg, 40)
+    idx = valid_indices(cfg, 40)
     basis = gmp_basis_at(seq, cfg, idx)
     assert basis.shape == (idx.size, cfg.n_terms)
     for n in (idx[0], idx[3], idx[-1]):
@@ -103,7 +108,7 @@ def test_basis_columns_follow_their_formula(cfg, extra, seed):
     rng = np.random.default_rng(seed)
     n_samples = cfg.max_past + cfg.max_future + 1 + extra
     x = rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
-    idx = gmp_valid_indices(cfg, n_samples)
+    idx = valid_indices(cfg, n_samples)
     basis = gmp_basis_at(ComplexSeq(x), cfg, idx)
     specs = _column_specs(cfg)
     assert basis.shape == (idx.size, cfg.n_terms) and len(specs) == cfg.n_terms
@@ -119,7 +124,7 @@ def test_fit_recovers_known_model():
     seq = ComplexSeq(x)
     cfg = GmpConfig(ka=3, la=2, kb=2, lb=2, mb=2)
     true_coeffs = rng.standard_normal(cfg.n_terms) + 1j * rng.standard_normal(cfg.n_terms)
-    basis = gmp_basis_at(seq, cfg, gmp_valid_indices(cfg, len(seq)))
+    basis = gmp_basis_at(seq, cfg, valid_indices(cfg, len(seq)))
     y = basis @ true_coeffs
 
     model = gmp_fit_ls(basis, y, cfg=cfg)

@@ -70,6 +70,29 @@ def test_run_stage_failure_exit_code(tmp_path, capsys):
     assert "error [dataset]" in capsys.readouterr().err
 
 
+# The function each pipeline stage calls, as `padpd.experiment` names it.
+_RUN_STAGES = {"signal": "generate_ofdm", "pa": "default_pa", "transmit": "transmit_chain",
+               "dataset": "build_dataset", "train": "_fit_network", "metrics": "psd_welch"}
+_DPD_STAGES = {"signal": "generate_ofdm", "pa": "default_pa", "transmit": "transmit_chain",
+               "train": "train_dpd", "linearize": "evaluate_linearization"}
+
+
+@pytest.mark.parametrize("command, stage, name",
+                         [("run", *item) for item in _RUN_STAGES.items()]
+                         + [("dpd", *item) for item in _DPD_STAGES.items()])
+def test_every_stage_failure_exits_1_and_names_its_stage(command, stage, name, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError(f"{name} failed")
+
+    monkeypatch.delenv("PADPD_VERBOSE", raising=False)
+    monkeypatch.setattr(f"padpd.experiment.{name}", fail)
+    cfg = write_config(tmp_path, {**SMALL_DOC, "adam": {"max_iters": 5}, "lm": {"max_iters": 2}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error [{stage}]: {name} failed\n"
+    assert not out.exists()
+
+
 def test_bad_set_syntax(capsys):
     assert main(["run", "--set", "adam.max_iters"]) == 2
     assert "key=value" in capsys.readouterr().err
@@ -263,6 +286,30 @@ def test_sweep_memory_command(tmp_path, capsys):
     assert (out_dir / "memory_sweep.csv").exists()
 
     assert main(["sweep-memory", "--config", cfg, "--memory-depths", ","]) == 2
+
+
+def test_sweep_reusing_a_filter_checks_every_depth_first(tmp_path, capsys, monkeypatch):
+    """A saved filter that does not fit every swept depth is a config error
+    that names the fields and the depths, raised before any stage runs; a
+    sweep over the filter's own depth reuses it."""
+    path = tmp_path / "model.json"
+    save_params(init_params(ConvNetArch()), ConvNetArch(), path)  # memory depth 3, 3x3 kernels
+    reuse = ["--config", write_config(tmp_path), "--set", f"reuse_filter_from={json.dumps(str(path))}"]
+    out = tmp_path / "sweep"
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    with monkeypatch.context() as mp:
+        mp.setattr("padpd.experiment.generate_ofdm", no_stage)
+        assert main(["sweep-memory", *reuse, "--memory-depths", "1,3,5", "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error [config]: reuse_filter_from: the saved filter does not fit every memory depth; by depth, "
+        "it differs in {1: ['memory_depth', 'kernel_cols'], 5: ['memory_depth']}\n")
+    assert not out.exists()
+
+    assert main(["sweep-memory", *reuse, "--memory-depths", "3", "--output-dir", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("3,158,")
 
 
 def test_basis_check_command(capsys):

@@ -22,7 +22,6 @@ from padpd.baselines import (
     load_gmp,
     mlp_baseline_spec,
     mlp_features_from_graphs,
-    train_mlp_baseline,
 )
 from padpd.dataset import build_dataset, split_indices
 from padpd.experiment import (
@@ -38,7 +37,7 @@ from padpd.metrics import nmse_db
 from padpd.network import Activation, ConvNetArch, forward_batch, load_params, mlp_forward
 from padpd.pa import ImpairmentConfig, default_pa, transmit_chain
 from padpd.signals import OfdmConfig, generate_ofdm
-from padpd.training import AdamConfig, LmConfig
+from padpd.training import AdamConfig, LmConfig, train_mlp_baseline
 
 
 def small_config(**over):
@@ -163,6 +162,9 @@ def test_run_experiment_conv_net(tmp_path):
         assert text.startswith(f"# {tag}\n")
     header = (tmp_path / "error_spectrum.csv").read_text().splitlines()[1]
     assert header == "freq_hz,ref_psd_db,error_psd_db"
+    history = (tmp_path / "history_stage1.csv").read_text().splitlines()
+    assert history[1] == "iter,mse_train,mse_test" and len(history) == 2 + 150
+    assert history[2].startswith("1,") and history[-1].startswith("150,")
     params, arch = load_params(tmp_path / "model.json")
     assert arch == cfg.arch
     assert params.n_coefficients == 158
@@ -217,17 +219,17 @@ def test_lm_normal_equations_independent_of_blas_threads():
     script = (
         "import hashlib\n"
         "import numpy as np\n"
-        "from padpd.network import ConvNetArch, conv_head, forward_batch, init_params, mlp_forward_parts\n"
+        "from padpd.network import ConvNetArch, Net, Workspace, conv_net, forward_batch, init_params\n"
         "from padpd.training import _fc_normal_equations\n"
         "arch = ConvNetArch()\n"
         "p = init_params(arch, 1)\n"
-        "head = conv_head(arch, p.fc_weights, p.fc_biases, p.out_weights, p.out_biases)\n"
+        "head = Net.of(conv_net(p, arch).layers)\n"
         "rng = np.random.default_rng(0)\n"
         "for n in (480, 3000, 8400):\n"
         "    flat = forward_batch(p, arch, 0.4 * rng.standard_normal((n, *arch.input_shape)), features=True)\n"
-        "    pres, acts = mlp_forward_parts(head, flat.T)\n"
-        "    resid = (acts[-1].T - 0.3 * rng.standard_normal((n, 2))).reshape(-1)\n"
-        "    jtj, jte = _fc_normal_equations(arch, flat, pres[0].T, acts[1].T, p.out_weights, resid)\n"
+        "    ws = Workspace(head, flat.T)\n"
+        "    resid = (ws.forward().T - 0.3 * rng.standard_normal((n, 2))).reshape(-1)\n"
+        "    jtj, jte = _fc_normal_equations(arch, flat, ws.pres[0].T, ws.acts[1].T, p.out_weights, resid)\n"
         "    print(n, hashlib.sha256(jtj.tobytes() + jte.tobytes()).hexdigest())\n"
     )
     hashes = [_run_at_blas_threads(threads, script) for threads in ("1", "2")]
@@ -301,13 +303,16 @@ def test_network_report_matches_per_split_forward(tmp_path, model):
         assert res[f"nmse_{split}_db"] == pytest.approx(expect, abs=1e-12)
 
 
-def test_run_experiment_mlp_baseline():
+def test_run_experiment_mlp_baseline(tmp_path):
     cfg = small_config(model="rvtdnn", adam=AdamConfig(max_iters=200))
-    res = run_experiment(cfg)["results"]
+    res = run_experiment(cfg, tmp_path)["results"]
     assert res["coeff_count"] == 387
     assert res["widths"] == [8, 35, 2]
     assert res["stage1"]["iters"] == 200
     assert res["nmse_test_db"] < -18
+    history = (tmp_path / "history_stage1.csv").read_text().splitlines()
+    assert history[1] == "iter,mse_train" and len(history) == 2 + 200  # no test column
+    assert not (tmp_path / "history_stage2.csv").exists() and not (tmp_path / "model.json").exists()
 
 
 def test_run_experiment_deterministic():

@@ -15,7 +15,6 @@ from padpd.network import (
     ConvNetArch,
     ConvNetParams,
     MlpLayer,
-    forward,
     forward_batch,
     init_params,
     load_params,
@@ -155,8 +154,8 @@ def test_forward_matches_loop_reference():
         assert out.shape == (6, 2)
         for k in range(6):
             assert np.allclose(out[k], reference_forward(params, arch, graphs[k]), rtol=1e-12)
-            i_val, q_val = forward(params, arch, graphs[k])
-            assert (i_val, q_val) == pytest.approx(tuple(out[k]))
+            lone = forward_batch(params, arch, graphs[k : k + 1])
+            assert lone.shape == (1, 2) and tuple(lone[0]) == pytest.approx(tuple(out[k]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -181,7 +180,7 @@ def test_im2col_core_matches_loop_reference(arch, n, seed):
        block=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 def test_forward_batch_blocks_keep_bytes(conv_act, fc_act, n, block, seed):
     """Over several row blocks, `forward_batch` gives the bytes of its per-block
-    calls and of row-by-row `forward`, on the paper's layer shapes. (OpenBLAS
+    calls and of its lone-graph calls row by row, on the paper's layer shapes. (OpenBLAS
     picks its GEMM kernel by matrix shape, and for some shapes, such as one
     kernel or a 2-neuron FC layer, a product's sums round differently at
     different row counts.)"""
@@ -190,7 +189,7 @@ def test_forward_batch_blocks_keep_bytes(conv_act, fc_act, n, block, seed):
     params = with_random_biases(init_params(arch, seed), rng)
     graphs = rng.standard_normal((n, *arch.input_shape))
     whole = forward_batch(params, arch, graphs)
-    rows = np.array([forward(params, arch, g) for g in graphs])
+    rows = np.concatenate([forward_batch(params, arch, g[None]) for g in graphs])
     per_block = np.concatenate([forward_batch(params, arch, graphs[i : i + block])
                                 for i in range(0, n, block)])
     with pytest.MonkeyPatch.context() as mp:

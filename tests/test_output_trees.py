@@ -15,12 +15,13 @@ _SPEC.loader.exec_module(output_trees)
 
 
 def test_run_names_are_unique():
-    names = [name for name, _, _ in output_trees.RUNS]
-    assert len(names) == 18 and len(set(names)) == len(names)
+    names = [name for name, _, _, _ in output_trees.RUNS]
+    assert len(names) == 19 and len(set(names)) == len(names)
 
 
-@pytest.mark.parametrize("name, command, overrides", output_trees.RUNS, ids=[r[0] for r in output_trees.RUNS])
-def test_every_run_parses_as_a_config(name, command, overrides):
-    args = build_parser().parse_args(output_trees.cli_args(name, command, overrides))
+@pytest.mark.parametrize("name, command, overrides, extra", output_trees.RUNS,
+                         ids=[r[0] for r in output_trees.RUNS])
+def test_every_run_parses_as_a_config(name, command, overrides, extra):
+    args = build_parser().parse_args(output_trees.cli_args(name, command, overrides, extra))
     assert args.command == command and args.output_dir == name
     assert isinstance(_load_config(args), ExperimentConfig)

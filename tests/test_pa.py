@@ -156,18 +156,15 @@ def test_default_pa_output_finite_at_soft_peak():
 
 
 def test_impairment_cases_table():
-    c1 = ImpairmentConfig.case(1)
-    assert not c1.enable_iq_imbalance and not c1.enable_dc_offset
+    assert ImpairmentConfig.case(1) == ImpairmentConfig()
 
     c2 = ImpairmentConfig.case(2)
-    assert c2.iq_gain_imbalance_db == 1.0
-    assert c2.iq_phase_imbalance_deg == 3.0
-    assert c2.enable_iq_imbalance and not c2.enable_dc_offset
+    assert (c2.iq_gain_imbalance_db, c2.iq_phase_imbalance_deg) == (1.0, 3.0)
+    assert (c2.dc_offset_i_frac, c2.dc_offset_q_frac) == (0.0, 0.0)
 
     c3 = ImpairmentConfig.case(3)
-    assert c3.dc_offset_i_frac == 0.03
-    assert c3.dc_offset_q_frac == 0.05
-    assert c3.enable_iq_imbalance and c3.enable_dc_offset
+    assert (c3.iq_gain_imbalance_db, c3.iq_phase_imbalance_deg) == (1.0, 3.0)
+    assert (c3.dc_offset_i_frac, c3.dc_offset_q_frac) == (0.03, 0.05)
 
     with pytest.raises(ValueError):
         ImpairmentConfig.case(4)
@@ -193,20 +190,27 @@ def test_iq_imbalance_map():
     out = apply_impairments(x, cfg)
     assert np.allclose(out.data, mu * x.data + nu * np.conj(x.data), rtol=1e-12)
 
+    # either non-zero value alone applies the map
+    for one in (ImpairmentConfig(iq_gain_imbalance_db=1.0), ImpairmentConfig(iq_phase_imbalance_deg=3.0)):
+        mu, nu = iq_imbalance_coefficients(one)
+        assert nu != 0
+        assert np.allclose(apply_impairments(x, one).data, mu * x.data + nu * np.conj(x.data), rtol=1e-12)
+
 
 def test_dc_offset_scales_with_rms():
-    cfg = ImpairmentConfig(
-        dc_offset_i_frac=0.03, dc_offset_q_frac=0.05, enable_dc_offset=True
-    )
+    cfg = ImpairmentConfig(dc_offset_i_frac=0.03, dc_offset_q_frac=0.05)
     rng = np.random.default_rng(5)
     x = ComplexSeq(0.1 * (rng.standard_normal(200) + 1j * rng.standard_normal(200)))
     out = apply_impairments(x, cfg)
     shift = out.data - x.data
     assert np.allclose(shift, (0.03 + 0.05j) * x.rms(), rtol=1e-12)
 
-    # identity when nothing is enabled
+    # identity when every value is zero
     clean = apply_impairments(x, ImpairmentConfig.case(1))
     assert np.array_equal(clean.data, x.data)
+    # one non-zero fraction is enough to apply the offset
+    q_only = apply_impairments(x, ImpairmentConfig(dc_offset_q_frac=0.05))
+    assert np.allclose(q_only.data - x.data, 0.05j * x.rms(), rtol=1e-12)
 
 
 def test_transmit_chain_composition():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padpd import training
-from padpd.baselines import MLP_BASELINES
+from padpd.baselines import MLP_BASELINES, mlp_features_from_graphs
 from padpd.dataset import Dataset, build_dataset
 from padpd.network import (
     _im2col,
@@ -16,14 +16,14 @@ from padpd.network import (
     Activation,
     ConvNetArch,
     ConvNetParams,
+    LINEAR,
     MlpLayer,
     Net,
-    conv_head,
+    Workspace,
     conv_net,
     forward_batch,
     init_params,
     mlp_forward,
-    mlp_forward_parts,
     mlp_init,
 )
 from padpd.signals import ComplexSeq
@@ -33,13 +33,13 @@ from padpd.training import (
     LmConfig,
     TrainingError,
     _Split,
+    adam_minimize,
     adam_step,
     backprop_grads,
     mse_cost,
-    train_mlp_adam,
+    train_mlp_baseline,
     train_stage1_adam,
     train_stage2_lm,
-    write_history_csv,
 )
 from test_network import conv_archs, with_random_biases
 
@@ -50,6 +50,13 @@ def mlp_cost_and_grads(layers, x, labels):
     grad = net.like(np.empty_like(net.theta))
     cost = _Split(net, x.T, labels, backward=True).cost_and_grad(grad)
     return cost, [(g.weights, g.biases) for g in grad.layers]
+
+
+def train_mlp(layers, x, labels, cfg):
+    """`adam_minimize` over every weight and bias of an MLP over x (N, D), as
+    `train_mlp_baseline` runs it on a baseline's features."""
+    net = Net.of(layers)
+    return net.layers, adam_minimize(_Split(net, x.T, labels, backward=True), cfg)
 
 
 def tiny_task(arch, n=60, seed=0, label_seed=1):
@@ -97,7 +104,8 @@ def ref_conv_forward(params, arch, cols):
     ker = params.conv_kernels
     pre = np.column_stack([ker.reshape(ker.shape[0], -1), params.conv_biases]) @ cols
     maps = arch.conv_activation(pre).reshape(arch.n_flat_features, -1)
-    head = conv_head(arch, params.fc_weights, params.fc_biases, params.out_weights, params.out_biases)
+    head = [MlpLayer(params.fc_weights, params.fc_biases, arch.fc_activation),
+            MlpLayer(params.out_weights, params.out_biases, LINEAR)]
     return pre, head, *ref_forward_parts(head, maps)
 
 
@@ -353,16 +361,16 @@ def test_stage1_matches_list_reference(case):
 
 @pytest.mark.parametrize("name", sorted(MLP_BASELINES))
 def test_mlp_adam_matches_list_reference(name):
-    """`train_mlp_adam` gives the list-based loop's bytes on every baseline's
-    widths and activation."""
+    """`train_mlp_baseline` gives the list-based loop's bytes on every
+    baseline's features, widths and activation."""
     spec = MLP_BASELINES[name]
-    widths = spec.widths(3)
     rng = np.random.default_rng(12)
-    x = rng.standard_normal((150, widths[0])) * 0.5
+    graphs = rng.standard_normal((150, 5, 4)) * 0.5
+    x = mlp_features_from_graphs(graphs, spec.feature_kind)
     labels = np.tanh(x[:, :2]) * 0.3
-    layers = mlp_init(widths, Activation(spec.hidden_activation), seed=1)
     cfg = AdamConfig(max_iters=30, mse_threshold=0.0)
-    trained, hist = train_mlp_adam(layers, x, labels, cfg)
+    trained, hist = train_mlp_baseline(spec, Dataset(graphs, labels, "train"), cfg, seed=1)
+    layers = mlp_init(spec.widths(3), Activation(spec.hidden_activation), seed=1)
     ref, ref_hist = ref_train_mlp(layers, x, labels, cfg)
     assert hist.tobytes() == ref_hist.tobytes() and hist.shape == ref_hist.shape
     assert_same_bytes([a for l in trained for a in (l.weights, l.biases)],
@@ -419,7 +427,7 @@ def test_mlp_adam_matches_list_reference_on_every_width(widths, out, kind, n, se
     x = rng.standard_normal((n, widths[0]))
     labels = rng.standard_normal((n, out))
     cfg = AdamConfig(learning_rate=0.01, max_iters=4, mse_threshold=0.0)
-    trained, hist = train_mlp_adam(layers, x, labels, cfg)
+    trained, hist = train_mlp(layers, x, labels, cfg)
     ref, ref_hist = ref_train_mlp(layers, x, labels, cfg)
     assert hist.tobytes() == ref_hist.tobytes()
     assert_same_bytes([a for l in trained for a in (l.weights, l.biases)],
@@ -488,7 +496,7 @@ def _mlp_trainer():
     layers = mlp_init([3, 5, 2], Activation("tanh"), seed=0)
 
     def train(labels, cfg):
-        trained, hist = train_mlp_adam(layers, x, labels, cfg)
+        trained, hist = train_mlp(layers, x, labels, cfg)
         return mlp_cost_and_grads(trained, x, labels)[0], hist
 
     return labels, train
@@ -593,8 +601,9 @@ def head_parts(head, flat, labels):
     """The head residual (order (n, comp)) at the head net's parameters and
     the reference Jacobian's inputs, (N, ·) views of the feature-major head
     parts."""
-    pres, acts = mlp_forward_parts(head.layers, flat.T)
-    return (acts[-1].T - labels).reshape(-1), pres[0].T, acts[1].T, head.layers[1].weights
+    ws = Workspace(head, flat.T)
+    ws.forward()
+    return (ws.acts[-1].T - labels).reshape(-1), ws.pres[0].T, ws.acts[1].T, head.layers[1].weights
 
 
 def test_reference_jacobian_matches_finite_differences():
@@ -746,23 +755,9 @@ def test_train_mlp_adam_descends():
     w_true = rng.standard_normal((3, 2))
     labels = np.tanh(x) @ w_true
     layers = mlp_init([3, 5, 2], Activation("tanh"), seed=0)
-    trained, hist = train_mlp_adam(layers, x, labels, AdamConfig(max_iters=400, mse_threshold=0.0))
+    trained, hist = train_mlp(layers, x, labels, AdamConfig(max_iters=400, mse_threshold=0.0))
     assert hist[-1, 1] < hist[0, 1] * 0.2
     # returned layers sit one update past the last history row
     final, _ = mlp_cost_and_grads(trained, x, labels)
     assert final < hist[0, 1] * 0.2
 
-
-def test_write_history_csv(tmp_path):
-    hist = np.array([[1, 0.5], [2, 0.25]])
-    path = tmp_path / "h.csv"
-    write_history_csv(hist, path, comment="stage 1")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# stage 1"
-    assert lines[1] == "iter,mse_train"
-    assert lines[2].startswith("1,")
-
-    hist3 = np.array([[1, 0.5, 0.6]])
-    write_history_csv(hist3, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iter,mse_train,mse_test"

@@ -24,30 +24,35 @@ from pathlib import Path
 _MLP_MODELS = ("rvtdnn", "arvtdnn", "dnn")
 _SEED_1 = ("signal.seed=1", "split_seed=1")
 
-# (name, subcommand, --set overrides)
+# (name, subcommand, --set overrides, further arguments)
 RUNS = [
-    ("conv-300", "run", ["adam.max_iters=300"]),
-    ("dpd-2000", "dpd", ["dataset_count=5000", "adam.max_iters=2000"]),
+    ("conv-300", "run", ["adam.max_iters=300"], []),
+    ("dpd-2000", "dpd", ["dataset_count=5000", "adam.max_iters=2000"], []),
     ("dpd-reuse", "dpd",
-     ["dataset_count=5000", "adam.max_iters=2000", "reuse_filter_from=dpd-2000/inverse_model.json"]),
+     ["dataset_count=5000", "adam.max_iters=2000", "reuse_filter_from=dpd-2000/inverse_model.json"], []),
     ("conv-case3-sigmoid", "run",
-     ["adam.max_iters=300", "impairment_case=3", "arch.fc_activation.kind=sigmoid"]),
+     ["adam.max_iters=300", "impairment_case=3", "arch.fc_activation.kind=sigmoid"], []),
     ("criterion-10", "run",
-     ["signal.n_symbols=6", "adam.max_iters=200", "lm.max_iters=15", "dataset_count=800", "segment=512"]),
-    ("conv-reuse", "run", ["adam.max_iters=300", "reuse_filter_from=conv-300/model.json"]),
-    ("gmp", "run", ["model=gmp", "adam.max_iters=200"]),
-    *[(m, "run", [f"model={m}", "adam.max_iters=200"]) for m in _MLP_MODELS],
+     ["signal.n_symbols=6", "adam.max_iters=200", "lm.max_iters=15", "dataset_count=800", "segment=512"], []),
+    ("conv-reuse", "run", ["adam.max_iters=300", "reuse_filter_from=conv-300/model.json"], []),
+    ("gmp", "run", ["model=gmp", "adam.max_iters=200"], []),
+    *[(m, "run", [f"model={m}", "adam.max_iters=200"], []) for m in _MLP_MODELS],
+    ("sweep-2-3", "sweep-memory",
+     ["signal.n_symbols=4", "dataset_count=400", "segment=256", "adam.max_iters=150", "lm.max_iters=10"],
+     ["--memory-depths", "2,3"]),
     # perfbench's four workloads at seed 1; the two conv workloads do not use the seed
-    ("model-conv-seed1", "run", ["adam.max_iters=300"]),
-    ("dpd-conv-seed1", "dpd", ["dataset_count=5000", "adam.max_iters=2000"]),
-    *[(f"model-gmp-case{c}-seed1", "run", ["model=gmp", f"impairment_case={c}", *_SEED_1]) for c in (1, 2, 3)],
-    *[(f"model-mlp-{m}-seed1", "run", [f"model={m}", "adam.max_iters=200", *_SEED_1]) for m in _MLP_MODELS],
+    ("model-conv-seed1", "run", ["adam.max_iters=300"], []),
+    ("dpd-conv-seed1", "dpd", ["dataset_count=5000", "adam.max_iters=2000"], []),
+    *[(f"model-gmp-case{c}-seed1", "run", ["model=gmp", f"impairment_case={c}", *_SEED_1], [])
+      for c in (1, 2, 3)],
+    *[(f"model-mlp-{m}-seed1", "run", [f"model={m}", "adam.max_iters=200", *_SEED_1], [])
+      for m in _MLP_MODELS],
 ]
 
 
-def cli_args(name: str, command: str, overrides: list[str]) -> list[str]:
+def cli_args(name: str, command: str, overrides: list[str], extra: list[str]) -> list[str]:
     """The `padpd` arguments of one run."""
-    return [command, *(a for o in overrides for a in ("--set", o)), "--output-dir", name]
+    return [command, *(a for o in overrides for a in ("--set", o)), *extra, "--output-dir", name]
 
 
 def main(argv=None) -> int:
@@ -60,8 +65,8 @@ def main(argv=None) -> int:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
     env.pop("PADPD_VERBOSE", None)
     args.out.mkdir(parents=True, exist_ok=True)
-    for name, command, overrides in RUNS:
-        proc = subprocess.run([sys.executable, "-m", "padpd.cli", *cli_args(name, command, overrides)],
+    for name, command, overrides, extra in RUNS:
+        proc = subprocess.run([sys.executable, "-m", "padpd.cli", *cli_args(name, command, overrides, extra)],
                               cwd=args.out, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             print(f"{name} exited {proc.returncode}: {proc.stderr.strip()}", file=sys.stderr)
