@@ -251,28 +251,23 @@ def _im2col(graphs: np.ndarray, arch: ConvNetArch) -> np.ndarray:
     return cols.reshape(r * s + 1, -1)
 
 
-def forward_batch(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray,
-                  features: bool = False) -> np.ndarray:
-    """Model outputs, shape (n, 2) with columns (I, Q).
-
-    With ``features`` it returns the head's input instead: the activated
-    feature maps, kernel-major, shape (n, L*B*C). Either is the transpose of
-    a feature-major array. Graphs go through in blocks of
-    `_FORWARD_BLOCK_ROWS`, so only one block's unrolled windows are held at a
-    time, however long the input.
+def forward_batch(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray) -> np.ndarray:
+    """Model outputs, shape (n, 2) with columns (I, Q): the transpose of a
+    feature-major array. Graphs go through in blocks of `_FORWARD_BLOCK_ROWS`,
+    so only one block's unrolled windows are held at a time, however long
+    the input.
     """
     net = conv_net(params, arch)
     graphs = _as_graphs(graphs, arch)
     n = graphs.shape[0]
-    out = np.empty((arch.n_flat_features if features else N_OUTPUTS, n))
+    out = np.empty((N_OUTPUTS, n))
     for start in range(0, n, _FORWARD_BLOCK_ROWS):
         block = graphs[start : start + _FORWARD_BLOCK_ROWS]
         # numpy sends a one-column product to gemv, whose sums round unlike
         # gemm's; a lone graph runs as two copies, so that it gets the bytes
         # of the same graph's row in a larger batch.
         ws = Workspace(net, _im2col(block if len(block) > 1 else np.repeat(block, 2, axis=0), arch))
-        ws.forward()
-        out[:, start : start + len(block)] = ws.acts[0 if features else -1][:, : len(block)]
+        out[:, start : start + len(block)] = ws.forward()[:, : len(block)]
     return out.T
 
 

@@ -7,9 +7,10 @@ The conv model's dense head is an MLP layer stack, so one backward pass
 conv model and the MLP baselines (`train_mlp_baseline`); the conv model
 adds only its kernel gradient. A training call packs the parameters into one
 flat vector (a `Net`), gives each data split a `Workspace` of preallocated
-buffers, and Adam updates the vector in place. LM works on the head's slice
-of the same vector, a head `Net` with one `Workspace` over the frozen conv
-features. Every trainer lives here, and none writes a file.
+buffers, and its loop updates the vector in place: `adam_minimize`, or
+`lm_minimize` on a net of one hidden layer and a linear output, such as the
+conv model's head over its frozen features. Every trainer lives here, and
+none writes a file.
 
 The cost everywhere is mse = (1/2N) * sum[(I'-I)^2 + (Q'-Q)^2]. Inside,
 activations, deltas and targets are feature-major, shape (features, N), as
@@ -34,7 +35,6 @@ from .network import (
     Workspace,
     _im2col,
     conv_net,
-    forward_batch,
     mlp_init,
 )
 
@@ -47,6 +47,7 @@ __all__ = [
     "adam_step",
     "adam_minimize",
     "train_stage1_adam",
+    "lm_minimize",
     "train_stage2_lm",
     "LmResult",
     "train_mlp_baseline",
@@ -230,16 +231,20 @@ class LmResult:
     """History rows are (iteration, mse, mu, accepted, grad_norm)."""
 
     history: np.ndarray
-    converged: bool
     reason: str
 
     @property
     def n_iters(self) -> int:
         return self.history.shape[0]
 
+    @property
+    def converged(self) -> bool:
+        return self.reason != "max_iters"
 
-def _fc_normal_equations(arch, flat, fc_pre, fc_out, out_w, resid):
-    """J'J and J'e of the head residual (order (n, comp)), without forming J.
+
+def _fc_normal_equations(ws: Workspace, e: np.ndarray):
+    """J'J and J'e, without forming J, of the residual ``e`` (order (n, comp))
+    over the FC and linear output layers of ``ws``'s net after its forward pass.
 
     Row n's I and Q rows of J share the factor ``[flat_n, 1] ⊗ fc_act'_n`` over
     the FC weights and biases, scaled by ``out_w[:, c]``; over component c's
@@ -247,18 +252,19 @@ def _fc_normal_equations(arch, flat, fc_pre, fc_out, out_w, resid):
     matrix of the N-row ``W = [[flat, 1] ⊗ fc_act' | fc_out | 1]``, weighted
     by ``out_w``, and J'e is the head's backprop gradient.
 
-    ``flat``, ``fc_pre`` and ``fc_out`` are (N, ·); the training path passes
-    transposes of feature-major arrays, so ``flat.T`` and ``dact.T`` are
-    contiguous as they come. W is built transposed, one contiguous N-long row
-    per column. It gets zero columns up to a multiple of 8: OpenBLAS then
-    gives the Gram matrix the same bytes at any thread count, which it does
-    not for some other widths.
+    The buffers are read as (N, ·) transposes, so ``flat.T`` and ``dact.T``
+    are contiguous. W is built transposed, one contiguous N-long row per
+    column. It gets zero columns up to a multiple of 8: OpenBLAS then gives
+    the Gram matrix the same bytes at any thread count, which it does not
+    for some other widths.
     """
+    flat, fc_pre, fc_out = ws.acts[0].T, ws.pres[0].T, ws.acts[1].T
+    fc_act, out_w = ws.net.layers[0].act, ws.net.layers[1].weights
     n, t = fc_pre.shape
     f = flat.shape[1]
     m = (f + 1) * t  # FC weights and biases, in `Net` order
-    e = resid.reshape(n, 2)
-    dact = arch.fc_activation.derivative_from_output(fc_pre, fc_out)
+    e = e.reshape(n, 2)
+    dact = fc_act.derivative_from_output(fc_pre, fc_out)
 
     w_t = np.zeros((-(-(m + t + 1) // 8) * 8, n))
     fc_rows = w_t[:m].reshape(f + 1, t, n)
@@ -281,86 +287,77 @@ def _fc_normal_equations(arch, flat, fc_pre, fc_out, out_w, resid):
     return jtj, jte
 
 
+def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
+    """Damped Gauss-Newton on the split's net, an FC layer and a linear output.
+
+    Steps solve (J'J + mu I) delta = J'e; a step is kept only if the cost
+    drops (then mu shrinks), otherwise it is undone and retried on the same
+    J'J with a larger mu. The net's vector is updated in place.
+    """
+    theta, n = split.ws.net.theta, split.targets.shape[1]
+
+    def residual() -> np.ndarray:
+        np.subtract(split.ws.forward(), split.targets, out=split.resid)
+        return split.resid.T.reshape(-1)  # component index fastest
+
+    resid = residual()
+    mse = float(resid @ resid) / (2 * n)
+    jtj, grad = _fc_normal_equations(split.ws, resid)
+    mu, history, reason = cfg.mu_init, [], "max_iters"
+    for it in range(1, cfg.max_iters + 1):
+        gnorm = float(np.max(np.abs(grad))) / n
+        if gnorm < cfg.grad_tol:
+            reason = "gradient"
+            break
+        while True:
+            try:
+                delta = np.linalg.solve(jtj + mu * np.eye(jtj.shape[0]), grad)
+                break
+            except np.linalg.LinAlgError:
+                mu *= cfg.mu_up
+                if mu > cfg.mu_max:
+                    raise TrainingError("LM normal-equation solve failed at every damping level") from None
+
+        kept = theta.copy()
+        theta -= delta
+        cand_resid = residual()
+        cand_mse = float(cand_resid @ cand_resid) / (2 * n)
+        if np.isfinite(cand_mse) and cand_mse < mse:
+            rel = (mse - cand_mse) / mse
+            resid, mse = cand_resid, cand_mse
+            mu = max(mu * cfg.mu_down, 1e-14)
+            history.append((it, mse, mu, 1, gnorm))
+            if rel < cfg.min_rel_improvement:
+                reason = "stalled"
+                break
+            # the buffers hold the accepted parameters' forward pass
+            jtj, grad = _fc_normal_equations(split.ws, resid)
+        else:
+            theta[:] = kept
+            mu *= cfg.mu_up
+            history.append((it, mse, mu, 0, gnorm))
+            if mu > cfg.mu_max:
+                reason = "damping_limit"
+                break
+    return LmResult(np.asarray(history, dtype=float) if history else np.zeros((0, 5)), reason)
+
+
 def train_stage2_lm(
     params: ConvNetParams,
     arch: ConvNetArch,
     train: Dataset,
     cfg: LmConfig,
 ) -> tuple[ConvNetParams, LmResult]:
-    """Damped Gauss-Newton over the FC and output layers only.
-
-    Steps solve (J'J + mu I) delta = J'e; a step is kept only if the cost
-    drops (then mu shrinks), otherwise mu grows and the step is retried.
-    The head is a `Net` over the head's slice of the model's vector, with
-    one `Workspace` over the frozen conv features, computed once up front.
-    A step is applied to that slice in place; a rejected one is undone.
-    """
+    """Stage 2: `lm_minimize` over the FC and output layers, a `Net` over the
+    head's slice of the model's vector whose input is the frozen conv layer's
+    maps over the train split. Only the maps outlive their workspace."""
     net = conv_net(params, arch)
-    head = Net(net.theta[net.conv.size :], net.layers)
-    ws = Workspace(head, forward_batch(params, arch, train.graphs, features=True).T)
-    theta, labels = head.theta, train.labels
-    n = labels.shape[0]
-
-    def residual() -> np.ndarray:
-        return (ws.forward().T - labels).reshape(-1)  # component index fastest
-
-    resid = residual()
-    mse = float(resid @ resid) / (2 * n)
-    mu = cfg.mu_init
-    history = []
-    converged = False
-    reason = "max_iters"
-    grad = jtj = None
-    stale = True
-
-    for it in range(1, cfg.max_iters + 1):
-        if stale:
-            # rejected steps retry on the same J'J with a larger mu; after an
-            # accepted one the buffers hold the accepted parameters' pass
-            jtj, grad = _fc_normal_equations(arch, ws.acts[0].T, ws.pres[0].T, ws.acts[1].T,
-                                             head.layers[1].weights, resid)
-            stale = False
-        gnorm = float(np.max(np.abs(grad))) / n
-        if gnorm < cfg.grad_tol:
-            converged, reason = True, "gradient"
-            break
-
-        solved = False
-        while mu <= cfg.mu_max:
-            try:
-                delta = np.linalg.solve(jtj + mu * np.eye(jtj.shape[0]), grad)
-                solved = True
-                break
-            except np.linalg.LinAlgError:
-                mu *= cfg.mu_up
-        if not solved:
-            raise TrainingError("LM normal-equation solve failed at every damping level")
-
-        kept = theta.copy()
-        theta -= delta
-        cand_resid = residual()
-        cand_mse = float(cand_resid @ cand_resid) / (2 * n)
-
-        accepted = bool(np.isfinite(cand_mse) and cand_mse < mse)
-        if accepted:
-            rel = (mse - cand_mse) / mse if mse > 0 else 0.0
-            resid, mse = cand_resid, cand_mse
-            mu = max(mu * cfg.mu_down, 1e-14)
-            stale = True
-            history.append((it, mse, mu, 1, gnorm))
-            if rel < cfg.min_rel_improvement:
-                converged, reason = True, "stalled"
-                break
-        else:
-            theta[:] = kept
-            mu *= cfg.mu_up
-            history.append((it, mse, mu, 0, gnorm))
-            if mu > cfg.mu_max:
-                converged, reason = True, "damping_limit"
-                break
-
-    hist_arr = np.asarray(history, dtype=float) if history else np.zeros((0, 5))
-    return net.conv_params(), LmResult(hist_arr, converged, reason)
+    ws = Workspace(net, _im2col(train.graphs, arch))
+    ws.forward()
+    features = ws.acts[0]
+    del ws
+    result = lm_minimize(_Split(Net(net.theta[net.conv.size :], net.layers), features, train.labels), cfg)
+    return net.conv_params(), result
 
 
 def train_mlp_baseline(

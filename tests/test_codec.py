@@ -88,7 +88,7 @@ _GMPS = st.tuples(*[st.integers(0, 6)] * 8).filter(
 
 _FIELDS = st.fixed_dictionaries(dict(
     signal=st.builds(OfdmConfig, st.integers(1, 256), st.sampled_from([4, 16, 64, 256]),
-                     st.integers(1, 5000), st.integers(1, 8), _number(0, 1), _SEED, _number(1, 1e10)),
+                     st.integers(1, 5000), st.integers(4, 8), _number(0, 1), _SEED, _number(1, 1e10)),
     pa_seed=_SEED,
     pa_k_order=st.integers(2, 9),
     pa_q_depth=st.integers(1, 9),
@@ -106,7 +106,7 @@ _FIELDS = st.fixed_dictionaries(dict(
     init_seed=_SEED,
     ridge=_number(0, 10),
     drive_backoff_db=_number(0, 30),
-    segment=st.integers(2, 4096),
+    segment=st.integers(6, 4096),
 ))
 
 
@@ -114,7 +114,9 @@ _FIELDS = st.fixed_dictionaries(dict(
 def _configs(draw):
     """Any valid config: `dataset_count` leaves at least one `segment` of
     error-spectrum samples, which for gmp start at the basis' reach, and only
-    a conv net names a saved filter, by a non-empty path."""
+    a conv net names a saved filter, by a non-empty path. Oversampling from 4
+    and segments from 6 keep every ACPR band inside the Welch span with a
+    bin in it (oversampling 3 fits only some odd segments)."""
     f = draw(_FIELDS)
     m = f["arch"].memory_depth
     lost = max(m, f["gmp"].max_past) - m if f["model"] == "gmp" else 0

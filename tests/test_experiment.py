@@ -219,17 +219,15 @@ def test_lm_normal_equations_independent_of_blas_threads():
     script = (
         "import hashlib\n"
         "import numpy as np\n"
-        "from padpd.network import ConvNetArch, Net, Workspace, conv_net, forward_batch, init_params\n"
+        "from padpd.network import ConvNetArch, Workspace, _im2col, conv_net, init_params\n"
         "from padpd.training import _fc_normal_equations\n"
         "arch = ConvNetArch()\n"
-        "p = init_params(arch, 1)\n"
-        "head = Net.of(conv_net(p, arch).layers)\n"
+        "net = conv_net(init_params(arch, 1), arch)\n"
         "rng = np.random.default_rng(0)\n"
         "for n in (480, 3000, 8400):\n"
-        "    flat = forward_batch(p, arch, 0.4 * rng.standard_normal((n, *arch.input_shape)), features=True)\n"
-        "    ws = Workspace(head, flat.T)\n"
+        "    ws = Workspace(net, _im2col(0.4 * rng.standard_normal((n, *arch.input_shape)), arch))\n"
         "    resid = (ws.forward().T - 0.3 * rng.standard_normal((n, 2))).reshape(-1)\n"
-        "    jtj, jte = _fc_normal_equations(arch, flat, ws.pres[0].T, ws.acts[1].T, p.out_weights, resid)\n"
+        "    jtj, jte = _fc_normal_equations(ws, resid)\n"
         "    print(n, hashlib.sha256(jtj.tobytes() + jte.tobytes()).hexdigest())\n"
     )
     hashes = [_run_at_blas_threads(threads, script) for threads in ("1", "2")]

@@ -15,6 +15,9 @@ from padpd.network import (
     ConvNetArch,
     ConvNetParams,
     MlpLayer,
+    Workspace,
+    _im2col,
+    conv_net,
     forward_batch,
     init_params,
     load_params,
@@ -51,6 +54,14 @@ def reference_forward(params, arch, graph):
     flat = np.array(flat)
     hidden = arch.fc_activation(flat @ params.fc_weights + params.fc_biases)
     return hidden @ params.out_weights + params.out_biases
+
+
+def conv_features(params, arch, graphs):
+    """The head's input from a `Workspace` over the conv model: the activated
+    feature maps, kernel-major, shape (n, L*B*C)."""
+    ws = Workspace(conv_net(params, arch), _im2col(graphs, arch))
+    ws.forward()
+    return ws.acts[0].T
 
 
 def with_random_biases(params, rng):
@@ -167,9 +178,9 @@ def test_im2col_core_matches_loop_reference(arch, n, seed):
     params = with_random_biases(init_params(arch, seed), rng)
     graphs = rng.standard_normal((n, *arch.input_shape))
     ref_maps = np.array([reference_maps(params, arch, g) for g in graphs])
-    features = forward_batch(params, arch, graphs, features=True)
+    features = conv_features(params, arch, graphs)
     np.testing.assert_allclose(features, ref_maps.reshape(n, -1), rtol=1e-12, atol=1e-12)
-    lone = forward_batch(params, arch, graphs[:1], features=True)
+    lone = conv_features(params, arch, graphs[:1])
     np.testing.assert_allclose(lone.reshape(ref_maps[:1].shape), ref_maps[:1], rtol=1e-12, atol=1e-12)
     ref_out = np.array([reference_forward(params, arch, g) for g in graphs])
     np.testing.assert_allclose(forward_batch(params, arch, graphs), ref_out, rtol=1e-12, atol=1e-12)
@@ -221,12 +232,12 @@ def test_forward_batch_memory_does_not_grow_with_rows():
     assert net_peaks[1] <= net_peaks[0] + block_windows // 10, net_peaks
 
 
-def test_forward_batch_features_single_graph():
+def test_workspace_features_single_graph():
     arch = ConvNetArch(memory_depth=2, kernel_cols=2, kernel_rows=2, n_kernels=2)
     params = init_params(arch, seed=3)
     rng = np.random.default_rng(4)
     graph = rng.standard_normal(arch.input_shape)
-    features = forward_batch(params, arch, graph[None], features=True)
+    features = conv_features(params, arch, graph[None])
     assert features.shape == (1, 16)
     maps = features.reshape(2, 4, 2)
     ref = np.tanh(

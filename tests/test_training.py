@@ -36,12 +36,13 @@ from padpd.training import (
     adam_minimize,
     adam_step,
     backprop_grads,
+    lm_minimize,
     mse_cost,
     train_mlp_baseline,
     train_stage1_adam,
     train_stage2_lm,
 )
-from test_network import conv_archs, with_random_biases
+from test_network import conv_archs, conv_features, with_random_biases
 
 
 def mlp_cost_and_grads(layers, x, labels):
@@ -572,12 +573,15 @@ def test_lm_converges_immediately_at_zero_residual():
     assert np.array_equal(polished.fc_weights, params.fc_weights)
 
 
-def reference_fc_jacobian(arch, flat, fc_pre, fc_out, out_w):
-    """d residual / d theta, shape (2N, |theta|), residual order (n, comp),
-    formed entry block by entry block."""
+def reference_fc_jacobian(ws):
+    """d residual / d theta over the dense layers of a workspace's net after
+    a forward pass, shape (2N, |theta|), residual order (n, comp), formed
+    entry block by entry block."""
+    flat, fc_pre, fc_out = ws.acts[0].T, ws.pres[0].T, ws.acts[1].T
+    out_w = ws.net.layers[1].weights
     n, t = fc_pre.shape
     f = flat.shape[1]
-    dact = arch.fc_activation.derivative_from_output(fc_pre, fc_out)  # (N, T)
+    dact = ws.net.layers[0].act.derivative_from_output(fc_pre, fc_out)  # (N, T)
     sens = dact[:, :, None] * out_w[None, :, :]  # (N, T, 2)
     sens = np.moveaxis(sens, 2, 1)  # (N, 2, T)
     j_fc_w = np.einsum("nf,nct->ncft", flat, sens).reshape(n, 2, f * t)
@@ -598,23 +602,20 @@ def head_of(params, arch):
 
 
 def head_parts(head, flat, labels):
-    """The head residual (order (n, comp)) at the head net's parameters and
-    the reference Jacobian's inputs, (N, ·) views of the feature-major head
-    parts."""
+    """A `Workspace` of the head net over the (N, F) features after its
+    forward pass, and the residual there, order (n, comp)."""
     ws = Workspace(head, flat.T)
-    ws.forward()
-    return (ws.acts[-1].T - labels).reshape(-1), ws.pres[0].T, ws.acts[1].T, head.layers[1].weights
+    return ws, (ws.forward().T - labels).reshape(-1)
 
 
 def test_reference_jacobian_matches_finite_differences():
     arch = ConvNetArch(memory_depth=2, kernel_cols=2, kernel_rows=3, n_kernels=2, fc_neurons=4)
     data = tiny_task(arch, n=7, seed=2)
     params = init_params(arch, 5)
-    flat = forward_batch(params, arch, data.graphs, features=True)
+    flat = conv_features(params, arch, data.graphs)
     head = head_of(params, arch)
     theta = head.theta
-    _, fc_pre, fc_out, out_w = head_parts(head, flat, data.labels)
-    jac = reference_fc_jacobian(arch, flat, fc_pre, fc_out, out_w)
+    jac = reference_fc_jacobian(head_parts(head, flat, data.labels)[0])
     assert jac.shape == (14, theta.size)
 
     h = 1e-6
@@ -622,8 +623,8 @@ def test_reference_jacobian_matches_finite_differences():
     for k in range(theta.size):
         bump = np.zeros_like(theta)
         bump[k] = h
-        numeric[:, k] = (head_parts(head.like(theta + bump), flat, data.labels)[0]
-                         - head_parts(head.like(theta - bump), flat, data.labels)[0]) / (2 * h)
+        numeric[:, k] = (head_parts(head.like(theta + bump), flat, data.labels)[1]
+                         - head_parts(head.like(theta - bump), flat, data.labels)[1]) / (2 * h)
     np.testing.assert_allclose(jac, numeric, rtol=1e-6, atol=1e-8)
 
 
@@ -638,11 +639,10 @@ def test_fc_normal_equations_match_reference_jacobian(arch, n, seed):
     params = with_random_biases(init_params(arch, seed), rng)
     graphs = rng.standard_normal((n, *arch.input_shape))
     labels = rng.standard_normal((n, 2))
-    flat = forward_batch(params, arch, graphs, features=True)
-    resid, fc_pre, fc_out, out_w = head_parts(head_of(params, arch), flat, labels)
+    ws, resid = head_parts(head_of(params, arch), conv_features(params, arch, graphs), labels)
 
-    jtj, jte = _fc_normal_equations(arch, flat, fc_pre, fc_out, out_w, resid)
-    jac = reference_fc_jacobian(arch, flat, fc_pre, fc_out, out_w)
+    jtj, jte = _fc_normal_equations(ws, resid)
+    jac = reference_fc_jacobian(ws)
     ref_jtj, ref_jte = jac.T @ jac, jac.T @ resid
     diag = np.diag(ref_jtj).max()
     np.testing.assert_allclose(jtj, ref_jtj, rtol=1e-12, atol=1e-12 * diag)
@@ -651,16 +651,15 @@ def test_fc_normal_equations_match_reference_jacobian(arch, n, seed):
     assert np.array_equal(jtj, jtj.T)
 
 
-def reference_lm(params, arch, data, cfg):
-    """The LM polish's rules on the formed Jacobian: (accepted, mse) per
-    iteration and the stop reason."""
-    flat = forward_batch(params, arch, data.graphs, features=True)
-    n = data.labels.shape[0]
-    head = head_of(params, arch)
+def reference_lm(head, flat, labels, cfg):
+    """The LM rules on the formed Jacobian of a head `Net` over its (N, F)
+    features: (accepted, mse) per iteration and the stop reason. The head's
+    parameters are not written."""
+    n = labels.shape[0]
 
     def evaluate(theta):
-        resid, fc_pre, fc_out, out_w = head_parts(head.like(theta), flat, data.labels)
-        return resid, float(resid @ resid) / (2 * n), reference_fc_jacobian(arch, flat, fc_pre, fc_out, out_w)
+        ws, resid = head_parts(head.like(theta), flat, labels)
+        return resid, float(resid @ resid) / (2 * n), reference_fc_jacobian(ws)
 
     theta = head.theta
     resid, mse, jac = evaluate(theta)
@@ -687,6 +686,16 @@ def reference_lm(params, arch, data, cfg):
     return rows, "max_iters"
 
 
+def assert_same_lm_path(result, rows, reason):
+    """An `LmResult` takes the reference loop's accepted steps, stop and costs."""
+    assert (result.n_iters, result.reason) == (len(rows), reason)
+    assert result.converged == (result.reason != "max_iters")
+    if rows:
+        accepted, mse = np.array(rows).T
+        assert np.array_equal(result.history[:, 3], accepted)
+        np.testing.assert_allclose(result.history[:, 1], mse, rtol=1e-9)
+
+
 def _warm_start_setup():
     arch = ConvNetArch(memory_depth=2, kernel_cols=2, kernel_rows=3, n_kernels=2, fc_neurons=4)
     data = tiny_task(arch, n=120, seed=4)
@@ -708,19 +717,43 @@ def _zero_residual_setup():
     return params, arch, Dataset(graphs, forward_batch(params, arch, graphs), "train")
 
 
-@pytest.mark.parametrize("setup", [_warm_start_setup, _paper_arch_setup, _zero_residual_setup],
-                         ids=["warm_start", "paper_arch", "zero_residual"])
-def test_lm_path_matches_formed_jacobian_loop(setup):
+@pytest.mark.parametrize("setup, cfg, reason", [
+    (_warm_start_setup, LmConfig(), None),
+    (_paper_arch_setup, LmConfig(), None),
+    (_zero_residual_setup, LmConfig(), "gradient"),
+    (_warm_start_setup, LmConfig(max_iters=2), "max_iters"),
+    (_paper_arch_setup, LmConfig(mu_max=0.01, min_rel_improvement=0.0), "damping_limit"),
+], ids=["warm_start", "paper_arch", "zero_residual", "max_iters", "damping_limit"])
+def test_lm_path_matches_formed_jacobian_loop(setup, cfg, reason):
     """Normal equations from the Gram matrix take LM down the same path as
-    the formed Jacobian: the same accepted steps, stop and costs."""
+    the formed Jacobian: the same accepted steps, stop and costs, for each
+    stop reason."""
     params, arch, data = setup()
-    _, result = train_stage2_lm(params, arch, data, LmConfig())
-    rows, reason = reference_lm(params, arch, data, LmConfig())
-    assert (result.n_iters, result.reason) == (len(rows), reason)
-    if rows:
-        accepted, mse = np.array(rows).T
-        assert np.array_equal(result.history[:, 3], accepted)
-        np.testing.assert_allclose(result.history[:, 1], mse, rtol=1e-9)
+    _, result = train_stage2_lm(params, arch, data, cfg)
+    rows, ref_reason = reference_lm(head_of(params, arch), conv_features(params, arch, data.graphs),
+                                    data.labels, cfg)
+    assert_same_lm_path(result, rows, ref_reason)
+    if reason is not None:
+        assert result.reason == reason
+    if reason == "damping_limit":  # mu 1e-3 -> 1e-2 -> 1e-1 > mu_max: two rejected steps end it
+        assert result.history[:, 3].tolist() == [0, 0]
+
+
+def test_lm_minimize_trains_a_net_with_no_conv_layer():
+    """`lm_minimize` runs on any `_Split` of an FC layer and a linear output:
+    an rvtdnn-shaped MLP over (D, N) features takes the reference loop's
+    path and lowers the cost."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((8, 300))
+    labels = np.tanh(x.T @ rng.standard_normal((8, 2))) + 0.05 * rng.standard_normal((300, 2))
+    layers = mlp_init([8, 5, 2], Activation("tanh"), seed=2)
+    rows, reason = reference_lm(Net.of(layers), x.T, labels, LmConfig())
+    split = _Split(Net.of(layers), x, labels)
+    cost_before = split.cost()
+    result = lm_minimize(split, LmConfig())
+    assert_same_lm_path(result, rows, reason)
+    assert result.history[:, 3].sum() >= 1
+    assert split.cost() < cost_before
 
 
 def test_mlp_grads_match_finite_differences():

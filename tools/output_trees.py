@@ -23,6 +23,7 @@ from pathlib import Path
 
 _MLP_MODELS = ("rvtdnn", "arvtdnn", "dnn")
 _SEED_1 = ("signal.seed=1", "split_seed=1")
+_CRITERION_10 = ["signal.n_symbols=6", "adam.max_iters=200", "lm.max_iters=15", "dataset_count=800", "segment=512"]
 
 # (name, subcommand, --set overrides, further arguments)
 RUNS = [
@@ -32,8 +33,9 @@ RUNS = [
      ["dataset_count=5000", "adam.max_iters=2000", "reuse_filter_from=dpd-2000/inverse_model.json"], []),
     ("conv-case3-sigmoid", "run",
      ["adam.max_iters=300", "impairment_case=3", "arch.fc_activation.kind=sigmoid"], []),
-    ("criterion-10", "run",
-     ["signal.n_symbols=6", "adam.max_iters=200", "lm.max_iters=15", "dataset_count=800", "segment=512"], []),
+    ("criterion-10", "run", _CRITERION_10, []),
+    # LM stops by its damping limit after one rejected step
+    ("lm-damping-limit", "run", [*_CRITERION_10, "lm.mu_max=0.001"], []),
     ("conv-reuse", "run", ["adam.max_iters=300", "reuse_filter_from=conv-300/model.json"], []),
     ("gmp", "run", ["model=gmp", "adam.max_iters=200"], []),
     *[(m, "run", [f"model={m}", "adam.max_iters=200"], []) for m in _MLP_MODELS],
