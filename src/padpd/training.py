@@ -253,10 +253,11 @@ def _fc_normal_equations(ws: Workspace, e: np.ndarray):
     by ``out_w``, and J'e is the head's backprop gradient.
 
     The buffers are read as (N, ·) transposes, so ``flat.T`` and ``dact.T``
-    are contiguous. W is built transposed, one contiguous N-long row per
-    column. It gets zero columns up to a multiple of 8: OpenBLAS then gives
-    the Gram matrix the same bytes at any thread count, which it does not
-    for some other widths.
+    are contiguous; as in backprop, tanh's and sigmoid's derivatives overwrite
+    the pre-activations, which the next forward pass refills. W is built
+    transposed, one contiguous N-long row per column. It gets zero columns up
+    to a multiple of 8: OpenBLAS then gives the Gram matrix the same bytes at
+    any thread count, which it does not for some other widths.
     """
     flat, fc_pre, fc_out = ws.acts[0].T, ws.pres[0].T, ws.acts[1].T
     fc_act, out_w = ws.net.layers[0].act, ws.net.layers[1].weights
@@ -264,7 +265,7 @@ def _fc_normal_equations(ws: Workspace, e: np.ndarray):
     f = flat.shape[1]
     m = (f + 1) * t  # FC weights and biases, in `Net` order
     e = e.reshape(n, 2)
-    dact = fc_act.derivative_from_output(fc_pre, fc_out)
+    dact = fc_act.derivative_from_output(fc_pre, fc_out, into=fc_pre)
 
     w_t = np.zeros((-(-(m + t + 1) // 8) * 8, n))
     fc_rows = w_t[:m].reshape(f + 1, t, n)
@@ -295,14 +296,14 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
     J'J with a larger mu. The net's vector is updated in place.
     """
     theta, n = split.ws.net.theta, split.targets.shape[1]
+    e = split.resid.reshape(-1)  # the last pass's residual, component index fastest
 
-    def residual() -> np.ndarray:
-        np.subtract(split.ws.forward(), split.targets, out=split.resid)
-        return split.resid.T.reshape(-1)  # component index fastest
+    def cost() -> float:
+        np.subtract(split.ws.forward().T, split.targets.T, out=e.reshape(n, 2))
+        return float(e @ e) / (2 * n)
 
-    resid = residual()
-    mse = float(resid @ resid) / (2 * n)
-    jtj, grad = _fc_normal_equations(split.ws, resid)
+    mse = cost()
+    jtj, grad = _fc_normal_equations(split.ws, e)
     mu, history, reason = cfg.mu_init, [], "max_iters"
     for it in range(1, cfg.max_iters + 1):
         gnorm = float(np.max(np.abs(grad))) / n
@@ -320,18 +321,17 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
 
         kept = theta.copy()
         theta -= delta
-        cand_resid = residual()
-        cand_mse = float(cand_resid @ cand_resid) / (2 * n)
+        cand_mse = cost()
         if np.isfinite(cand_mse) and cand_mse < mse:
             rel = (mse - cand_mse) / mse
-            resid, mse = cand_resid, cand_mse
+            mse = cand_mse
             mu = max(mu * cfg.mu_down, 1e-14)
             history.append((it, mse, mu, 1, gnorm))
             if rel < cfg.min_rel_improvement:
                 reason = "stalled"
                 break
             # the buffers hold the accepted parameters' forward pass
-            jtj, grad = _fc_normal_equations(split.ws, resid)
+            jtj, grad = _fc_normal_equations(split.ws, e)
         else:
             theta[:] = kept
             mu *= cfg.mu_up

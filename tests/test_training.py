@@ -641,8 +641,8 @@ def test_fc_normal_equations_match_reference_jacobian(arch, n, seed):
     labels = rng.standard_normal((n, 2))
     ws, resid = head_parts(head_of(params, arch), conv_features(params, arch, graphs), labels)
 
-    jtj, jte = _fc_normal_equations(ws, resid)
     jac = reference_fc_jacobian(ws)
+    jtj, jte = _fc_normal_equations(ws, resid)
     ref_jtj, ref_jte = jac.T @ jac, jac.T @ resid
     diag = np.diag(ref_jtj).max()
     np.testing.assert_allclose(jtj, ref_jtj, rtol=1e-12, atol=1e-12 * diag)
