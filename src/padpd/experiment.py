@@ -127,13 +127,13 @@ class ExperimentConfig:
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.segment < 2:
             raise ValueError(f"segment must be >= 2, got {self.segment}")
-        # every ACPR integrates the channel plan's bands over psd_welch's bins
-        bins = np.fft.fftshift(np.fft.fftfreq(self.segment, 1.0 / self.signal.sample_rate_hz))
-        try:
-            acpr_db(bins, np.ones(self.segment), _channel_plan(self))
-        except ValueError as exc:
-            raise ValueError(f"signal.oversampling {self.signal.oversampling} "
-                             f"(segment {self.segment}): {exc}") from None
+        # ACPR's outer adjacent band edge, 1.5 fs/oversampling from DC, must lie
+        # inside psd_welch's span, which ends half a bin of fs/n past its top
+        # bin, (n-1)//2 bins from DC; compared in integers, so fs cancels exactly
+        sig, n = self.signal, self.segment
+        if 3 * n >= sig.oversampling * (2 * ((n - 1) // 2) + 1):
+            raise ValueError(f"signal.oversampling {sig.oversampling} puts the outer ACPR band edge at "
+                             f"{1.5 * sig.occupied_bandwidth_hz:g} Hz, outside the Welch span (segment {n})")
         if self.reuse_filter_from is not None:
             if self.model != "conv_net":
                 raise ValueError(f"reuse_filter_from needs model 'conv_net', got {self.model!r}")

@@ -174,14 +174,15 @@ def test_gmp_rows_past_the_signal_end_are_a_config_error(tmp_path, capsys):
 
 def test_acpr_bands_outside_the_welch_span_are_a_config_error(tmp_path, capsys):
     """ACPR's outer adjacent edge sits 1.5 occupied bandwidths from DC. At
-    oversampling 3 that is fs/2, past the top Welch bin: `run` and `dpd`
-    exit 2 before any stage runs. At oversampling 4 a run goes through."""
+    oversampling 3 that is fs/2, the edge of the Welch span or past it: `run`
+    and `dpd` exit 2 before any stage runs. At oversampling 4 a run goes
+    through."""
     cfg = write_config(tmp_path)
     for command in ("run", "dpd"):
         out = tmp_path / command
         assert main([command, "--config", cfg, "--set", "signal.oversampling=3", "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error [config]: signal.oversampling 3 ") and "sampled span" in err
+        assert err.startswith("error [config]: signal.oversampling 3 ") and "Welch span" in err
         assert not out.exists()
     out = tmp_path / "run4"
     assert main(["run", "--config", cfg, "--set", "signal.oversampling=4", "--output-dir", str(out)]) == 0

@@ -115,8 +115,8 @@ def _configs(draw):
     """Any valid config: `dataset_count` leaves at least one `segment` of
     error-spectrum samples, which for gmp start at the basis' reach, and only
     a conv net names a saved filter, by a non-empty path. Oversampling from 4
-    and segments from 6 keep every ACPR band inside the Welch span with a
-    bin in it (oversampling 3 fits only some odd segments)."""
+    keeps the outer ACPR band edge inside the Welch span, and segments from 6
+    leave a bin in every band."""
     f = draw(_FIELDS)
     m = f["arch"].memory_depth
     lost = max(m, f["gmp"].max_past) - m if f["model"] == "gmp" else 0
