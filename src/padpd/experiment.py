@@ -127,9 +127,8 @@ class ExperimentConfig:
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.segment < 2:
             raise ValueError(f"segment must be >= 2, got {self.segment}")
-        # ACPR's outer adjacent band edge, 1.5 fs/oversampling from DC, must lie
-        # inside psd_welch's span, which ends half a bin of fs/n past its top
-        # bin, (n-1)//2 bins from DC; compared in integers, so fs cancels exactly
+        # ACPR's outer band edge, 1.5 fs/oversampling, must lie below psd_welch's
+        # span edge, (2*((n-1)//2) + 1) * fs/(2n); compared in integers, fs cancels
         sig, n = self.signal, self.segment
         if 3 * n >= sig.oversampling * (2 * ((n - 1) // 2) + 1):
             raise ValueError(f"signal.oversampling {sig.oversampling} puts the outer ACPR band edge at "
