@@ -330,8 +330,8 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
             if rel < cfg.min_rel_improvement:
                 reason = "stalled"
                 break
-            # the buffers hold the accepted parameters' forward pass
-            jtj, grad = _fc_normal_equations(split.ws, e)
+            if it < cfg.max_iters:  # the buffers hold the accepted parameters' forward pass
+                jtj, grad = _fc_normal_equations(split.ws, e)
         else:
             theta[:] = kept
             mu *= cfg.mu_up

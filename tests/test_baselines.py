@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padpd.baselines import (
+    _QR_BLOCK,
     GmpConfig,
     GmpFitError,
     GmpModel,
@@ -19,10 +20,11 @@ from padpd.baselines import (
     mlp_features_from_graphs,
     save_gmp,
 )
-from padpd.dataset import build_dataset
+from padpd.dataset import build_dataset, split_indices
 from padpd.metrics import nmse_db
 from padpd.network import mlp_forward
-from padpd.signals import ComplexSeq
+from padpd.pa import ImpairmentConfig, default_pa, transmit_chain
+from padpd.signals import ComplexSeq, OfdmConfig, generate_ofdm
 from padpd.training import AdamConfig, train_mlp_baseline
 
 
@@ -95,6 +97,27 @@ def test_basis_matches_reference_enumeration():
         gmp_basis_at(seq, cfg, np.array([1]))  # inside the warm-up region
 
 
+@pytest.mark.parametrize("cfg", [gmp_table_config(), GmpConfig(ka=2, la=3, kb=2, lb=2, mb=3, kc=3, lc=2, mc=4)],
+                         ids=["table", "leading"])
+def test_basis_at_scattered_indices_follows_the_formula(cfg):
+    """Indices in the train split's pattern (shuffled, not contiguous), with
+    repeats and both ends of the valid window, give each column's formula
+    byte for byte, in a C-ordered matrix: the power table and the delayed
+    signal are offset by the lowest index's reach, not by 0."""
+    rng = np.random.default_rng(3)
+    n_samples = 900
+    x = rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
+    first, last = cfg.max_past, n_samples - cfg.max_future - 1
+    train, _ = split_indices(600, 4)
+    idx = np.concatenate([train + 150, [last, first + 40, last, first + 40], train[:7] + 150])
+    rng.shuffle(idx)
+    for n in (idx, np.array([first, last]), np.array([last, first])):
+        basis = gmp_basis_at(ComplexSeq(x), cfg, n)
+        assert basis.flags.c_contiguous and basis.shape == (n.size, cfg.n_terms)
+        for j, (l, d, k) in enumerate(_column_specs(cfg)):
+            assert basis[:, j].tobytes() == (x[n - l] * np.abs(x[n - d]) ** k).tobytes()
+
+
 # (ka, la, kb, lb, mb, kc, lc, mc) with at least one term
 _SMALL_GMPS = st.tuples(*[st.integers(0, 3)] * 8).filter(
     lambda v: v[0] * v[1] + v[2] * v[3] * v[4] + v[5] * v[6] * v[7]).map(lambda v: GmpConfig(*v))
@@ -118,13 +141,18 @@ def test_basis_columns_follow_their_formula(cfg, extra, seed):
     np.testing.assert_allclose(basis, ref, rtol=1e-12)
 
 
-def test_fit_recovers_known_model():
-    rng = np.random.default_rng(1)
-    x = 0.7 * (rng.standard_normal(3000) + 1j * rng.standard_normal(3000))
-    seq = ComplexSeq(x)
+@pytest.mark.parametrize("n_rows", [
+    2997, 500, _QR_BLOCK - 1, _QR_BLOCK, _QR_BLOCK + 1, 3 * _QR_BLOCK,
+], ids=["2997", "below-one-block", "block-1", "block", "block+1", "three-blocks"])
+def test_fit_recovers_known_model(n_rows):
     cfg = GmpConfig(ka=3, la=2, kb=2, lb=2, mb=2)
+    rng = np.random.default_rng(1)
+    n_samples = n_rows + cfg.max_past
+    x = 0.7 * (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples))
+    seq = ComplexSeq(x)
     true_coeffs = rng.standard_normal(cfg.n_terms) + 1j * rng.standard_normal(cfg.n_terms)
     basis = gmp_basis_at(seq, cfg, valid_indices(cfg, len(seq)))
+    assert basis.shape[0] == n_rows
     y = basis @ true_coeffs
 
     model = gmp_fit_ls(basis, y, cfg=cfg)
@@ -136,9 +164,33 @@ def test_fit_recovers_known_model():
     assert np.allclose(ridged.coeffs, true_coeffs, atol=1e-6)
 
 
-def test_fit_rejects_rank_deficiency_without_ridge():
+@pytest.mark.parametrize("case, ridge", [(1, 0.0), (2, 0.0), (3, 0.0), (1, 1e-8)])
+def test_fit_matches_lstsq_on_an_ofdm_drive(case, ridge):
+    """The table config on a PA's OFDM input and output: the blocked QR's
+    coefficients and train NMSE are lstsq's, on a basis of condition number
+    near 1e9 and over nine row blocks. With ridge, lstsq solves the basis
+    stacked over sqrt(ridge)·I rows, with zero targets."""
+    cfg = gmp_table_config()
+    x = generate_ofdm(OfdmConfig(n_symbols=27, seed=5))
+    y = transmit_chain(default_pa(), x, ImpairmentConfig.case(case))
+    scale = 1.0 / max(x.peak(), y.peak())
+    idx = valid_indices(cfg, len(x))
+    basis = gmp_basis_at(x.scaled(scale), cfg, idx)
+    target = y.data[idx] * scale
+    assert basis.shape[0] > 8 * _QR_BLOCK
+
+    model = gmp_fit_ls(basis, target, cfg, ridge)
+    eye = np.sqrt(ridge) * np.eye(cfg.n_terms)
+    ref = np.linalg.lstsq(np.vstack([basis, eye]), np.concatenate([target, np.zeros(cfg.n_terms)]),
+                          rcond=None)[0]
+    np.testing.assert_allclose(model.coeffs, ref, rtol=1e-6, atol=0)
+    assert abs(nmse_db(basis @ model.coeffs, target) - nmse_db(basis @ ref, target)) <= 1e-6
+
+
+@pytest.mark.parametrize("n_rows", [50, 5000])
+def test_fit_rejects_rank_deficiency_without_ridge(n_rows):
     rng = np.random.default_rng(2)
-    col = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    col = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
     basis = np.column_stack([col, col])  # exactly collinear
     y = 3.0 * col
     cfg = GmpConfig(ka=2, la=1)
@@ -147,6 +199,17 @@ def test_fit_rejects_rank_deficiency_without_ridge():
     model = gmp_fit_ls(basis, y, cfg, ridge=1e-9)
     # regularized split of the shared direction still reproduces y
     assert np.allclose(basis @ model.coeffs, y, atol=1e-6)
+
+    # nearly collinear: s_min is about 160 eps of s_max, inside lstsq's
+    # cutoff of eps * rows * s_max at 5000 rows but not at 50
+    near = np.column_stack([col, col + 1e-13 * rng.standard_normal(n_rows)])
+    lstsq_rank = np.linalg.lstsq(near, y, rcond=None)[2]
+    assert lstsq_rank == (2 if n_rows == 50 else 1)
+    if lstsq_rank < 2:
+        with pytest.raises(GmpFitError):
+            gmp_fit_ls(near, y, cfg)
+    else:
+        assert np.allclose(near @ gmp_fit_ls(near, y, cfg).coeffs, y, atol=1e-6)
 
 
 def test_fit_input_validation():

@@ -16,7 +16,7 @@ _SPEC.loader.exec_module(output_trees)
 
 def test_run_names_are_unique():
     names = [name for name, _, _, _ in output_trees.RUNS]
-    assert len(names) == 20 and len(set(names)) == len(names)
+    assert len(names) == 21 and len(set(names)) == len(names)
 
 
 @pytest.mark.parametrize("name, command, overrides, extra", output_trees.RUNS,

@@ -739,6 +739,26 @@ def test_lm_path_matches_formed_jacobian_loop(setup, cfg, reason):
         assert result.history[:, 3].tolist() == [0, 0]
 
 
+@pytest.mark.parametrize("max_iters, last_accepted", [(2, 0), (3, 1)])
+def test_lm_forms_no_normal_equations_after_its_last_step(monkeypatch, max_iters, last_accepted):
+    """J'J and J'e are formed before the loop and after each accepted step
+    that has a next iteration, so an accepted step at `max_iters` forms none.
+    On the warm start LM alternates accepted and rejected steps: 2 steps end
+    on a rejected one (the `max_iters` input above), 3 on an accepted one."""
+    params, arch, data = _warm_start_setup()
+    calls = []
+
+    def counted(ws, e):
+        calls.append(1)
+        return _fc_normal_equations(ws, e)
+
+    monkeypatch.setattr(training, "_fc_normal_equations", counted)
+    _, result = train_stage2_lm(params, arch, data, LmConfig(max_iters=max_iters))
+    accepted = result.history[:, 3]
+    assert (result.reason, result.n_iters, accepted[-1]) == ("max_iters", max_iters, last_accepted)
+    assert len(calls) == 1 + int(accepted[:-1].sum())
+
+
 def test_lm_minimize_trains_a_net_with_no_conv_layer():
     """`lm_minimize` runs on any `_Split` of an FC layer and a linear output:
     an rvtdnn-shaped MLP over (D, N) features takes the reference loop's

@@ -38,6 +38,7 @@ RUNS = [
     ("lm-damping-limit", "run", [*_CRITERION_10, "lm.mu_max=0.001"], []),
     ("conv-reuse", "run", ["adam.max_iters=300", "reuse_filter_from=conv-300/model.json"], []),
     ("gmp", "run", ["model=gmp", "adam.max_iters=200"], []),
+    ("gmp-ridge", "run", ["model=gmp", "ridge=1e-8"], []),
     *[(m, "run", [f"model={m}", "adam.max_iters=200"], []) for m in _MLP_MODELS],
     ("sweep-2-3", "sweep-memory",
      ["signal.n_symbols=4", "dataset_count=400", "segment=256", "adam.max_iters=150", "lm.max_iters=10"],
