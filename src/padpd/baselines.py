@@ -199,7 +199,7 @@ def gmp_fit_ls(basis: np.ndarray, y, cfg: GmpConfig, ridge: float = 0.0) -> GmpM
     tri = r[:cols, :cols]
     if ridge == 0.0:
         s = np.linalg.svd(tri, compute_uv=False)
-        rank = int(np.count_nonzero(s > np.finfo(float).eps * max(rows, cols) * s[0]))
+        rank = np.count_nonzero(s > np.finfo(float).eps * max(rows, cols) * s[0])
         if rank < cols:
             raise GmpFitError(
                 f"basis is rank-deficient ({rank} < {cols}); pass ridge > 0 to regularize"
