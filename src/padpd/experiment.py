@@ -233,8 +233,15 @@ def _fit_gmp(cfg: ExperimentConfig, xs: ComplexSeq, ys: np.ndarray) -> _Fit:
     lo, hi = cfg.gmp.max_past, cfg.dataset_count + m - cfg.gmp.max_future
     tr, te = (rel + m for rel in split_indices(cfg.dataset_count, cfg.split_seed))
     tr, te = tr[(tr >= lo) & (tr < hi)], te[(te >= lo) & (te < hi)]
-    model = gmp_fit_ls(gmp_basis_at(xs, cfg.gmp, tr), ys[tr], cfg.gmp, cfg.ridge)
-    pred = gmp_basis_at(xs, cfg.gmp, rows) @ model.coeffs
+    # one basis over every row, the train rows first in split order, so that
+    # the fit reads them as a leading slice and no copy of them is made
+    rest = np.ones(len(rows), dtype=bool)
+    rest[tr - rows[0]] = False
+    order = np.concatenate([tr, rows[rest]])
+    basis = gmp_basis_at(xs, cfg.gmp, order)
+    model = gmp_fit_ls(basis[: len(tr)], ys[tr], cfg.gmp, cfg.ridge)
+    pred = np.empty(len(rows), dtype=np.complex128)
+    pred[order - rows[0]] = basis @ model.coeffs
     results = {"coeff_count": gmp_coeff_count(cfg.gmp), "flops": gmp_flops(cfg.gmp), "ridge": float(cfg.ridge)}
     return _Fit(rows, pred, tr - rows[0], te - rows[0], results, save=lambda path: save_gmp(model, path))
 

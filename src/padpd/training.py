@@ -6,11 +6,11 @@ The conv model's dense head is an MLP layer stack, so one backward pass
 (`_Split.cost_and_grad`) and one Adam loop (`adam_minimize`) serve both the
 conv model and the MLP baselines (`train_mlp_baseline`); the conv model
 adds only its kernel gradient. A training call packs the parameters into one
-flat vector (a `Net`), gives each data split a `Workspace` of preallocated
-buffers, and its loop updates the vector in place: `adam_minimize`, or
-`lm_minimize` on a net of one hidden layer and a linear output, such as the
-conv model's head over its frozen features. Every trainer lives here, and
-none writes a file.
+flat vector (a `Net`), cuts each data split into column blocks with a
+`Workspace` of preallocated buffers each, and its loop updates the vector in
+place: `adam_minimize`, or `lm_minimize` on a one-block split of a net of one
+hidden layer and a linear output, such as the conv model's head over its
+frozen features. Every trainer lives here, and none writes a file.
 
 The cost everywhere is mse = (1/2N) * sum[(I'-I)^2 + (Q'-Q)^2]. Inside,
 activations, deltas and targets are feature-major, shape (features, N), as
@@ -109,30 +109,86 @@ class LmConfig:
             raise ValueError("min_rel_improvement must lie in [0, 1)")
 
 
-class _Split:
-    """One data split's `Workspace` with its feature-major targets and cost
-    buffers, built once per training call; with ``backward``, also the
-    buffers of each dense layer's input gradient."""
+# samples per column block of an Adam split. At the paper's arch the
+# `_im2col` columns take 480 B per sample: a 2800-sample block's 1.3 MB stay
+# in a 2 MB L2 across its GEMMs, where an 8400-sample split's 4 MB are read
+# from L3 at every pass
+_BLOCK_SAMPLES = 4096
 
-    def __init__(self, net: Net, x: np.ndarray, labels: np.ndarray, backward: bool = False):
+
+def _blocks(n: int) -> list[slice]:
+    """``range(n)`` cut into the fewest consecutive slices of at most
+    `_BLOCK_SAMPLES` samples, of lengths that differ by at most one."""
+    k = max(1, -(-n // _BLOCK_SAMPLES))
+    bounds = [i * n // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+class _Block:
+    """One column block of a `_Split`: its `Workspace`, its residual,
+    ``cols``, the split's samples it holds, which begin at ``start``, and
+    with ``backward`` the buffers of each dense layer's input gradient."""
+
+    def __init__(self, net: Net, x: np.ndarray, start: int, backward: bool):
         self.ws = Workspace(net, x)
-        self.targets = labels.T
-        self.resid = np.empty(self.targets.shape)
-        self.sq = np.empty(self.targets.shape)
+        self.resid = np.empty(self.ws.acts[-1].shape)
+        self.cols = slice(start, start + self.resid.shape[1])
         self.deltas = [np.empty(a.shape) for a in self.ws.acts[:-1]] if backward else []
         if backward and net.conv is None:
             self.deltas[0] = None  # an MLP needs no gradient at its input
 
-    def cost(self) -> float:
-        """The MSE cost at the net's current parameters; leaves the residual
-        in ``resid``."""
-        np.subtract(self.ws.forward(), self.targets, out=self.resid)
-        np.multiply(self.resid, self.resid, out=self.sq)
+
+class _Split:
+    """One data split's feature-major targets and buffers, built once per
+    training call.
+
+    ``xs`` holds the split's input in column blocks, feature-major, whose
+    columns run through the split in order: a conv model's `_im2col` columns
+    or an MLP's features per block. Each block gets its own buffers, so a pass
+    over it stays in cache. ``sq``, the whole split's squared residuals, is
+    allocated by the first `cost`, since only the cost reads it.
+    """
+
+    def __init__(self, net: Net, xs: list[np.ndarray], labels: np.ndarray, backward: bool = False):
+        self.net, self.targets = net, labels.T
+        self.blocks, start = [], 0
+        for x in xs:
+            self.blocks.append(_Block(net, x, start, backward))
+            start = self.blocks[-1].cols.stop
+        if start != self.targets.shape[1]:
+            raise ValueError(f"the blocks hold {start} samples, the labels {self.targets.shape[1]}")
+        self.sq = None
+        # where the blocks after the first write their gradient
+        self.block_grad = net.like(np.empty_like(net.theta)) if backward and len(xs) > 1 else None
+
+    def _forward(self, block: _Block) -> np.ndarray:
+        """One block's forward pass; returns its residual, ``block.resid``,
+        and writes its squares into the block's columns of ``sq``."""
+        if self.sq is None:
+            self.sq = np.empty(self.targets.shape)
+        np.subtract(block.ws.forward(), self.targets[:, block.cols], out=block.resid)
+        np.multiply(block.resid, block.resid, out=self.sq[:, block.cols])
+        return block.resid
+
+    def _mse(self) -> float:
         return float(self.sq.sum() / (2 * self.targets.shape[1]))
+
+    def cost(self) -> float:
+        """The MSE cost at the net's current parameters; leaves each block's
+        residual in its ``resid``."""
+        for block in self.blocks:
+            self._forward(block)
+        return self._mse()
 
     def cost_and_grad(self, grad: Net) -> float:
         """The MSE cost; writes its gradient into ``grad``, a `Net.like` of the
         split's net.
+
+        Block by block: the forward pass, then the backward pass from the
+        block's residual over the whole split's N, so that the block
+        gradients add up, in block order, to the split's. The cost is one sum
+        of ``sq`` after the last block, so it has the same bytes however the
+        split is cut.
 
         The dense layers backpropagate from the output; a conv model's
         gradient at the head's input, ``fc_weights @ d_fc``, is the conv
@@ -141,33 +197,44 @@ class _Split:
         into the bias gradient. The derivatives of tanh and sigmoid overwrite
         the pre-activations they no longer need.
         """
-        cost = self.cost()
-        ws, net = self.ws, self.ws.net
-        delta = np.divide(self.resid, self.targets.shape[1], out=self.resid)
-        for j in range(len(net.layers) - 1, -1, -1):
-            layer, g = net.layers[j], grad.layers[j]
-            if layer.act.kind != "linear":
-                delta *= layer.act.derivative_from_output(ws.pres[j], ws.acts[j + 1], into=ws.pres[j])
-            np.matmul(ws.acts[j], delta.T, out=g.weights)
-            np.sum(delta, axis=1, out=g.biases)
-            if self.deltas[j] is not None:
-                delta = np.matmul(layer.weights, delta, out=self.deltas[j])
-        if net.conv is not None:
-            d_pre = delta.reshape(net.conv.shape[0], -1)
-            d_pre *= net.arch.conv_activation.derivative_from_output(ws.conv_pre, ws.conv_out, into=ws.conv_pre)
-            np.matmul(d_pre, ws.x.T, out=grad.conv)
-        return cost
+        for i, block in enumerate(self.blocks):
+            g = grad if i == 0 else self.block_grad
+            delta = np.divide(self._forward(block), self.targets.shape[1], out=block.resid)
+            ws, net = block.ws, self.net
+            for j in range(len(net.layers) - 1, -1, -1):
+                layer, g_layer = net.layers[j], g.layers[j]
+                if layer.act.kind != "linear":
+                    delta *= layer.act.derivative_from_output(ws.pres[j], ws.acts[j + 1], into=ws.pres[j])
+                np.matmul(ws.acts[j], delta.T, out=g_layer.weights)
+                np.sum(delta, axis=1, out=g_layer.biases)
+                if block.deltas[j] is not None:
+                    delta = np.matmul(layer.weights, delta, out=block.deltas[j])
+            if net.conv is not None:
+                d_pre = delta.reshape(net.conv.shape[0], -1)
+                d_pre *= net.arch.conv_activation.derivative_from_output(ws.conv_pre, ws.conv_out,
+                                                                         into=ws.conv_pre)
+                np.matmul(d_pre, ws.x.T, out=g.conv)
+            if i:
+                np.add(grad.theta, g.theta, out=grad.theta)
+        return self._mse()
+
+
+def _conv_split(net: Net, data: Dataset, backward: bool = False) -> _Split:
+    """A conv model's split of ``data``: one block of `_im2col` columns per
+    `_blocks` slice of its graphs."""
+    return _Split(net, [_im2col(data.graphs[b], net.arch) for b in _blocks(len(data.graphs))], data.labels,
+                  backward)
 
 
 def mse_cost(params: ConvNetParams, arch: ConvNetArch, data: Dataset) -> float:
-    return _Split(conv_net(params, arch), _im2col(data.graphs, arch), data.labels).cost()
+    return _conv_split(conv_net(params, arch), data).cost()
 
 
 def backprop_grads(params: ConvNetParams, arch: ConvNetArch, data: Dataset) -> ConvNetParams:
     """Gradient of the MSE cost, shaped like the parameters."""
     net = conv_net(params, arch)
     grad = net.like(np.empty_like(net.theta))
-    _Split(net, _im2col(data.graphs, arch), data.labels, backward=True).cost_and_grad(grad)
+    _conv_split(net, data, backward=True).cost_and_grad(grad)
     return grad.conv_params()
 
 
@@ -193,8 +260,8 @@ def adam_minimize(train: _Split, cfg: AdamConfig, test: _Split | None = None) ->
     given. On a threshold stop the parameters are the ones whose cost is the
     last history row.
     """
-    theta = train.ws.net.theta
-    grad = train.ws.net.like(np.empty_like(theta))
+    theta = train.net.theta
+    grad = train.net.like(np.empty_like(theta))
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     history = []
     for it in range(1, cfg.max_iters + 1):
@@ -217,12 +284,12 @@ def train_stage1_adam(
 ) -> tuple[ConvNetParams, np.ndarray]:
     """Stage 1: `adam_minimize` over every conv model parameter.
 
-    Each split's `_im2col` columns and buffers are built once up front and
-    every iteration reuses them.
+    Each split's `_im2col` columns and buffers are built once up front, in
+    `_blocks`, and every iteration reuses them.
     """
     net = conv_net(params, arch)
-    history = adam_minimize(_Split(net, _im2col(train.graphs, arch), train.labels, backward=True), cfg,
-                            None if test is None else _Split(net, _im2col(test.graphs, arch), test.labels))
+    history = adam_minimize(_conv_split(net, train, backward=True), cfg,
+                            None if test is None else _conv_split(net, test))
     return net.conv_params(), history
 
 
@@ -291,19 +358,21 @@ def _fc_normal_equations(ws: Workspace, e: np.ndarray):
 def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
     """Damped Gauss-Newton on the split's net, an FC layer and a linear output.
 
-    Steps solve (J'J + mu I) delta = J'e; a step is kept only if the cost
-    drops (then mu shrinks), otherwise it is undone and retried on the same
-    J'J with a larger mu. The net's vector is updated in place.
+    The split is one block: LM takes one pass over all of it. Steps solve
+    (J'J + mu I) delta = J'e; a step is kept only if the cost drops (then mu
+    shrinks), otherwise it is undone and retried on the same J'J with a
+    larger mu. The net's vector is updated in place.
     """
-    theta, n = split.ws.net.theta, split.targets.shape[1]
-    e = split.resid.reshape(-1)  # the last pass's residual, component index fastest
+    (block,) = split.blocks
+    ws, theta, n = block.ws, split.net.theta, split.targets.shape[1]
+    e = block.resid.reshape(-1)  # the last pass's residual, component index fastest
 
     def cost() -> float:
-        np.subtract(split.ws.forward().T, split.targets.T, out=e.reshape(n, 2))
+        np.subtract(ws.forward().T, split.targets.T, out=e.reshape(n, 2))
         return float(e @ e) / (2 * n)
 
     mse = cost()
-    jtj, grad = _fc_normal_equations(split.ws, e)
+    jtj, grad = _fc_normal_equations(ws, e)
     mu, history, reason = cfg.mu_init, [], "max_iters"
     for it in range(1, cfg.max_iters + 1):
         gnorm = float(np.max(np.abs(grad))) / n
@@ -331,7 +400,7 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
                 reason = "stalled"
                 break
             if it < cfg.max_iters:  # the buffers hold the accepted parameters' forward pass
-                jtj, grad = _fc_normal_equations(split.ws, e)
+                jtj, grad = _fc_normal_equations(ws, e)
         else:
             theta[:] = kept
             mu *= cfg.mu_up
@@ -356,7 +425,7 @@ def train_stage2_lm(
     ws.forward()
     features = ws.acts[0]
     del ws
-    result = lm_minimize(_Split(Net(net.theta[net.conv.size :], net.layers), features, train.labels), cfg)
+    result = lm_minimize(_Split(Net(net.theta[net.conv.size :], net.layers), [features], train.labels), cfg)
     return net.conv_params(), result
 
 
@@ -367,8 +436,9 @@ def train_mlp_baseline(
     seed: int = 0,
 ) -> tuple[list[MlpLayer], np.ndarray]:
     """`adam_minimize` over every weight and bias of a baseline MLP, on a
-    dataset's graphs; returns (layers, history)."""
+    dataset's graphs, in `_blocks` of their features; returns (layers, history)."""
     feats = mlp_features_from_graphs(train.graphs, spec.feature_kind)
     net = Net.of(mlp_init(spec.widths(train.memory_depth), Activation(spec.hidden_activation), seed))
-    history = adam_minimize(_Split(net, feats.T, train.labels, backward=True), cfg)
+    split = _Split(net, [feats[b].T for b in _blocks(len(feats))], train.labels, backward=True)
+    history = adam_minimize(split, cfg)
     return net.layers, history

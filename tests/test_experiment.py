@@ -193,23 +193,27 @@ def _run_at_blas_threads(threads: str, script: str, *args: str) -> str:
 @pytest.mark.slow
 def test_stage1_history_independent_of_blas_threads(tmp_path):
     """The criterion-10 run's stage-1 history has the same bytes at 1 and 2
-    OpenBLAS threads. (LM's solve is not thread-invariant, so later outputs
-    are not compared.)"""
+    OpenBLAS threads: with its 480/320 split in one block each, as it runs,
+    and cut into blocks of at most 100 samples (5 and 4 blocks). (LM's solve
+    is not thread-invariant, so later outputs are not compared.)"""
     script = (
         "import sys\n"
+        "from padpd import training\n"
         "from padpd.experiment import ExperimentConfig, run_experiment\n"
         "from padpd.signals import OfdmConfig\n"
         "from padpd.training import AdamConfig, LmConfig\n"
+        "training._BLOCK_SAMPLES = int(sys.argv[2])\n"
         "run_experiment(ExperimentConfig(signal=OfdmConfig(n_symbols=6), adam=AdamConfig(max_iters=200),\n"
         "                                lm=LmConfig(max_iters=15), dataset_count=800, segment=512),\n"
         "               sys.argv[1])\n"
     )
-    histories = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        _run_at_blas_threads(threads, script, str(out))
-        histories.append((out / "history_stage1.csv").read_bytes())
-    assert histories[0] == histories[1]
+    for block_samples in ("4096", "100"):
+        histories = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"cap{block_samples}-threads{threads}"
+            _run_at_blas_threads(threads, script, str(out), block_samples)
+            histories.append((out / "history_stage1.csv").read_bytes())
+        assert histories[0] == histories[1], block_samples
 
 
 @pytest.mark.slow

@@ -49,7 +49,7 @@ def mlp_cost_and_grads(layers, x, labels):
     """MSE cost and per-layer (dW, db) of a plain MLP over x (N, D)."""
     net = Net.of(layers)
     grad = net.like(np.empty_like(net.theta))
-    cost = _Split(net, x.T, labels, backward=True).cost_and_grad(grad)
+    cost = _Split(net, [x.T], labels, backward=True).cost_and_grad(grad)
     return cost, [(g.weights, g.biases) for g in grad.layers]
 
 
@@ -57,7 +57,7 @@ def train_mlp(layers, x, labels, cfg):
     """`adam_minimize` over every weight and bias of an MLP over x (N, D), as
     `train_mlp_baseline` runs it on a baseline's features."""
     net = Net.of(layers)
-    return net.layers, adam_minimize(_Split(net, x.T, labels, backward=True), cfg)
+    return net.layers, adam_minimize(_Split(net, [x.T], labels, backward=True), cfg)
 
 
 def tiny_task(arch, n=60, seed=0, label_seed=1):
@@ -477,6 +477,88 @@ def test_stage1_iteration_allocates_little():
     assert starts[-1] - starts[0] <= 10_000, starts
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 200), cap=st.integers(1, 60))
+def test_blocks_hold_each_sample_once(n, cap):
+    """`_blocks` cuts range(n) into the fewest consecutive slices of at most
+    the cap, whose lengths differ by at most one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "_BLOCK_SAMPLES", cap)
+        blocks = training._blocks(n)
+    assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+    lengths = [b.stop - b.start for b in blocks]
+    assert len(blocks) == max(1, -(-n // cap))
+    assert max(lengths) <= cap and max(lengths) - min(lengths) <= 1
+
+
+def assert_grads_close(got, want):
+    """Each gradient array within 1e-12 relative, with a floor of 1e-12 of its
+    largest entry for entries that cancel to about zero."""
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(arch=conv_archs(), n=st.integers(1, 40), cap=st.integers(3, 20), seed=st.integers(0, 2**32 - 1))
+@example(arch=ConvNetArch(), n=40, cap=13, seed=0)
+def test_conv_blocks_keep_the_cost_and_gradient(arch, n, cap, seed):
+    """A conv split cut into blocks of at most ``cap`` samples gives the
+    one-block split's cost byte for byte, with and without the backward pass,
+    and its gradient to 1e-12; each block holds the `_im2col` columns of
+    its own graphs.
+
+    The bytes are kept where a row's forward pass has the same bytes in any
+    batch: at least 2 kernels, at least 2 FC neurons and fewer than 15
+    kernel taps, as in the paper's arch, and no block of one sample, which a
+    cap of 3 or more never cuts. (numpy sends a one-row or one-column product
+    to gemv, whose sums round unlike gemm's, and OpenBLAS picks another GEMM
+    kernel for small blocks of 15 or more taps.) Elsewhere the cost agrees
+    to 1e-14."""
+    rng = np.random.default_rng(seed)
+    params = with_random_biases(init_params(arch, seed), rng)
+    data = Dataset(rng.standard_normal((n, *arch.input_shape)), rng.standard_normal((n, 2)), "train")
+    one_cost, one_grad = mse_cost(params, arch, data), backprop_grads(params, arch, data)
+    net = conv_net(params, arch)
+    grad = net.like(np.empty_like(net.theta))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "_BLOCK_SAMPLES", cap)
+        split = training._conv_split(net, data, backward=True)
+        costs = split.cost_and_grad(grad), mse_cost(params, arch, data)
+        assert_grads_close(backprop_grads(params, arch, data).as_list(), one_grad.as_list())
+    if arch.n_kernels > 1 and arch.fc_neurons > 1 and arch.kernel_rows * arch.kernel_cols < 15:
+        assert costs == (one_cost, one_cost)
+    else:
+        assert costs == (pytest.approx(one_cost, rel=1e-14),) * 2
+    assert_grads_close(net.like(grad.theta).conv_params().as_list(), one_grad.as_list())
+    assert len(split.blocks) == -(-n // cap)
+    for block in split.blocks:
+        assert np.array_equal(block.ws.x, _im2col(data.graphs[block.cols], arch))
+
+
+@pytest.mark.parametrize("name", sorted(MLP_BASELINES))
+def test_mlp_blocks_keep_the_cost_and_gradient(name):
+    """Each baseline MLP, over its features in blocks of at most 23 samples,
+    gives the one-block cost byte for byte and its gradient to 1e-12; and
+    `train_mlp_baseline` cuts its split into those blocks."""
+    spec = MLP_BASELINES[name]
+    rng = np.random.default_rng(13)
+    graphs = rng.standard_normal((100, 5, 4)) * 0.5
+    labels = rng.standard_normal((100, 2)) * 0.3
+    feats = mlp_features_from_graphs(graphs, spec.feature_kind)
+    net = Net.of(mlp_init(spec.widths(3), Activation(spec.hidden_activation), seed=2))
+    grads = [net.like(np.empty_like(net.theta)) for _ in range(2)]
+    one_cost = _Split(net, [feats.T], labels, backward=True).cost_and_grad(grads[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "_BLOCK_SAMPLES", 23)
+        blocks = training._blocks(len(feats))
+        split = _Split(net, [feats[b].T for b in blocks], labels, backward=True)
+        assert len(split.blocks) == 5 and split.cost_and_grad(grads[1]) == one_cost
+        _, hist = train_mlp_baseline(spec, Dataset(graphs, labels, "train"), AdamConfig(max_iters=1), seed=2)
+    assert_grads_close(grads[1].arrays, grads[0].arrays)
+    assert hist[0, 1] == one_cost
+
+
 def _conv_trainer():
     arch = ConvNetArch(memory_depth=1, kernel_cols=2, kernel_rows=2, n_kernels=2, fc_neurons=3)
     data = tiny_task(arch, n=40)
@@ -762,13 +844,17 @@ def test_lm_forms_no_normal_equations_after_its_last_step(monkeypatch, max_iters
 def test_lm_minimize_trains_a_net_with_no_conv_layer():
     """`lm_minimize` runs on any `_Split` of an FC layer and a linear output:
     an rvtdnn-shaped MLP over (D, N) features takes the reference loop's
-    path and lowers the cost."""
+    path and lowers the cost. LM computes its own cost from the residual, so
+    its split never allocates the squared residuals that `_Split.cost` sums."""
     rng = np.random.default_rng(11)
     x = rng.standard_normal((8, 300))
     labels = np.tanh(x.T @ rng.standard_normal((8, 2))) + 0.05 * rng.standard_normal((300, 2))
     layers = mlp_init([8, 5, 2], Activation("tanh"), seed=2)
     rows, reason = reference_lm(Net.of(layers), x.T, labels, LmConfig())
-    split = _Split(Net.of(layers), x, labels)
+    lm_only = _Split(Net.of(layers), [x], labels)
+    assert_same_lm_path(lm_minimize(lm_only, LmConfig()), rows, reason)
+    assert lm_only.sq is None
+    split = _Split(Net.of(layers), [x], labels)
     cost_before = split.cost()
     result = lm_minimize(split, LmConfig())
     assert_same_lm_path(result, rows, reason)
