@@ -146,7 +146,8 @@ class _Split:
     columns run through the split in order: a conv model's `_im2col` columns
     or an MLP's features per block. Each block gets its own buffers, so a pass
     over it stays in cache. ``sq``, the whole split's squared residuals, is
-    allocated by the first `cost`, since only the cost reads it.
+    allocated by the first `cost` or `cost_and_grad`, since only they read
+    it: `lm_minimize` takes its cost from the residual.
     """
 
     def __init__(self, net: Net, xs: list[np.ndarray], labels: np.ndarray, backward: bool = False):
@@ -197,10 +198,10 @@ class _Split:
         into the bias gradient. The derivatives of tanh and sigmoid overwrite
         the pre-activations they no longer need.
         """
+        net = self.net
         for i, block in enumerate(self.blocks):
-            g = grad if i == 0 else self.block_grad
+            g, ws = grad if i == 0 else self.block_grad, block.ws
             delta = np.divide(self._forward(block), self.targets.shape[1], out=block.resid)
-            ws, net = block.ws, self.net
             for j in range(len(net.layers) - 1, -1, -1):
                 layer, g_layer = net.layers[j], g.layers[j]
                 if layer.act.kind != "linear":

@@ -624,8 +624,17 @@ def test_lm_polish_improves_and_freezes_conv():
     cost_before = mse_cost(warm, arch, data)
     warm_bytes = [a.tobytes() for a in warm.as_list()]
 
-    polished, result = train_stage2_lm(warm, arch, data, LmConfig())
+    splits = []
+
+    def recorded(split, cfg):
+        splits.append(split)
+        return lm_minimize(split, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "lm_minimize", recorded)
+        polished, result = train_stage2_lm(warm, arch, data, LmConfig())
     assert [a.tobytes() for a in warm.as_list()] == warm_bytes  # the caller's arrays are not written
+    assert splits[0].sq is None  # LM's split has no squared-residual buffer
     cost_after = mse_cost(polished, arch, data)
     assert cost_after <= cost_before * (1 + 1e-12)
     assert result.converged
@@ -844,8 +853,9 @@ def test_lm_forms_no_normal_equations_after_its_last_step(monkeypatch, max_iters
 def test_lm_minimize_trains_a_net_with_no_conv_layer():
     """`lm_minimize` runs on any `_Split` of an FC layer and a linear output:
     an rvtdnn-shaped MLP over (D, N) features takes the reference loop's
-    path and lowers the cost. LM computes its own cost from the residual, so
-    its split never allocates the squared residuals that `_Split.cost` sums."""
+    path and lowers the cost. LM takes its cost from the residual, so a
+    split that only LM runs on never allocates the squared residuals that
+    `_Split.cost` sums."""
     rng = np.random.default_rng(11)
     x = rng.standard_normal((8, 300))
     labels = np.tanh(x.T @ rng.standard_normal((8, 2))) + 0.05 * rng.standard_normal((300, 2))
