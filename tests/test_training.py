@@ -540,7 +540,7 @@ def test_conv_blocks_keep_the_cost_and_gradient(arch, n, cap, seed):
 def test_mlp_blocks_keep_the_cost_and_gradient(name):
     """Each baseline MLP, over its features in blocks of at most 23 samples,
     gives the one-block cost byte for byte and its gradient to 1e-12; and
-    `train_mlp_baseline` cuts its split into those blocks."""
+    `train_mlp_baseline` trains on a split cut into those blocks."""
     spec = MLP_BASELINES[name]
     rng = np.random.default_rng(13)
     graphs = rng.standard_normal((100, 5, 4)) * 0.5
@@ -549,13 +549,21 @@ def test_mlp_blocks_keep_the_cost_and_gradient(name):
     net = Net.of(mlp_init(spec.widths(3), Activation(spec.hidden_activation), seed=2))
     grads = [net.like(np.empty_like(net.theta)) for _ in range(2)]
     one_cost = _Split(net, [feats.T], labels, backward=True).cost_and_grad(grads[0])
+    trained = []
+
+    def recorded(split, cfg, test=None):
+        trained.append(split)
+        return adam_minimize(split, cfg, test)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "_BLOCK_SAMPLES", 23)
+        mp.setattr(training, "adam_minimize", recorded)
         blocks = training._blocks(len(feats))
         split = _Split(net, [feats[b].T for b in blocks], labels, backward=True)
         assert len(split.blocks) == 5 and split.cost_and_grad(grads[1]) == one_cost
         _, hist = train_mlp_baseline(spec, Dataset(graphs, labels, "train"), AdamConfig(max_iters=1), seed=2)
     assert_grads_close(grads[1].arrays, grads[0].arrays)
+    assert [b.cols for b in trained[0].blocks] == blocks
     assert hist[0, 1] == one_cost
 
 
@@ -853,17 +861,12 @@ def test_lm_forms_no_normal_equations_after_its_last_step(monkeypatch, max_iters
 def test_lm_minimize_trains_a_net_with_no_conv_layer():
     """`lm_minimize` runs on any `_Split` of an FC layer and a linear output:
     an rvtdnn-shaped MLP over (D, N) features takes the reference loop's
-    path and lowers the cost. LM takes its cost from the residual, so a
-    split that only LM runs on never allocates the squared residuals that
-    `_Split.cost` sums."""
+    path and lowers the cost."""
     rng = np.random.default_rng(11)
     x = rng.standard_normal((8, 300))
     labels = np.tanh(x.T @ rng.standard_normal((8, 2))) + 0.05 * rng.standard_normal((300, 2))
     layers = mlp_init([8, 5, 2], Activation("tanh"), seed=2)
     rows, reason = reference_lm(Net.of(layers), x.T, labels, LmConfig())
-    lm_only = _Split(Net.of(layers), [x], labels)
-    assert_same_lm_path(lm_minimize(lm_only, LmConfig()), rows, reason)
-    assert lm_only.sq is None
     split = _Split(Net.of(layers), [x], labels)
     cost_before = split.cost()
     result = lm_minimize(split, LmConfig())
