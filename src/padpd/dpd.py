@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import network
 from .dataset import feature_graphs
 from .metrics import ChannelPlan, acpr_db, psd_welch
-from .network import ConvNetArch, ConvNetParams, forward_batch
+from .network import ConvNetArch, ConvNetParams, blocks, forward_batch
 from .pa import ImpairmentConfig, PolyPaModel, transmit_chain
 from .signals import ComplexSeq
 
@@ -102,6 +101,8 @@ def apply_dpd(
     ``scale`` is the dataset normalization the model was trained under; the
     input is scaled into model units and the output scaled back. The first
     memory_depth samples have no full history and pass through unmodified.
+    The rest go through in `blocks`, the cut every conv-model pass uses, so
+    the whole drive's graphs never coexist.
     """
     if not scale > 0:
         raise ValueError("scale must be positive")
@@ -110,11 +111,9 @@ def apply_dpd(
         raise ValueError(f"signal needs more than {m} samples")
     z = x.scaled(scale)
     out = x.data.copy()
-    # One forward block of graphs at a time, so the whole drive's graphs never coexist.
-    for start in range(m, len(x), network._FORWARD_BLOCK_ROWS):
-        stop = min(start + network._FORWARD_BLOCK_ROWS, len(x))
-        rows = forward_batch(params, arch, feature_graphs(z, start, stop - start, m))
-        out[start:stop] = (rows[:, 0] + 1j * rows[:, 1]) / scale
+    for b in blocks(len(x) - m):
+        rows = forward_batch(params, arch, feature_graphs(z, m + b.start, b.stop - b.start, m))
+        out[m + b.start : m + b.stop] = (rows[:, 0] + 1j * rows[:, 1]) / scale
         del rows  # not held through the next block's forward pass
     return x.with_data(out)
 

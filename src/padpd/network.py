@@ -7,7 +7,9 @@ and feed the dense head: a T-neuron fully connected layer and a 2-neuron
 linear output for I and Q. The head is an ordinary MLP layer stack, so the
 conv model and the MLP baselines share one forward pass: a `Net` holds a
 model's parameters as views into one flat vector, and a `Workspace` holds one
-batch's preallocated buffers, which `Workspace.forward` fills.
+batch's preallocated buffers, which `Workspace.forward` fills. A pass over
+many samples, whether a training split, a prediction or a DPD drive, runs in
+`blocks` of at most `_BLOCK_SAMPLES` samples, one `Workspace` each.
 
 Inside, every activation is stored feature-major, shape (features, N), with
 the sample index contiguous: the conv GEMM's output is then the head's input
@@ -32,6 +34,7 @@ __all__ = [
     "ConvNetParams",
     "Net",
     "Workspace",
+    "blocks",
     "conv_net",
     "forward_batch",
     "init_params",
@@ -216,11 +219,6 @@ class ConvNetParams:
                 raise ValueError(f"{name} has shape {got}, expected {shape} for this arch")
 
 
-# Graphs per `forward_batch` block: bounds the im2col columns a long input
-# (a whole DPD drive) holds at once.
-_FORWARD_BLOCK_ROWS = 16384
-
-
 def _as_graphs(graphs, arch: ConvNetArch) -> np.ndarray:
     graphs = np.asarray(graphs, dtype=float)
     if graphs.ndim != 3 or graphs.shape[1:] != arch.input_shape:
@@ -253,21 +251,20 @@ def _im2col(graphs: np.ndarray, arch: ConvNetArch) -> np.ndarray:
 
 def forward_batch(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray) -> np.ndarray:
     """Model outputs, shape (n, 2) with columns (I, Q): the transpose of a
-    feature-major array. Graphs go through in blocks of `_FORWARD_BLOCK_ROWS`,
-    so only one block's unrolled windows are held at a time, however long
-    the input.
+    feature-major array. Graphs go through in `blocks`, the cut training
+    uses, so only one block's unrolled windows are held at a time, however
+    long the input.
     """
     net = conv_net(params, arch)
     graphs = _as_graphs(graphs, arch)
-    n = graphs.shape[0]
-    out = np.empty((N_OUTPUTS, n))
-    for start in range(0, n, _FORWARD_BLOCK_ROWS):
-        block = graphs[start : start + _FORWARD_BLOCK_ROWS]
+    out = np.empty((N_OUTPUTS, graphs.shape[0]))
+    for b in blocks(graphs.shape[0]):
+        block = graphs[b]
         # numpy sends a one-column product to gemv, whose sums round unlike
         # gemm's; a lone graph runs as two copies, so that it gets the bytes
         # of the same graph's row in a larger batch.
-        ws = Workspace(net, _im2col(block if len(block) > 1 else np.repeat(block, 2, axis=0), arch))
-        out[:, start : start + len(block)] = ws.forward()[:, : len(block)]
+        ws = Workspace(net, _im2col(np.repeat(block, 2, axis=0) if len(block) == 1 else block, arch))
+        out[:, b] = ws.forward()[:, : len(block)]
     return out.T
 
 
@@ -363,6 +360,22 @@ def conv_net(params: ConvNetParams, arch: ConvNetArch) -> Net:
     head = [MlpLayer(params.fc_weights, params.fc_biases, arch.fc_activation),
             MlpLayer(params.out_weights, params.out_biases, LINEAR)]
     return Net.of(head, conv, arch)
+
+
+# samples per block of a long batch: every pass over more samples than this
+# (a training split, a prediction, a DPD drive) runs in `blocks`. At the
+# paper's arch the `_im2col` columns take 480 B per sample: a 2800-sample
+# block's 1.3 MB stay in a 2 MB L2 across its GEMMs, where an 8400-sample
+# split's 4 MB are read from L3 at every pass
+_BLOCK_SAMPLES = 4096
+
+
+def blocks(n: int) -> list[slice]:
+    """``range(n)`` cut into the fewest consecutive slices of at most
+    `_BLOCK_SAMPLES` samples, of lengths that differ by at most one."""
+    k = max(1, -(-n // _BLOCK_SAMPLES))
+    bounds = [i * n // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 class Workspace:

@@ -6,13 +6,15 @@ The conv model's dense head is an MLP layer stack, so one backward pass
 (`_Split.cost_and_grad`) and one Adam loop (`adam_minimize`) serve both the
 conv model and the MLP baselines (`train_mlp_baseline`); the conv model
 adds only its kernel gradient. A training call packs the parameters into one
-flat vector (a `Net`), cuts each data split into column blocks with a
-`Workspace` of preallocated buffers each, and its loop updates the vector in
-place: `adam_minimize`, or `lm_minimize` on a one-block split of a net of one
-hidden layer and a linear output, such as the conv model's head over its
-frozen features. Every trainer lives here, and none writes a file.
+flat vector (a `Net`), cuts each data split into the column blocks of
+`network.blocks` with a `Workspace` of preallocated buffers each, and its
+loop updates the vector in place: `adam_minimize`, or `lm_minimize` on a
+one-block split of a net of one hidden layer and a linear output, such as the
+conv model's head over its frozen features. Every trainer lives here, and
+none writes a file.
 
-The cost everywhere is mse = (1/2N) * sum[(I'-I)^2 + (Q'-Q)^2]. Inside,
+The cost everywhere is mse = (1/2N) * sum[(I'-I)^2 + (Q'-Q)^2], one sum
+over a split's squared residuals (`_Split.cost`) for Adam and LM alike. Inside,
 activations, deltas and targets are feature-major, shape (features, N), as
 in `network`; the public functions take (N, features) arrays.
 """
@@ -34,6 +36,7 @@ from .network import (
     Net,
     Workspace,
     _im2col,
+    blocks,
     conv_net,
     mlp_init,
 )
@@ -109,21 +112,6 @@ class LmConfig:
             raise ValueError("min_rel_improvement must lie in [0, 1)")
 
 
-# samples per column block of an Adam split. At the paper's arch the
-# `_im2col` columns take 480 B per sample: a 2800-sample block's 1.3 MB stay
-# in a 2 MB L2 across its GEMMs, where an 8400-sample split's 4 MB are read
-# from L3 at every pass
-_BLOCK_SAMPLES = 4096
-
-
-def _blocks(n: int) -> list[slice]:
-    """``range(n)`` cut into the fewest consecutive slices of at most
-    `_BLOCK_SAMPLES` samples, of lengths that differ by at most one."""
-    k = max(1, -(-n // _BLOCK_SAMPLES))
-    bounds = [i * n // k for i in range(k + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
 class _Block:
     """One column block of a `_Split`: its `Workspace`, its residual,
     ``cols``, the split's samples it holds, which begin at ``start``, and
@@ -145,9 +133,8 @@ class _Split:
     ``xs`` holds the split's input in column blocks, feature-major, whose
     columns run through the split in order: a conv model's `_im2col` columns
     or an MLP's features per block. Each block gets its own buffers, so a pass
-    over it stays in cache. ``sq``, the whole split's squared residuals, is
-    allocated by the first `cost` or `cost_and_grad`, since only they read
-    it: `lm_minimize` takes its cost from the residual.
+    over it stays in cache. ``sq`` holds the whole split's squared residuals,
+    whose one sum is the cost of every trainer, Adam's and LM's.
     """
 
     def __init__(self, net: Net, xs: list[np.ndarray], labels: np.ndarray, backward: bool = False):
@@ -158,15 +145,13 @@ class _Split:
             start = self.blocks[-1].cols.stop
         if start != self.targets.shape[1]:
             raise ValueError(f"the blocks hold {start} samples, the labels {self.targets.shape[1]}")
-        self.sq = None
+        self.sq = np.empty(self.targets.shape)
         # where the blocks after the first write their gradient
         self.block_grad = net.like(np.empty_like(net.theta)) if backward and len(xs) > 1 else None
 
     def _forward(self, block: _Block) -> np.ndarray:
         """One block's forward pass; returns its residual, ``block.resid``,
         and writes its squares into the block's columns of ``sq``."""
-        if self.sq is None:
-            self.sq = np.empty(self.targets.shape)
         np.subtract(block.ws.forward(), self.targets[:, block.cols], out=block.resid)
         np.multiply(block.resid, block.resid, out=self.sq[:, block.cols])
         return block.resid
@@ -222,8 +207,8 @@ class _Split:
 
 def _conv_split(net: Net, data: Dataset, backward: bool = False) -> _Split:
     """A conv model's split of ``data``: one block of `_im2col` columns per
-    `_blocks` slice of its graphs."""
-    return _Split(net, [_im2col(data.graphs[b], net.arch) for b in _blocks(len(data.graphs))], data.labels,
+    `blocks` slice of its graphs."""
+    return _Split(net, [_im2col(data.graphs[b], net.arch) for b in blocks(len(data.graphs))], data.labels,
                   backward)
 
 
@@ -286,7 +271,7 @@ def train_stage1_adam(
     """Stage 1: `adam_minimize` over every conv model parameter.
 
     Each split's `_im2col` columns and buffers are built once up front, in
-    `_blocks`, and every iteration reuses them.
+    `blocks`, and every iteration reuses them.
     """
     net = conv_net(params, arch)
     history = adam_minimize(_conv_split(net, train, backward=True), cfg,
@@ -310,9 +295,9 @@ class LmResult:
         return self.reason != "max_iters"
 
 
-def _fc_normal_equations(ws: Workspace, e: np.ndarray):
-    """J'J and J'e, without forming J, of the residual ``e`` (order (n, comp))
-    over the FC and linear output layers of ``ws``'s net after its forward pass.
+def _fc_normal_equations(block: _Block):
+    """J'J and J'e, without forming J, of a block's residual over the FC and
+    linear output layers of its net, after the pass that left the residual.
 
     Row n's I and Q rows of J share the factor ``[flat_n, 1] ⊗ fc_act'_n`` over
     the FC weights and biases, scaled by ``out_w[:, c]``; over component c's
@@ -320,19 +305,20 @@ def _fc_normal_equations(ws: Workspace, e: np.ndarray):
     matrix of the N-row ``W = [[flat, 1] ⊗ fc_act' | fc_out | 1]``, weighted
     by ``out_w``, and J'e is the head's backprop gradient.
 
-    The buffers are read as (N, ·) transposes, so ``flat.T`` and ``dact.T``
-    are contiguous; as in backprop, tanh's and sigmoid's derivatives overwrite
-    the pre-activations, which the next forward pass refills. W is built
+    The feature-major buffers and residual are read as (N, ·) transposes, so
+    ``flat.T`` and ``dact.T`` are contiguous; as in backprop, tanh's and
+    sigmoid's derivatives overwrite the pre-activations, which the next
+    forward pass refills. W is built
     transposed, one contiguous N-long row per column. It gets zero columns up
     to a multiple of 8: OpenBLAS then gives the Gram matrix the same bytes at
     any thread count, which it does not for some other widths.
     """
+    ws, e = block.ws, block.resid.T
     flat, fc_pre, fc_out = ws.acts[0].T, ws.pres[0].T, ws.acts[1].T
     fc_act, out_w = ws.net.layers[0].act, ws.net.layers[1].weights
     n, t = fc_pre.shape
     f = flat.shape[1]
     m = (f + 1) * t  # FC weights and biases, in `Net` order
-    e = e.reshape(n, 2)
     dact = fc_act.derivative_from_output(fc_pre, fc_out, into=fc_pre)
 
     w_t = np.zeros((-(-(m + t + 1) // 8) * 8, n))
@@ -359,21 +345,16 @@ def _fc_normal_equations(ws: Workspace, e: np.ndarray):
 def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
     """Damped Gauss-Newton on the split's net, an FC layer and a linear output.
 
-    The split is one block: LM takes one pass over all of it. Steps solve
+    The split is one block: LM takes one pass over all of it, and its cost is
+    the split's `_Split.cost`, the one Adam minimizes. Steps solve
     (J'J + mu I) delta = J'e; a step is kept only if the cost drops (then mu
     shrinks), otherwise it is undone and retried on the same J'J with a
     larger mu. The net's vector is updated in place.
     """
     (block,) = split.blocks
-    ws, theta, n = block.ws, split.net.theta, split.targets.shape[1]
-    e = block.resid.reshape(-1)  # the last pass's residual, component index fastest
-
-    def cost() -> float:
-        np.subtract(ws.forward().T, split.targets.T, out=e.reshape(n, 2))
-        return float(e @ e) / (2 * n)
-
-    mse = cost()
-    jtj, grad = _fc_normal_equations(ws, e)
+    theta, n = split.net.theta, split.targets.shape[1]
+    mse = split.cost()
+    jtj, grad = _fc_normal_equations(block)
     mu, history, reason = cfg.mu_init, [], "max_iters"
     for it in range(1, cfg.max_iters + 1):
         gnorm = float(np.max(np.abs(grad))) / n
@@ -391,7 +372,7 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
 
         kept = theta.copy()
         theta -= delta
-        cand_mse = cost()
+        cand_mse = split.cost()
         if np.isfinite(cand_mse) and cand_mse < mse:
             rel = (mse - cand_mse) / mse
             mse = cand_mse
@@ -401,7 +382,7 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
                 reason = "stalled"
                 break
             if it < cfg.max_iters:  # the buffers hold the accepted parameters' forward pass
-                jtj, grad = _fc_normal_equations(ws, e)
+                jtj, grad = _fc_normal_equations(block)
         else:
             theta[:] = kept
             mu *= cfg.mu_up
@@ -437,9 +418,9 @@ def train_mlp_baseline(
     seed: int = 0,
 ) -> tuple[list[MlpLayer], np.ndarray]:
     """`adam_minimize` over every weight and bias of a baseline MLP, on a
-    dataset's graphs, in `_blocks` of their features; returns (layers, history)."""
+    dataset's graphs, in `blocks` of their features; returns (layers, history)."""
     feats = mlp_features_from_graphs(train.graphs, spec.feature_kind)
     net = Net.of(mlp_init(spec.widths(train.memory_depth), Activation(spec.hidden_activation), seed))
-    split = _Split(net, [feats[b].T for b in _blocks(len(feats))], train.labels, backward=True)
+    split = _Split(net, [feats[b].T for b in blocks(len(feats))], train.labels, backward=True)
     history = adam_minimize(split, cfg)
     return net.layers, history

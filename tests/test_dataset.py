@@ -14,7 +14,7 @@ from padpd.dataset import (
     split_indices,
 )
 from padpd.experiment import ExperimentConfig, train_dpd
-from padpd.network import _FORWARD_BLOCK_ROWS, ConvNetArch
+from padpd.network import _BLOCK_SAMPLES, ConvNetArch
 from padpd.signals import ComplexSeq
 from padpd.training import AdamConfig, LmConfig
 
@@ -100,7 +100,7 @@ def test_feature_graphs_full_block(memory_depth):
     long vector loops: byte-equal to the gathered layout, C-contiguous, and
     equal to the oracle on sampled rows."""
     rng = np.random.default_rng(memory_depth)
-    count = _FORWARD_BLOCK_ROWS + 1237
+    count = _BLOCK_SAMPLES + 1237
     n = memory_depth + 5 + count + 3
     x = ComplexSeq(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     start = memory_depth + 5
@@ -108,7 +108,7 @@ def test_feature_graphs_full_block(memory_depth):
     want = gathered_feature_graphs(x, start, count, memory_depth)
     assert batch.shape == want.shape and batch.flags.c_contiguous
     assert batch.tobytes() == want.tobytes()
-    for k in (0, 1, _FORWARD_BLOCK_ROWS - 1, _FORWARD_BLOCK_ROWS, *rng.integers(0, count, 20), count - 1):
+    for k in (0, 1, _BLOCK_SAMPLES - 1, _BLOCK_SAMPLES, *rng.integers(0, count, 20), count - 1):
         assert np.array_equal(batch[k], build_feature_graph(x, start + k, memory_depth))
 
 

@@ -100,7 +100,7 @@ def test_apply_dpd_blocks_keep_whole_drive_bytes(monkeypatch, n):
     m = arch.memory_depth
     pred = forward_batch(params, arch, feature_graphs(x.scaled(1.7), m, n - m, m))
     whole = np.concatenate([x.data[:m], (pred[:, 0] + 1j * pred[:, 1]) / 1.7])
-    monkeypatch.setattr(network, "_FORWARD_BLOCK_ROWS", 7)
+    monkeypatch.setattr(network, "_BLOCK_SAMPLES", 7)
     assert apply_dpd(params, arch, x, 1.7).data.tobytes() == whole.tobytes()
 
 
@@ -111,7 +111,7 @@ def test_apply_dpd_memory_does_not_grow_with_drive_length():
     params = init_params(arch, 0)
     net_peaks = []
     for n_blocks in (2, 8):
-        n = n_blocks * network._FORWARD_BLOCK_ROWS
+        n = n_blocks * network._BLOCK_SAMPLES
         x = _seq(0.5 * (RNG.normal(size=n) + 1j * RNG.normal(size=n)))
         tracemalloc.start()
         try:
@@ -120,7 +120,7 @@ def test_apply_dpd_memory_does_not_grow_with_drive_length():
         finally:
             tracemalloc.stop()
         net_peaks.append(peak - 2 * x.data.nbytes)  # the scaled input and the output
-    block_graphs = network._FORWARD_BLOCK_ROWS * 5 * (arch.memory_depth + 1) * 8
+    block_graphs = network._BLOCK_SAMPLES * 5 * (arch.memory_depth + 1) * 8
     assert net_peaks[1] <= net_peaks[0] + block_graphs // 10, net_peaks
 
 

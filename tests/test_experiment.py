@@ -198,11 +198,11 @@ def test_stage1_history_independent_of_blas_threads(tmp_path):
     is not thread-invariant, so later outputs are not compared.)"""
     script = (
         "import sys\n"
-        "from padpd import training\n"
+        "from padpd import network\n"
         "from padpd.experiment import ExperimentConfig, run_experiment\n"
         "from padpd.signals import OfdmConfig\n"
         "from padpd.training import AdamConfig, LmConfig\n"
-        "training._BLOCK_SAMPLES = int(sys.argv[2])\n"
+        "network._BLOCK_SAMPLES = int(sys.argv[2])\n"
         "run_experiment(ExperimentConfig(signal=OfdmConfig(n_symbols=6), adam=AdamConfig(max_iters=200),\n"
         "                                lm=LmConfig(max_iters=15), dataset_count=800, segment=512),\n"
         "               sys.argv[1])\n"
@@ -223,15 +223,16 @@ def test_lm_normal_equations_independent_of_blas_threads():
     script = (
         "import hashlib\n"
         "import numpy as np\n"
-        "from padpd.network import ConvNetArch, Workspace, _im2col, conv_net, init_params\n"
-        "from padpd.training import _fc_normal_equations\n"
+        "from padpd.network import ConvNetArch, _im2col, conv_net, init_params\n"
+        "from padpd.training import _fc_normal_equations, _Split\n"
         "arch = ConvNetArch()\n"
         "net = conv_net(init_params(arch, 1), arch)\n"
         "rng = np.random.default_rng(0)\n"
         "for n in (480, 3000, 8400):\n"
-        "    ws = Workspace(net, _im2col(0.4 * rng.standard_normal((n, *arch.input_shape)), arch))\n"
-        "    resid = (ws.forward().T - 0.3 * rng.standard_normal((n, 2))).reshape(-1)\n"
-        "    jtj, jte = _fc_normal_equations(ws, resid)\n"
+        "    x = _im2col(0.4 * rng.standard_normal((n, *arch.input_shape)), arch)\n"
+        "    split = _Split(net, [x], 0.3 * rng.standard_normal((n, 2)))\n"
+        "    split.cost()\n"
+        "    jtj, jte = _fc_normal_equations(split.blocks[0])\n"
         "    print(n, hashlib.sha256(jtj.tobytes() + jte.tobytes()).hexdigest())\n"
     )
     hashes = [_run_at_blas_threads(threads, script) for threads in ("1", "2")]

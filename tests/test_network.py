@@ -204,7 +204,7 @@ def test_forward_batch_blocks_keep_bytes(conv_act, fc_act, n, block, seed):
     per_block = np.concatenate([forward_batch(params, arch, graphs[i : i + block])
                                 for i in range(0, n, block)])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(network, "_FORWARD_BLOCK_ROWS", block)
+        mp.setattr(network, "_BLOCK_SAMPLES", block)
         blocked = forward_batch(params, arch, graphs)
     assert blocked.tobytes() == whole.tobytes()
     assert per_block.tobytes() == whole.tobytes()
@@ -219,7 +219,7 @@ def test_forward_batch_memory_does_not_grow_with_rows():
     rng = np.random.default_rng(0)
     net_peaks = []
     for n_blocks in (2, 8):
-        graphs = rng.standard_normal((n_blocks * network._FORWARD_BLOCK_ROWS, *arch.input_shape))
+        graphs = rng.standard_normal((n_blocks * network._BLOCK_SAMPLES, *arch.input_shape))
         tracemalloc.start()
         try:
             out = forward_batch(params, arch, graphs)
@@ -228,7 +228,7 @@ def test_forward_batch_memory_does_not_grow_with_rows():
             tracemalloc.stop()
         net_peaks.append(peak - out.nbytes)
     cells = arch.map_rows * arch.map_cols
-    block_windows = network._FORWARD_BLOCK_ROWS * cells * (arch.kernel_rows * arch.kernel_cols + 1) * 8
+    block_windows = network._BLOCK_SAMPLES * cells * (arch.kernel_rows * arch.kernel_cols + 1) * 8
     assert net_peaks[1] <= net_peaks[0] + block_windows // 10, net_peaks
 
 

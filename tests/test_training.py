@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padpd import training
+from padpd import network, training
 from padpd.baselines import MLP_BASELINES, mlp_features_from_graphs
 from padpd.dataset import Dataset, build_dataset
 from padpd.network import (
@@ -480,11 +480,11 @@ def test_stage1_iteration_allocates_little():
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(0, 200), cap=st.integers(1, 60))
 def test_blocks_hold_each_sample_once(n, cap):
-    """`_blocks` cuts range(n) into the fewest consecutive slices of at most
+    """`blocks` cuts range(n) into the fewest consecutive slices of at most
     the cap, whose lengths differ by at most one."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(training, "_BLOCK_SAMPLES", cap)
-        blocks = training._blocks(n)
+        mp.setattr(network, "_BLOCK_SAMPLES", cap)
+        blocks = network.blocks(n)
     assert [i for b in blocks for i in range(n)[b]] == list(range(n))
     lengths = [b.stop - b.start for b in blocks]
     assert len(blocks) == max(1, -(-n // cap))
@@ -522,7 +522,7 @@ def test_conv_blocks_keep_the_cost_and_gradient(arch, n, cap, seed):
     net = conv_net(params, arch)
     grad = net.like(np.empty_like(net.theta))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(training, "_BLOCK_SAMPLES", cap)
+        mp.setattr(network, "_BLOCK_SAMPLES", cap)
         split = training._conv_split(net, data, backward=True)
         costs = split.cost_and_grad(grad), mse_cost(params, arch, data)
         assert_grads_close(backprop_grads(params, arch, data).as_list(), one_grad.as_list())
@@ -556,9 +556,9 @@ def test_mlp_blocks_keep_the_cost_and_gradient(name):
         return adam_minimize(split, cfg, test)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(training, "_BLOCK_SAMPLES", 23)
+        mp.setattr(network, "_BLOCK_SAMPLES", 23)
         mp.setattr(training, "adam_minimize", recorded)
-        blocks = training._blocks(len(feats))
+        blocks = network.blocks(len(feats))
         split = _Split(net, [feats[b].T for b in blocks], labels, backward=True)
         assert len(split.blocks) == 5 and split.cost_and_grad(grads[1]) == one_cost
         _, hist = train_mlp_baseline(spec, Dataset(graphs, labels, "train"), AdamConfig(max_iters=1), seed=2)
@@ -632,17 +632,8 @@ def test_lm_polish_improves_and_freezes_conv():
     cost_before = mse_cost(warm, arch, data)
     warm_bytes = [a.tobytes() for a in warm.as_list()]
 
-    splits = []
-
-    def recorded(split, cfg):
-        splits.append(split)
-        return lm_minimize(split, cfg)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(training, "lm_minimize", recorded)
-        polished, result = train_stage2_lm(warm, arch, data, LmConfig())
+    polished, result = train_stage2_lm(warm, arch, data, LmConfig())
     assert [a.tobytes() for a in warm.as_list()] == warm_bytes  # the caller's arrays are not written
-    assert splits[0].sq is None  # LM's split has no squared-residual buffer
     cost_after = mse_cost(polished, arch, data)
     assert cost_after <= cost_before * (1 + 1e-12)
     assert result.converged
@@ -738,10 +729,13 @@ def test_fc_normal_equations_match_reference_jacobian(arch, n, seed):
     params = with_random_biases(init_params(arch, seed), rng)
     graphs = rng.standard_normal((n, *arch.input_shape))
     labels = rng.standard_normal((n, 2))
-    ws, resid = head_parts(head_of(params, arch), conv_features(params, arch, graphs), labels)
+    split = _Split(head_of(params, arch), [conv_features(params, arch, graphs).T], labels)
+    split.cost()
+    (block,) = split.blocks
+    resid = block.resid.T.reshape(-1)  # order (n, comp), as the Jacobian's rows
 
-    jac = reference_fc_jacobian(ws)
-    jtj, jte = _fc_normal_equations(ws, resid)
+    jac = reference_fc_jacobian(block.ws)
+    jtj, jte = _fc_normal_equations(block)
     ref_jtj, ref_jte = jac.T @ jac, jac.T @ resid
     diag = np.diag(ref_jtj).max()
     np.testing.assert_allclose(jtj, ref_jtj, rtol=1e-12, atol=1e-12 * diag)
@@ -838,6 +832,21 @@ def test_lm_path_matches_formed_jacobian_loop(setup, cfg, reason):
         assert result.history[:, 3].tolist() == [0, 0]
 
 
+@pytest.mark.parametrize("setup, max_iters", [
+    (_warm_start_setup, 3), (_warm_start_setup, 20), (_paper_arch_setup, 7),
+], ids=["warm_start-3", "warm_start-20", "paper_arch-7"])
+def test_lm_scores_with_the_split_cost(setup, max_iters):
+    """LM's cost is `_Split.cost`, the one Adam minimizes: its last accepted
+    mse equals, byte for byte, the cost of a split rebuilt at the returned
+    parameters (`mse_cost`). The runs end on an accepted step; the warm start
+    at 3 and 20 steps and the paper's arch at 7 are inputs on which a residual
+    dot product ``e @ e`` rounds otherwise."""
+    params, arch, data = setup()
+    polished, result = train_stage2_lm(params, arch, data, LmConfig(max_iters=max_iters))
+    assert result.history[-1, 3] == 1
+    assert result.history[-1, 1] == mse_cost(polished, arch, data)
+
+
 @pytest.mark.parametrize("max_iters, last_accepted", [(2, 0), (3, 1)])
 def test_lm_forms_no_normal_equations_after_its_last_step(monkeypatch, max_iters, last_accepted):
     """J'J and J'e are formed before the loop and after each accepted step
@@ -847,9 +856,9 @@ def test_lm_forms_no_normal_equations_after_its_last_step(monkeypatch, max_iters
     params, arch, data = _warm_start_setup()
     calls = []
 
-    def counted(ws, e):
+    def counted(block):
         calls.append(1)
-        return _fc_normal_equations(ws, e)
+        return _fc_normal_equations(block)
 
     monkeypatch.setattr(training, "_fc_normal_equations", counted)
     _, result = train_stage2_lm(params, arch, data, LmConfig(max_iters=max_iters))
