@@ -8,7 +8,7 @@ linear output for I and Q. The head is an ordinary MLP layer stack, so the
 conv model and the MLP baselines share one forward pass: a `Net` holds a
 model's parameters as views into one flat vector, and a `Workspace` holds one
 batch's preallocated buffers, which `Workspace.forward` fills. A pass over
-many samples, whether a training split, a prediction or a DPD drive, runs in
+many samples, whether an Adam split, a prediction or a DPD drive, runs in
 `blocks` of at most `_BLOCK_SAMPLES` samples, one `Workspace` each.
 
 Inside, every activation is stored feature-major, shape (features, N), with
@@ -363,7 +363,7 @@ def conv_net(params: ConvNetParams, arch: ConvNetArch) -> Net:
 
 
 # samples per block of a long batch: every pass over more samples than this
-# (a training split, a prediction, a DPD drive) runs in `blocks`. At the
+# (an Adam split, a prediction, a DPD drive) runs in `blocks`. At the
 # paper's arch the `_im2col` columns take 480 B per sample: a 2800-sample
 # block's 1.3 MB stay in a 2 MB L2 across its GEMMs, where an 8400-sample
 # split's 4 MB are read from L3 at every pass

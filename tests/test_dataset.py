@@ -96,9 +96,9 @@ def gathered_feature_graphs(x, start, count, memory_depth):
 
 @pytest.mark.parametrize("memory_depth", [0, 3])
 def test_feature_graphs_full_block(memory_depth):
-    """One `apply_dpd` block plus a tail, so `abs` and the powers run their
-    long vector loops: byte-equal to the gathered layout, C-contiguous, and
-    equal to the oracle on sampled rows."""
+    """A full block of `apply_dpd` rows plus a tail, so `abs` and the powers
+    run their long vector loops: byte-equal to the gathered layout,
+    C-contiguous, and equal to the oracle on sampled rows."""
     rng = np.random.default_rng(memory_depth)
     count = _BLOCK_SAMPLES + 1237
     n = memory_depth + 5 + count + 3

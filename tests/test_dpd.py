@@ -92,8 +92,8 @@ def test_apply_dpd_matches_manual_forward():
 
 @pytest.mark.parametrize("n", [4, 5, 11, 12, 13, 25, 40])
 def test_apply_dpd_blocks_keep_whole_drive_bytes(monkeypatch, n):
-    """Streamed in blocks of 7 graphs, the output has the bytes of one
-    whole-drive forward, on lengths that straddle the block edges."""
+    """Streamed in blocks of at most 7 graphs, the output has the bytes of
+    one whole-drive forward, on lengths that straddle the block edges."""
     arch = ConvNetArch()
     params = init_params(arch, 5)
     x = _seq(0.5 * (RNG.normal(size=n) + 1j * RNG.normal(size=n)))

@@ -78,8 +78,7 @@ def json_diffs(a, b, path: str = "") -> list[tuple[str, float | None]]:
         if len(a) != len(b):
             return [(path, None)]
         return [d for i, (x, y) in enumerate(zip(a, b)) for d in json_diffs(x, y, f"{path}[{i}]")]
-    numeric = (int, float)
-    if isinstance(a, numeric) and isinstance(b, numeric) and not isinstance(a, bool) and not isinstance(b, bool):
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
         d = rel_diff(float(a), float(b))
         return [(path, d)] if d else []
     return [] if a == b else [(path, None)]
