@@ -10,11 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ComplexSeq
+from .signals import ComplexSeq, _peak
 
 __all__ = [
     "Dataset",
     "feature_graphs",
+    "sample_features",
     "build_dataset",
     "joint_scale",
     "split_indices",
@@ -58,6 +59,18 @@ class Dataset:
         return self.graphs.shape[2] - 1
 
 
+def sample_features(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each sample's five features, rows I, Q, |x|, |x|^2 and |x|^3 of a
+    (5, len(v)) array, written into ``out`` when it is given."""
+    if out is None:
+        out = np.empty((N_FEATURE_ROWS, v.size))
+    out[0], out[1] = v.real, v.imag
+    env = np.abs(v, out=out[2])
+    np.square(env, out=out[3])  # what env**2 computes
+    np.power(env, 3, out=out[4])
+    return out
+
+
 def feature_graphs(x: ComplexSeq, start: int, count: int, memory_depth: int) -> np.ndarray:
     """Graphs for n = start..start+count-1, shape (count, 5, M+1)."""
     if count < 1:
@@ -69,23 +82,25 @@ def feature_graphs(x: ComplexSeq, start: int, count: int, memory_depth: int) -> 
     if start + count > len(x):
         raise ValueError("requested graphs run past the end of the signal")
     # Each sample's five features once, then every graph a newest-first window of them.
-    v = x.data[start - memory_depth : start + count]
-    env = np.abs(v)
-    rows = np.stack([v.real, v.imag, env, env**2, env**3])
+    rows = sample_features(x.data[start - memory_depth : start + count])
     windows = np.lib.stride_tricks.sliding_window_view(rows, memory_depth + 1, axis=1)[:, :, ::-1]
     return windows.transpose(1, 0, 2).copy()
 
 
-def joint_scale(x: ComplexSeq, y: ComplexSeq, memory_depth: int, count: int) -> float:
+def joint_scale(x: ComplexSeq, y: ComplexSeq, memory_depth: int, count: int,
+                x_gain: float | None = None) -> float:
     """The shared peak-normalization factor of x and y, once both are known
-    to hold the ``count`` rows of a dataset of memory depth M."""
+    to hold the ``count`` rows of a dataset of memory depth M. With
+    ``x_gain``, x's peak is that of x * (1 / x_gain), as `build_dataset`
+    reads it."""
     if len(x) != len(y):
         raise ValueError(f"input and output lengths differ: {len(x)} vs {len(y)}")
     if len(x) < count + memory_depth:
         raise ValueError(
             f"need at least count+M = {count + memory_depth} samples, have {len(x)}"
         )
-    return 1.0 / max(x.peak(), y.peak())
+    x_peak = x.peak() if x_gain is None else _peak(x.data, 1.0 / x_gain)
+    return 1.0 / max(x_peak, y.peak())
 
 
 def build_dataset(
@@ -94,21 +109,26 @@ def build_dataset(
     memory_depth: int,
     count: int,
     split_seed: int,
+    x_gain: float | None = None,
 ) -> tuple[Dataset, Dataset]:
     """Graphs from x, labels (I, Q) from y, shuffled 3:2 train/test.
 
     Both sequences are jointly peak-normalized first (shared scale, so an
     inverse model trained on the result stays consistent with the forward
     scale). Graphs cover n = M..M+count-1; the first M samples are skipped
-    rather than zero-padded.
+    rather than zero-padded. With ``x_gain`` the graphs come from x *
+    (1 / x_gain): indirect learning's input, the PA output over its linear
+    gain. The peaks are taken over the whole of both sequences, but only the
+    M + count samples the graphs and labels read are scaled.
     """
-    scale = joint_scale(x, y, memory_depth, count)
-    xs = x.scaled(scale)
-    ys = y.data * scale
+    scale = joint_scale(x, y, memory_depth, count, x_gain)
+    head = memory_depth + count
+    xs = x.data[:head] if x_gain is None else x.data[:head] * (1.0 / x_gain)
+    xs = x.with_data(xs * scale)
+    ys = y.data[:head] * scale
 
     graphs = feature_graphs(xs, memory_depth, count, memory_depth)
-    n_idx = memory_depth + np.arange(count)
-    labels = np.column_stack([ys.real[n_idx], ys.imag[n_idx]])
+    labels = np.column_stack([ys.real[memory_depth:], ys.imag[memory_depth:]])
 
     tr, te = split_indices(count, split_seed)
     train = Dataset(graphs[tr], labels[tr], "train", scale)

@@ -14,11 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import feature_graphs
+from .dataset import N_FEATURE_ROWS, sample_features
 from .metrics import ChannelPlan, acpr_db, psd_welch
-from .network import ConvNetArch, ConvNetParams, blocks, forward_batch
+from .network import ConvNetArch, ConvNetParams, ConvStream, blocks, conv_net
 from .pa import ImpairmentConfig, PolyPaModel, transmit_chain
 from .signals import ComplexSeq
+
+# Called here only for a drive of one graph: the apply streams its samples
+# through a `ConvStream`. perfbench/spans.py still binds its forward and
+# feature-graph spans under these names.
+from .dataset import feature_graphs
+from .network import forward_batch
 
 # Not called here: DPD trains through `experiment.train_dpd`. perfbench/spans.py
 # still binds its stage spans under these names.
@@ -101,20 +107,31 @@ def apply_dpd(
     ``scale`` is the dataset normalization the model was trained under; the
     input is scaled into model units and the output scaled back. The first
     memory_depth samples have no full history and pass through unmodified.
-    The rest go through in `blocks`, the cut every conv-model pass uses, so
-    the whole drive's graphs never coexist.
+    The rest go through in `blocks`, the cut every conv-model pass uses: each
+    block's samples are scaled and their features taken into one set of
+    buffers, and a `ConvStream` runs the conv layer once per sample. So no
+    whole-drive copy but the output is made.
     """
     if not scale > 0:
         raise ValueError("scale must be positive")
     m = arch.memory_depth
     if len(x) <= m:
         raise ValueError(f"signal needs more than {m} samples")
-    z = x.scaled(scale)
     out = x.data.copy()
-    for b in blocks(len(x) - m):
-        rows = forward_batch(params, arch, feature_graphs(z, m + b.start, b.stop - b.start, m))
-        out[m + b.start : m + b.stop] = (rows[:, 0] + 1j * rows[:, 1]) / scale
-        del rows  # not held through the next block's forward pass
+    if len(x) == m + 1:  # a lone graph, which forward_batch runs as two copies
+        h = forward_batch(params, arch, feature_graphs(x.scaled(scale), m, 1, m)).T
+        out[m:] = (h[0] + 1j * h[1]) / scale
+        return x.with_data(out)
+    cuts = blocks(len(x) - m)
+    n_max = max(b.stop - b.start for b in cuts)
+    stream = ConvStream(conv_net(params, arch), n_max)
+    z = np.empty(n_max + m, dtype=np.complex128)
+    feats = np.empty((N_FEATURE_ROWS, n_max + m))
+    for b in cuts:  # graphs m + b.start.. read samples b.start.. on
+        w = b.stop - b.start + m
+        np.multiply(x.data[b.start : b.stop + m], scale, out=z[:w])
+        h = stream.forward(sample_features(z[:w], out=feats[:, :w]))
+        out[m + b.start : m + b.stop] = (h[0] + 1j * h[1]) / scale
     return x.with_data(out)
 
 

@@ -298,8 +298,11 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
         "papr_db": float(papr_db(x)),
         "scale": float(scale),
     }
-    xs = x.scaled(scale)
-    ys = y.data * scale
+    # the samples the fit and the scoring read, scaled: the dataset's, and
+    # for gmp those its basis reaches past them, up to the signal's end
+    head = m + cfg.dataset_count + (cfg.gmp.max_future if cfg.model == "gmp" else 0)
+    xs = x.with_data(x.data[:head] * scale)
+    ys = y.data[:head] * scale
     if cfg.model == "gmp":
         fit = _run_stage("train", _fit_gmp, cfg, xs, ys)
     else:
@@ -376,8 +379,7 @@ def train_dpd(cfg: ExperimentConfig, drive: ComplexSeq, output: ComplexSeq):
     inverse NMSE, scored once, after LM: stage 1 never sees the held-out split.
     """
     gain = estimate_linear_gain(drive, output)
-    train, test = build_dataset(output.scaled(1.0 / gain), drive, cfg.arch.memory_depth,
-                                cfg.dataset_count, cfg.split_seed)
+    train, test = build_dataset(output, drive, cfg.arch.memory_depth, cfg.dataset_count, cfg.split_seed, gain)
     params, _, _ = _train_conv_net(cfg, train)
     pred = _complex(forward_batch(params, cfg.arch, test.graphs))
     return params, gain, train.scale, nmse_db(pred, _complex(test.labels))
@@ -389,8 +391,7 @@ def run_dpd_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
         raise ValueError("DPD is implemented for the conv_net model only")
     chash = config_hash(cfg)
 
-    x = _run_stage("signal", generate_ofdm, cfg.signal)
-    drive = x.scaled(10.0 ** (-cfg.drive_backoff_db / 20.0))
+    drive = _run_stage("signal", generate_ofdm, cfg.signal).scaled(10.0 ** (-cfg.drive_backoff_db / 20.0))
     pa = _run_stage("pa", default_pa, cfg.pa_seed, cfg.pa_k_order, cfg.pa_q_depth)
     imp = ImpairmentConfig.case(cfg.impairment_case)
     y = _run_stage("transmit", transmit_chain, pa, drive, imp)

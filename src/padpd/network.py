@@ -9,7 +9,8 @@ conv model and the MLP baselines share one forward pass: a `Net` holds a
 model's parameters as views into one flat vector, and a `Workspace` holds one
 batch's preallocated buffers, which `Workspace.forward` fills. A pass over
 many samples, whether an Adam split, a prediction or a DPD drive, runs in
-`blocks` of at most `_BLOCK_SAMPLES` samples, one `Workspace` each.
+`blocks` of at most `_BLOCK_SAMPLES` samples: one `Workspace` each, or for
+the graphs of a drive's consecutive samples one `ConvStream` for them all.
 
 Inside, every activation is stored feature-major, shape (features, N), with
 the sample index contiguous: the conv GEMM's output is then the head's input
@@ -27,11 +28,13 @@ from typing import Sequence
 import numpy as np
 
 from . import codec
+from .signals import _even_slices
 
 __all__ = [
     "Activation",
     "ConvNetArch",
     "ConvNetParams",
+    "ConvStream",
     "Net",
     "Workspace",
     "blocks",
@@ -373,9 +376,7 @@ _BLOCK_SAMPLES = 4096
 def blocks(n: int) -> list[slice]:
     """``range(n)`` cut into the fewest consecutive slices of at most
     `_BLOCK_SAMPLES` samples, of lengths that differ by at most one."""
-    k = max(1, -(-n // _BLOCK_SAMPLES))
-    bounds = [i * n // k for i in range(k + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return _even_slices(n, _BLOCK_SAMPLES)
 
 
 class Workspace:
@@ -419,6 +420,54 @@ class Workspace:
             pre += layer.biases[:, None]
             layer.act(pre, out=out)
         return self.acts[-1]
+
+
+class ConvStream:
+    """A conv model's forward pass over the graphs of consecutive samples, a
+    block of at most ``n_max`` graphs at a time, on one set of buffers.
+
+    The kernels slide along time with shared weights, and graph n's columns
+    are samples n, n-1, ..., n-M, so graph n's map column c is the conv layer
+    at sample n-c's map column 0. A block of N graphs thus needs the conv
+    layer once for each of its N + C - 1 samples: one GEMM over their unrolled
+    windows, whose L*B activated maps go into the head's kernel-major rows,
+    shifted by c for map column c. Every output is the sum that
+    `Workspace.forward` takes over the block's `_im2col` columns, without
+    unrolling C windows per graph; at the shapes whose rows keep their bytes
+    at any batch size (README) it has the same bytes.
+    """
+
+    def __init__(self, net: Net, n_max: int):
+        a = net.arch
+        span = a.map_rows * (n_max + a.map_cols - 1)  # map rows by samples
+        self.net = net
+        self.head = Net(net.theta[net.conv.size :], net.layers)
+        self._cols = np.empty((a.kernel_rows * a.kernel_cols + 1) * span)
+        self._pre = np.empty(a.n_kernels * span)
+        self._act = np.empty_like(self._pre)
+        self._maps = np.empty(a.n_flat_features * n_max)
+        self._spaces: dict[int, Workspace] = {}  # the head's, per block length
+
+    def forward(self, feats: np.ndarray) -> np.ndarray:
+        """The (2, N) outputs of the N graphs over (5, N + M) sample features,
+        `dataset.sample_features` of the N + M samples up to the last graph's."""
+        a = self.net.arch
+        r, s, b, c, k = a.kernel_rows, a.kernel_cols, a.map_rows, a.map_cols, a.n_kernels
+        n = feats.shape[1] - a.memory_depth
+        p = n + c - 1
+        cols = self._cols[: (r * s + 1) * b * p].reshape(r * s + 1, b, p)
+        for u in range(r):
+            for v in range(s):  # sample j's tap v is feature column j + s-1 - v
+                cols[u * s + v] = feats[u : u + b, s - 1 - v : s - 1 - v + p]
+        cols[-1] = 1.0
+        pre = np.matmul(self.net.conv, cols.reshape(r * s + 1, -1), out=self._pre[: k * b * p].reshape(k, -1))
+        act = a.conv_activation(pre, out=self._act[: k * b * p].reshape(k, -1)).reshape(k, b, p)
+        maps = self._maps[: a.n_flat_features * n].reshape(k, b, c, n)
+        for j in range(c):
+            maps[:, :, j] = act[:, :, c - 1 - j : c - 1 - j + n]
+        if n not in self._spaces:
+            self._spaces[n] = Workspace(self.head, maps.reshape(-1, n))
+        return self._spaces[n].forward()
 
 
 def mlp_forward(layers: Sequence[MlpLayer], x: np.ndarray) -> np.ndarray:

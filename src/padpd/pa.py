@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import ComplexSeq
+from .signals import ComplexSeq, _chunks
 
 __all__ = [
     "PolyPaModel",
@@ -86,19 +86,26 @@ def pa_forward(model: PolyPaModel, x: ComplexSeq) -> ComplexSeq:
 
     The complex gain g(n) = sum_k a_k |x(n)|^k + sum_q sum_k c_kq |x(n-q)|^k is
     built on the real envelope, one Horner polynomial for the static terms and
-    one per delay q, and applied once: y = x * g.
+    one per delay q, and applied once: y = x * g. It goes in chunks of
+    `signals._CHUNK` samples, each with the q_depth - 1 envelope samples before it,
+    so the temporaries are one chunk's, whatever the length.
     """
     v = x.data
-    env = np.abs(v)
-    g_re, g_im = _horner(model.a, env)
-    for q in range(1, model.q_depth):
-        past = env[:-q]  # |x(n-q)| for n >= q; the zero history adds nothing
-        re, im = _horner(np.append(0.0, model.c[:, q - 1]), past)
-        g_re[q:] += re
-        g_im[q:] += im
     y = np.empty_like(v)
-    y.real, y.imag = g_re, g_im
-    y *= v
+    cross = [np.append(0.0, model.c[:, q - 1]) for q in range(1, model.q_depth)]
+    for c in _chunks(v.size):
+        lo = max(c.start - (model.q_depth - 1), 0)
+        env = np.abs(v[lo : c.stop])  # the chunk's envelope after its history's
+        g_re, g_im = _horner(model.a, env[c.start - lo :])
+        for q, coeffs in enumerate(cross, start=1):
+            first = max(c.start, q)  # |x(n-q)| for n >= q; the zero history adds nothing
+            if first < c.stop:
+                re, im = _horner(coeffs, env[first - q - lo : c.stop - q - lo])
+                g_re[first - c.start :] += re
+                g_im[first - c.start :] += im
+        out = y[c]
+        out.real, out.imag = g_re, g_im
+        out *= v[c]
     return x.with_data(y)
 
 
@@ -217,13 +224,18 @@ def iq_imbalance_coefficients(cfg: ImpairmentConfig) -> tuple[complex, complex]:
 
 
 def apply_impairments(x: ComplexSeq, cfg: ImpairmentConfig) -> ComplexSeq:
-    """x' = mu*x + nu*conj(x) (+ DC offset scaled by the input rms)."""
+    """x' = mu*x + nu*conj(x) (+ DC offset scaled by the input rms), the
+    imbalance one chunk at a time and the offset in place."""
     v = x.data
     if cfg.iq_gain_imbalance_db or cfg.iq_phase_imbalance_deg:
         mu, nu = iq_imbalance_coefficients(cfg)
-        v = mu * v + nu * np.conj(v)
+        out = np.empty_like(v)
+        for c in _chunks(v.size):
+            np.add(mu * v[c], nu * np.conj(v[c]), out=out[c])
+        v = out
     if cfg.dc_offset_i_frac or cfg.dc_offset_q_frac:
-        v = v + (cfg.dc_offset_i_frac + 1j * cfg.dc_offset_q_frac) * x.rms()
+        offset = (cfg.dc_offset_i_frac + 1j * cfg.dc_offset_q_frac) * x.rms()
+        v = v + offset if v is x.data else np.add(v, offset, out=v)
     return x.with_data(v)
 
 

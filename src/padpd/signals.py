@@ -63,13 +63,40 @@ class ComplexSeq:
         return math.sqrt(self.power())
 
     def peak(self) -> float:
-        return float(np.max(np.abs(self.data)))
+        return _peak(self.data)
 
     def scaled(self, factor: complex) -> "ComplexSeq":
         return ComplexSeq(self.data * factor, self.sample_rate_hz)
 
     def with_data(self, data: np.ndarray) -> "ComplexSeq":
         return ComplexSeq(data, self.sample_rate_hz)
+
+
+# samples per chunk of a pass over a long sequence: a chunk's float temporaries
+# (256 KB each) stay in L2, where whole-drive ones (5 MB at 640 000 samples)
+# would each be a fresh allocation read back from memory
+_CHUNK = 32768
+
+
+def _even_slices(n: int, most: int) -> list[slice]:
+    """``range(n)`` cut into the fewest consecutive slices of at most ``most``
+    samples, of lengths that differ by at most one."""
+    k = max(1, -(-n // most))
+    bounds = [i * n // k for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _chunks(n: int) -> list[slice]:
+    """``range(n)`` in `_even_slices` of at most `_CHUNK` samples. So no slice
+    holds a lone sample unless n is 1: numpy multiplies a one-element complex
+    array in place by another path than its vector loop, which can round
+    differently."""
+    return _even_slices(n, _CHUNK)
+
+
+def _peak(v: np.ndarray, factor: float | None = None) -> float:
+    """max |v|, or max |v * factor|, one chunk's magnitudes at a time."""
+    return max(float(np.max(np.abs(v[c] if factor is None else v[c] * factor))) for c in _chunks(v.size))
 
 
 def _is_power_of_four(n: int) -> bool:
@@ -186,11 +213,21 @@ def raised_cosine_filter(x: ComplexSeq, cfg: OfdmConfig) -> ComplexSeq:
     zero exactly at the band edge, so the shaped signal leaks nothing into
     the adjacent channels.
     """
+    return x.with_data(np.fft.ifft(_shape_spectrum(np.fft.fft(x.data), x.sample_rate_hz, cfg)))
+
+
+def _shape_spectrum(spec: np.ndarray, sample_rate_hz: float, cfg: OfdmConfig) -> np.ndarray:
+    """Multiply the raised-cosine gains into an FFT in place, one chunk of bins
+    at a time; the bin frequencies are `np.fft.fftfreq`'s, computed as it does."""
+    n = spec.size
+    step = 1.0 / (n * (1.0 / sample_rate_hz))  # fftfreq's bin spacing
     edge_hz = cfg.occupied_bandwidth_hz / 2.0
-    freqs = np.fft.fftfreq(len(x), d=1.0 / x.sample_rate_hz)
-    nu = freqs * (1.0 + cfg.rolloff) / edge_hz
-    gains = raised_cosine_gain(nu, cfg.rolloff)
-    return x.with_data(np.fft.ifft(np.fft.fft(x.data) * gains))
+    for c in _chunks(n):
+        k = np.arange(c.start, c.stop)
+        k[k >= (n + 1) // 2] -= n  # the negative frequencies
+        nu = k * step * (1.0 + cfg.rolloff) / edge_hz
+        spec[c] *= raised_cosine_gain(nu, cfg.rolloff)
+    return spec
 
 
 def modulate_grid(grid: np.ndarray, sample_rate_hz: float = 1.0) -> ComplexSeq:
@@ -207,9 +244,22 @@ def modulate_grid(grid: np.ndarray, sample_rate_hz: float = 1.0) -> ComplexSeq:
 
 
 def generate_ofdm(cfg: OfdmConfig) -> ComplexSeq:
-    """Seeded OFDM burst, raised-cosine shaped, peak-normalized to 1.0."""
-    x = modulate_grid(ofdm_symbol_grid(cfg), cfg.sample_rate_hz)
-    return normalize_peak(raised_cosine_filter(x, cfg), 1.0)
+    """Seeded OFDM burst, raised-cosine shaped, peak-normalized to 1.0.
+
+    The values are those of ``normalize_peak(raised_cosine_filter(
+    modulate_grid(ofdm_symbol_grid(cfg)), cfg), 1.0)``, built with at most
+    two full-length arrays alive: each transform's input is dropped once its
+    output exists, the gains go into the spectrum chunk by chunk and the
+    peak normalization is in place.
+    """
+    spec = np.fft.fft(np.fft.ifft(ofdm_symbol_grid(cfg), axis=1, norm="ortho").reshape(-1))
+    x = np.fft.ifft(_shape_spectrum(spec, cfg.sample_rate_hz, cfg))
+    del spec
+    peak = _peak(x)
+    if peak == 0.0:
+        raise ValueError("cannot peak-normalize an all-zero signal")
+    x *= 1.0 / peak
+    return ComplexSeq(x, cfg.sample_rate_hz)
 
 
 def papr_db(x: ComplexSeq) -> float:

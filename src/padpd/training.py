@@ -115,7 +115,8 @@ class LmConfig:
 class _Block:
     """One column block of a `_Split`: its `Workspace`, its residual,
     ``cols``, the split's samples it holds, which begin at ``start``, and
-    with ``backward`` the buffers of each dense layer's input gradient."""
+    with ``backward`` the buffers of each dense layer's input gradient.
+    ``lm`` holds `_fc_normal_equations`' N-long buffers once it has run."""
 
     def __init__(self, net: Net, x: np.ndarray, start: int, backward: bool):
         self.ws = Workspace(net, x)
@@ -124,6 +125,7 @@ class _Block:
         self.deltas = [np.empty(a.shape) for a in self.ws.acts[:-1]] if backward else []
         if backward and net.conv is None:
             self.deltas[0] = None  # an MLP needs no gradient at its input
+        self.lm = None
 
 
 class _Split:
@@ -311,7 +313,9 @@ def _fc_normal_equations(block: _Block):
     forward pass refills. W is built
     transposed, one contiguous N-long row per column. It gets zero columns up
     to a multiple of 8: OpenBLAS then gives the Gram matrix the same bytes at
-    any thread count, which it does not for some other widths.
+    any thread count, which it does not for some other widths. W and the
+    head's delta are written into buffers the block keeps from its first call
+    on, so LM's later calls allocate nothing N-long.
     """
     ws, e = block.ws, block.resid.T
     flat, fc_pre, fc_out = ws.acts[0].T, ws.pres[0].T, ws.acts[1].T
@@ -321,7 +325,9 @@ def _fc_normal_equations(block: _Block):
     m = (f + 1) * t  # FC weights and biases, in `Net` order
     dact = fc_act.derivative_from_output(fc_pre, fc_out, into=fc_pre)
 
-    w_t = np.zeros((-(-(m + t + 1) // 8) * 8, n))
+    if block.lm is None:  # the padding rows stay zero: no call writes them
+        block.lm = np.zeros((-(-(m + t + 1) // 8) * 8, n)), np.empty((n, t))
+    w_t, delta = block.lm
     fc_rows = w_t[:m].reshape(f + 1, t, n)
     np.multiply(flat.T[:, None, :], dact.T[None, :, :], out=fc_rows[:f])
     fc_rows[f] = dact.T
@@ -336,7 +342,7 @@ def _fc_normal_equations(block: _Block):
     jtj[m:, :m] = cross.T
     jtj[m:, m:] = np.kron(g[m : m + t + 1, m : m + t + 1], np.eye(2))
 
-    delta = dact * (e @ out_w.T)
+    np.multiply(dact, np.matmul(e, out_w.T, out=delta), out=delta)
     jte = np.concatenate([(flat.T @ delta).ravel(), delta.sum(axis=0),
                           (w_t[m : m + t + 1] @ e).ravel()])
     return jtj, jte

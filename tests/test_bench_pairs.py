@@ -1,6 +1,9 @@
 """Tests for the verdicts of tools/bench_pairs.py, on synthetic run values."""
 
 import importlib.util
+import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -54,3 +57,40 @@ PARENT = [3.30, 3.34, 3.28, 3.36, 3.31, 3.33, 3.29, 3.35, 3.32, 3.30]
 def test_verdicts(parent, change, better, expect):
     bound = 0.15 if better == "higher" else 0.25
     assert judge(parent, change, better, bound) == expect
+
+
+def test_env_reaches_every_run_and_the_output(tmp_path, monkeypatch):
+    """Each --env setting is in the environment of every perfbench run on both
+    sides, and the output file records the settings."""
+    checkouts = {side: tmp_path / side for side in ("parent", "change")}
+    for path in checkouts.values():
+        path.mkdir()
+    (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}], "per_layer": []}))
+    seen = []
+
+    def fake_run(cmd, cwd=None, env=None, **kwargs):
+        if cmd[0] == "git":  # the commit lookup: not a git tree
+            raise subprocess.CalledProcessError(128, cmd)
+        seen.append((Path(cwd), env))
+        line = {"correct": True, "metrics": {"wall_s": {"value": 1.0 + len(seen), "unit": "s"}}}
+        return subprocess.CompletedProcess(cmd, 0, stdout=f'fingerprint {{"numpy": "x"}}\n{json.dumps(line)}\n',
+                                           stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    tunable = "glibc.malloc.mmap_threshold=131072"
+    assert bench_pairs.main(["--workload", "model-gmp", "--parent", str(checkouts["parent"]),
+                             "--change", str(checkouts["change"]), "--pairs", "2", "--out", str(out),
+                             "--env", f"GLIBC_TUNABLES={tunable}", "--env", "PADPD_X=a=b"]) == 0
+    assert sorted(cwd.name for cwd, _ in seen) == ["change", "change", "parent", "parent"]
+    for _, env in seen:
+        assert env["GLIBC_TUNABLES"] == tunable and env["PADPD_X"] == "a=b"
+        assert env["PATH"] == os.environ["PATH"]  # added to the caller's environment
+    entry = json.loads(out.read_text())["model-gmp"]
+    assert entry["env"] == {"GLIBC_TUNABLES": tunable, "PADPD_X": "a=b"}
+    assert entry["metrics"]["wall_s"]["parent"]["values"] == [2.0, 5.0]
+
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--workload", "w", "--parent", ".", "--change", ".", "--out", str(out),
+                          "--env", "NOVALUE"])

@@ -2,16 +2,19 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from padpd import signals
 from padpd.pa import (
     ConstructionError,
     ImpairmentConfig,
     PolyPaModel,
+    _horner,
     apply_impairments,
     default_pa,
     gain_compression_db,
@@ -85,9 +88,68 @@ def test_forward_matches_reference_property(k_order, q_depth, n, seed):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-12 * bound)
 
 
+def unchunked_forward(model, x):
+    """`pa_forward`'s operations over the whole sequence at once: the
+    envelope, one Horner polynomial for the static terms and one per delay,
+    added in delay order, then one complex product."""
+    v = x.data
+    env = np.abs(v)
+    g_re, g_im = _horner(model.a, env)
+    for q in range(1, model.q_depth):
+        re, im = _horner(np.append(0.0, model.c[:, q - 1]), env[:-q])
+        g_re[q:] += re
+        g_im[q:] += im
+    y = np.empty_like(v)
+    y.real, y.imag = g_re, g_im
+    y *= v
+    return y
+
+
+@settings(max_examples=150, deadline=None)
+@given(k_order=st.integers(1, 7), q_depth=st.integers(1, 9), n=st.integers(1, 60),
+       chunk=st.integers(3, 8), seed=st.integers(0, 2**32 - 1))
+@example(k_order=5, q_depth=9, n=4, chunk=3, seed=0)  # shorter than the memory depth
+@example(k_order=5, q_depth=4, n=7, chunk=3, seed=1)  # chunks of 2, 2 and 3 samples
+def test_chunked_forward_keeps_the_unchunked_bytes(k_order, q_depth, n, chunk, seed):
+    """In chunks of a few samples, each with the history before it, the output
+    has the bytes of one pass over the whole sequence."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(k_order) + 1j * rng.standard_normal(k_order)
+    a[0] = 1.0 + 0.5j
+    c = rng.standard_normal((k_order - 1, q_depth - 1)) + 1j * rng.standard_normal(
+        (k_order - 1, q_depth - 1)
+    )
+    model = PolyPaModel(a, c)
+    x = ComplexSeq(0.6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    with mock.patch.object(signals, "_CHUNK", chunk):
+        got = pa_forward(model, x).data
+    assert got.tobytes() == unchunked_forward(model, x).tobytes()
+
+
+@pytest.mark.parametrize("cfg", [*(ImpairmentConfig.case(c) for c in (1, 2, 3)),
+                                 ImpairmentConfig(dc_offset_q_frac=0.05)], ids=["1", "2", "3", "dc"])
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_chunked_impairments_keep_the_unchunked_bytes(cfg, n):
+    """The IQ imbalance in chunks of a few samples, and the DC offset added in
+    place, give the bytes of the whole-sequence expression."""
+    rng = np.random.default_rng(n)
+    x = ComplexSeq(0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    want = x.data
+    if cfg.iq_gain_imbalance_db:
+        mu, nu = iq_imbalance_coefficients(cfg)
+        want = mu * want + nu * np.conj(want)
+    if cfg.dc_offset_q_frac:
+        want = want + (cfg.dc_offset_i_frac + 1j * cfg.dc_offset_q_frac) * x.rms()
+    with mock.patch.object(signals, "_CHUNK", 3):
+        got = apply_impairments(x, cfg).data
+    assert got.tobytes() == want.tobytes()
+
+
 def test_forward_memory_on_long_drive():
-    """The gain is built in place: the tracemalloc peak on a 640 000-sample
-    drive stays below four complex arrays of its length (41.1 MB term by term)."""
+    """The gain is built one chunk at a time: the tracemalloc peak on a
+    640 000-sample drive is the output plus one chunk's temporaries (the
+    envelope, the two gain parts and one delay's two parts, with one more for
+    margin) and the output's finite check, a bool per sample."""
     rng = np.random.default_rng(5)
     x = ComplexSeq(0.5 * (rng.standard_normal(640_000) + 1j * rng.standard_normal(640_000)))
     model = default_pa(0)
@@ -97,7 +159,7 @@ def test_forward_memory_on_long_drive():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * x.data.nbytes, peak
+    assert peak <= x.data.nbytes + 6 * 8 * signals._CHUNK + len(x), peak
 
 
 def test_forward_memoryless_and_linear_cases():

@@ -2,10 +2,13 @@
 
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from padpd import signals
 from padpd.signals import (
     ComplexSeq,
     OfdmConfig,
@@ -146,6 +149,50 @@ def test_generate_ofdm_peak_papr_and_determinism():
     assert 9.4 <= papr_db(x) <= 11.4
     again = generate_ofdm(cfg)
     assert np.array_equal(x.data, again.data)
+
+
+def unshaped_filter(x, cfg):
+    """`raised_cosine_filter` as one expression over the whole spectrum."""
+    edge = cfg.occupied_bandwidth_hz / 2.0
+    nu = np.fft.fftfreq(len(x), d=1.0 / x.sample_rate_hz) * (1.0 + cfg.rolloff) / edge
+    return x.with_data(np.fft.ifft(np.fft.fft(x.data) * raised_cosine_gain(nu, cfg.rolloff)))
+
+
+@pytest.mark.parametrize("cfg", [
+    OfdmConfig(n_subcarriers=64, oversampling=5, n_symbols=37),  # 11 840 samples
+    OfdmConfig(n_subcarriers=63, oversampling=4, n_symbols=37, seed=3),  # odd: DC occupied
+    OfdmConfig(n_subcarriers=65, oversampling=5, n_symbols=21, rolloff=0.0),  # 6825, odd length
+    OfdmConfig(n_subcarriers=32, oversampling=4, n_symbols=25, rolloff=1.0, qam_order=64),
+    OfdmConfig(n_subcarriers=1, oversampling=4, n_symbols=1),  # 4 samples, one chunk
+], ids=["even-5", "odd-4", "odd-5-rolloff0", "even-4-rolloff1", "tone"])
+@pytest.mark.parametrize("chunk", [1000, signals._CHUNK])
+def test_generate_ofdm_keeps_the_bytes_of_its_stages(cfg, chunk):
+    """Built in place, its spectrum shaped chunk by chunk, the burst has the
+    bytes of the stage functions chained, and the chunked filter has those of
+    one whole-spectrum product; at 1000 samples a chunk, no length here is a
+    multiple of the chunk."""
+    with mock.patch.object(signals, "_CHUNK", chunk):
+        got = generate_ofdm(cfg)
+        modulated = modulate_grid(ofdm_symbol_grid(cfg), cfg.sample_rate_hz)
+        staged = normalize_peak(raised_cosine_filter(modulated, cfg), 1.0)
+    assert got.data.tobytes() == staged.data.tobytes()
+    assert got.data.tobytes() == normalize_peak(unshaped_filter(modulated, cfg), 1.0).data.tobytes()
+    assert got.sample_rate_hz == cfg.sample_rate_hz
+
+
+def test_generate_ofdm_memory():
+    """At most two full-length complex arrays are alive at once: the default
+    burst's tracemalloc peak was 20.48 MB, two 10.24 MB arrays; the bound
+    leaves 1 MB over them (chained stages: 30.7 MB)."""
+    cfg = OfdmConfig()
+    n = cfg.n_symbols * cfg.n_fft
+    tracemalloc.start()
+    try:
+        generate_ofdm(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 16 * n + 2**20, peak
 
 
 def test_single_subcarrier_is_a_flat_tone():

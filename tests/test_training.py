@@ -744,6 +744,29 @@ def test_fc_normal_equations_match_reference_jacobian(arch, n, seed):
     assert np.array_equal(jtj, jtj.T)
 
 
+def test_fc_normal_equations_reuse_the_block_buffers():
+    """The first call keeps its N-long buffers on the block. A second one, after
+    another forward pass, allocates no array of N or more elements (its
+    tracemalloc peak stays under N floats) and gives the same bytes."""
+    n = 20_000
+    rng = np.random.default_rng(3)
+    split = _Split(Net.of(mlp_init([2, 2, 2], Activation("tanh"), seed=1)), [rng.standard_normal((2, n))],
+                   rng.standard_normal((n, 2)))
+    (block,) = split.blocks
+    peaks, results = [], []
+    for _ in range(2):
+        split.cost()
+        tracemalloc.start()
+        try:
+            results.append(_fc_normal_equations(block))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] >= 16 * 8 * n  # W, 6 weight and bias columns, 2 output and 1 bias, padded to 16
+    assert peaks[1] < 8 * n, peaks
+    assert [a.tobytes() for a in results[0]] == [a.tobytes() for a in results[1]]
+
+
 def reference_lm(head, flat, labels, cfg):
     """The LM rules on the formed Jacobian of a head `Net` over its (N, F)
     features: (accepted, mse) per iteration and the stop reason. The head's

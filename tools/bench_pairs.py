@@ -1,7 +1,8 @@
 """Paired perfbench runs of two checkouts: one workload, alternating order.
 
     python3 tools/bench_pairs.py --workload model-conv --parent ../parent --change . \
-        --pairs 10 --trace-pairs 2 --seed 1 --seconds 24 --out BENCH_8.json
+        --pairs 10 --trace-pairs 2 --seed 1 --seconds 24 --out BENCH_8.json \
+        [--env GLIBC_TUNABLES=glibc.malloc.mmap_threshold=131072 ...]
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
 after the other; the first side alternates from pair to pair, so a drift of
@@ -12,7 +13,8 @@ count for neither side), plus each run's environment fingerprint. After
 them, ``--trace-pairs`` pairs of ``--trace 1`` runs, alternating the same
 way, give the same figures for every per-layer metric under "per_layer".
 The file is keyed by workload: a workload already in the file is replaced,
-the others are kept.
+the others are kept. Each ``--env NAME=VALUE`` is set in the environment of
+every run on both sides, and the file records the settings under "env".
 
 Each end-to-end metric also gets a verdict, printed with it (``better`` is
 the direction ``BENCHMARK.json`` gives the metric, ``bound`` its bound):
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -50,7 +53,7 @@ def run_once(checkout: Path, args, trace: int) -> tuple[dict, dict]:
     """One perfbench run in ``checkout``: (result line, fingerprint)."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=dict(os.environ, **args.env))
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}: {proc.stderr.strip()}")
     lines = proc.stdout.strip().splitlines()
@@ -102,10 +105,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=24)
     parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--env", action="append", default=[], metavar="NAME=VALUE",
+                        help="set in the environment of every run on both sides (repeatable)")
     args = parser.parse_args(argv)
     if args.pairs < 2 or args.trace_pairs < 0 or args.trace_pairs == 1:
         parser.error("--pairs must be at least 2 and --trace-pairs 0 or at least 2 "
                      "(quartiles need two values)")
+    if bad := [e for e in args.env if not e.partition("=")[0] or "=" not in e]:
+        parser.error(f"--env takes NAME=VALUE, got {bad}")
+    args.env = dict(e.split("=", 1) for e in args.env)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
@@ -138,6 +146,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "commits": {s: _describe(c) for s, c in checkouts.items()},
         "trace_pairs": args.trace_pairs,
+        "env": args.env,
         "all_correct": all(r["correct"] for t in (runs, traced) for side in t.values() for r in side),
         "metrics": metrics,
         "per_layer": summarize(traced, better) if args.trace_pairs else {},
