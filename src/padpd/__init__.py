@@ -32,7 +32,7 @@ from .experiment import (
     sweep_memory,
     train_dpd,
 )
-from .metrics import ChannelPlan, acpr_db, nmse_db, psd_welch
+from .metrics import acpr_db, nmse_db, psd_welch
 from .network import (
     Activation,
     ConvNetArch,

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import from_dict, to_dict
+from .dataset import N_FEATURE_ROWS
 from .signals import ComplexSeq
 
 __all__ = [
@@ -159,7 +160,7 @@ def gmp_basis_at(x: ComplexSeq, cfg: GmpConfig, n_indices: np.ndarray) -> np.nda
 _QR_BLOCK = 1024
 
 
-def gmp_fit_ls(basis: np.ndarray, y, cfg: GmpConfig, ridge: float = 0.0) -> GmpModel:
+def gmp_fit_ls(basis: np.ndarray, y: np.ndarray, cfg: GmpConfig, ridge: float = 0.0) -> GmpModel:
     """Least-squares coefficients, optionally ridge-regularized.
 
     ``basis`` holds the columns of ``cfg`` (from `gmp_basis_at`), in its order.
@@ -173,7 +174,7 @@ def gmp_fit_ls(basis: np.ndarray, y, cfg: GmpConfig, ridge: float = 0.0) -> GmpM
     singular values above lstsq's cutoff, eps·max(rows, cols)·s_max.
     """
     basis = np.asarray(basis, dtype=np.complex128)
-    target = y.data if isinstance(y, ComplexSeq) else np.asarray(y, dtype=np.complex128).reshape(-1)
+    target = np.asarray(y, dtype=np.complex128).reshape(-1)
     if basis.ndim != 2:
         raise ValueError("basis must be a 2-D matrix")
     rows, cols = basis.shape
@@ -235,7 +236,7 @@ def mlp_features_from_graphs(graphs: np.ndarray, kind: str) -> np.ndarray:
     each row — the same layout the graphs themselves use.
     """
     graphs = np.asarray(graphs, dtype=float)
-    if graphs.ndim != 3 or graphs.shape[1] != 5:
+    if graphs.ndim != 3 or graphs.shape[1] != N_FEATURE_ROWS:
         raise ValueError(f"graphs must have shape (n, 5, M+1), got {graphs.shape}")
     if kind == "iq":
         return graphs[:, :2, :].reshape(graphs.shape[0], -1)
@@ -260,7 +261,7 @@ class MlpBaselineSpec:
             raise ValueError("hidden widths must be positive")
 
     def input_width(self, memory_depth: int) -> int:
-        per_tap = 2 if self.feature_kind == "iq" else 5
+        per_tap = 2 if self.feature_kind == "iq" else N_FEATURE_ROWS
         return per_tap * (memory_depth + 1)
 
     def widths(self, memory_depth: int) -> list[int]:

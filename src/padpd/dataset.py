@@ -6,7 +6,7 @@ newest-first (n, n-1, ..., n-M); rows hold I, Q, |x|, |x|^2 and |x|^3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,8 +36,7 @@ class Dataset:
 
     graphs: np.ndarray  # (n, 5, M+1)
     labels: np.ndarray  # (n, 2)
-    split_tag: str
-    scale: float = 1.0
+    scale: float = field(default=1.0, kw_only=True)
 
     def __post_init__(self):
         g = np.asarray(self.graphs, dtype=float)
@@ -46,8 +45,6 @@ class Dataset:
             raise ValueError(f"graphs must have shape (n, 5, M+1), got {g.shape}")
         if lab.shape != (g.shape[0], 2):
             raise ValueError(f"labels must have shape (n, 2), got {lab.shape}")
-        if self.split_tag not in ("train", "test"):
-            raise ValueError(f"split_tag must be 'train' or 'test', got {self.split_tag!r}")
         object.__setattr__(self, "graphs", g)
         object.__setattr__(self, "labels", lab)
 
@@ -131,9 +128,7 @@ def build_dataset(
     labels = np.column_stack([ys.real[memory_depth:], ys.imag[memory_depth:]])
 
     tr, te = split_indices(count, split_seed)
-    train = Dataset(graphs[tr], labels[tr], "train", scale)
-    test = Dataset(graphs[te], labels[te], "test", scale)
-    return train, test
+    return Dataset(graphs[tr], labels[tr], scale=scale), Dataset(graphs[te], labels[te], scale=scale)
 
 
 def split_indices(count: int, split_seed: int) -> tuple[np.ndarray, np.ndarray]:

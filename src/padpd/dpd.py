@@ -5,7 +5,7 @@ pairs by `experiment.train_dpd`, the forward model's trainer, then copied
 unchanged in front of the PA. Predistorting the drive and
 re-running the PA should collapse the spectral regrowth; the result object
 reports ACPR before/after, the inverse-model accuracy, and the predistorted
-peak (flagged, never clipped, when it exceeds the configured ceiling).
+peak (flagged, never clipped, when it exceeds `PEAK_CEILING_DEFAULT`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import N_FEATURE_ROWS, sample_features
-from .metrics import ChannelPlan, acpr_db, psd_welch
+from .metrics import acpr_db, psd_welch
 from .network import ConvNetArch, ConvNetParams, ConvStream, blocks, conv_net
 from .pa import ImpairmentConfig, PolyPaModel, transmit_chain
 from .signals import ComplexSeq
@@ -50,7 +50,6 @@ class DpdResult:
     nmse_inverse_db: float
     gain_estimate: float
     predistorted_peak: float
-    peak_ceiling: float = PEAK_CEILING_DEFAULT
 
     def __post_init__(self):
         if not self.gain_estimate > 0:
@@ -58,7 +57,7 @@ class DpdResult:
 
     @property
     def peak_exceeded(self) -> bool:
-        return self.predistorted_peak > self.peak_ceiling
+        return self.predistorted_peak > PEAK_CEILING_DEFAULT
 
     @property
     def improvement_db(self) -> tuple:
@@ -76,7 +75,7 @@ class DpdResult:
             "nmse_inverse_db": float(self.nmse_inverse_db),
             "gain_estimate": float(self.gain_estimate),
             "predistorted_peak": float(self.predistorted_peak),
-            "peak_ceiling": float(self.peak_ceiling),
+            "peak_ceiling": PEAK_CEILING_DEFAULT,
             "peak_exceeded": bool(self.peak_exceeded),
         }
 
@@ -142,14 +141,14 @@ def evaluate_linearization(
     params: ConvNetParams,
     arch: ConvNetArch,
     scale: float,
-    plan: ChannelPlan,
+    bw_hz: float,
     gain_estimate: float,
     nmse_inverse_db: float = float("nan"),
     impairments: ImpairmentConfig | None = None,
     segment: int = 1024,
-    peak_ceiling: float = PEAK_CEILING_DEFAULT,
 ) -> tuple[DpdResult, dict]:
-    """ACPR of the bare PA (its ``output`` for ``drive``) vs the predistorted cascade.
+    """ACPR of the bare PA (its ``output`` for ``drive``) vs the predistorted
+    cascade, over channels of ``bw_hz`` (`acpr_db`).
 
     Returns the result plus a spectra dict (freqs and both PSDs) so callers
     can write plot-ready CSVs without recomputing.
@@ -160,19 +159,10 @@ def evaluate_linearization(
     freqs, psd_before = psd_welch(output, segment)
     _, psd_after = psd_welch(y_after, segment)
     result = DpdResult(
-        acpr_before_db=acpr_db(freqs, psd_before, plan),
-        acpr_after_db=acpr_db(freqs, psd_after, plan),
+        acpr_before_db=acpr_db(freqs, psd_before, bw_hz),
+        acpr_after_db=acpr_db(freqs, psd_after, bw_hz),
         nmse_inverse_db=float(nmse_inverse_db),
         gain_estimate=float(gain_estimate),
         predistorted_peak=predistorted.peak(),
-        peak_ceiling=peak_ceiling,
     )
-    spectra = {
-        "freqs_hz": freqs,
-        "psd_before": psd_before,
-        "psd_after": psd_after,
-        "predistorted": predistorted,
-        "output_before": output,
-        "output_after": y_after,
-    }
-    return result, spectra
+    return result, {"freqs_hz": freqs, "psd_before": psd_before, "psd_after": psd_after}

@@ -38,7 +38,7 @@ from .complexity import (
 from .csvio import write_csv
 from .dataset import build_dataset, feature_graphs, joint_scale, split_indices
 from .dpd import estimate_linear_gain, evaluate_linearization
-from .metrics import ChannelPlan, acpr_db, nmse_db, psd_welch, write_spectrum_csv
+from .metrics import acpr_db, nmse_db, psd_welch, write_spectrum_csv
 from .network import (
     ConvNetArch,
     forward_batch,
@@ -179,10 +179,6 @@ def _run_stage(stage: str, fn, *args, **kwargs):
 
 def _complex(rows: np.ndarray) -> np.ndarray:
     return rows[:, 0] + 1j * rows[:, 1]
-
-
-def _channel_plan(cfg: ExperimentConfig) -> ChannelPlan:
-    return ChannelPlan.for_bandwidth(cfg.signal.occupied_bandwidth_hz)
 
 
 # The arch fields that define the conv filter a saved model can lend a run.
@@ -329,9 +325,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     def compute_metrics():
         for split, pos in (("train", fit.train_pos), ("test", fit.test_pos)):
             results[f"nmse_{split}_db"] = nmse_db(fit.pred[pos], ref[pos])
-        plan = _channel_plan(cfg)
         freqs, psd_out = psd_welch(y, cfg.segment)
-        lo_db, hi_db = acpr_db(freqs, psd_out, plan)
+        lo_db, hi_db = acpr_db(freqs, psd_out, cfg.signal.occupied_bandwidth_hz)
         results["acpr_output_db"] = [lo_db, hi_db]
         err = ComplexSeq(fit.pred - ref, x.sample_rate_hz)
         ref_seq = ComplexSeq(ref, x.sample_rate_hz)
@@ -398,7 +393,8 @@ def run_dpd_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
 
     params, gain, scale, nmse_inverse_db = _run_stage("train", train_dpd, cfg, drive, y)
     result, spectra = _run_stage("linearize", evaluate_linearization, pa, drive, y, params, cfg.arch,
-                                 scale, _channel_plan(cfg), gain, nmse_inverse_db, imp, cfg.segment)
+                                 scale, cfg.signal.occupied_bandwidth_hz, gain, nmse_inverse_db, imp,
+                                 cfg.segment)
 
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 from .csvio import write_csv
@@ -13,7 +10,6 @@ from .signals import ComplexSeq
 __all__ = [
     "nmse_db",
     "psd_welch",
-    "ChannelPlan",
     "band_power",
     "acpr_db",
     "write_spectrum_csv",
@@ -22,16 +18,10 @@ __all__ = [
 NMSE_FLOOR_DB = -300.0
 
 
-def _as_complex_array(x) -> np.ndarray:
-    if isinstance(x, ComplexSeq):
-        return x.data
-    return np.asarray(x, dtype=np.complex128).reshape(-1)
-
-
-def nmse_db(pred, ref) -> float:
+def nmse_db(pred: np.ndarray, ref: np.ndarray) -> float:
     """10*log10(sum|pred-ref|^2 / sum|ref|^2), floored at -300 dB."""
-    p = _as_complex_array(pred)
-    r = _as_complex_array(ref)
+    p = np.asarray(pred, dtype=np.complex128).reshape(-1)
+    r = np.asarray(ref, dtype=np.complex128).reshape(-1)
     if p.shape != r.shape:
         raise ValueError(f"prediction and reference lengths differ: {p.size} vs {r.size}")
     ref_energy = float(np.sum(np.abs(r) ** 2))
@@ -61,12 +51,12 @@ def _hann(m: int) -> np.ndarray:
 _WELCH_CHUNK_FRAMES = 256
 
 
-def psd_welch(x: ComplexSeq, segment: int = 1024, overlap_frac: float = 0.5):
+def psd_welch(x: ComplexSeq, segment: int = 1024):
     """Two-sided Welch PSD (Hann window, density scaling), fftshifted.
 
     Frames, window and scaling are those of ``scipy.signal.welch(...,
-    detrend=False, return_onesided=False)``: the mean |FFT|^2 of the windowed
-    frames, scaled by 1 / (fs * sum(w^2)).
+    detrend=False, return_onesided=False)``, whose frames overlap by half:
+    the mean |FFT|^2 of the windowed frames, scaled by 1 / (fs * sum(w^2)).
 
     Returns (freqs_hz, psd) with freqs ascending from -fs/2; integrating
     psd * df recovers the mean signal power (Parseval, within window bias).
@@ -75,9 +65,7 @@ def psd_welch(x: ComplexSeq, segment: int = 1024, overlap_frac: float = 0.5):
         raise ValueError("segment must be >= 2")
     if len(x) < segment:
         raise ValueError(f"signal ({len(x)} samples) shorter than one segment ({segment})")
-    if not 0.0 <= overlap_frac < 1.0:
-        raise ValueError("overlap_frac must lie in [0, 1)")
-    step = segment - int(segment * overlap_frac)
+    step = segment - segment // 2
     frames = np.lib.stride_tricks.sliding_window_view(x.data, segment)[::step]
     window = _hann(segment)
     power = np.zeros(segment)
@@ -86,33 +74,6 @@ def psd_welch(x: ComplexSeq, segment: int = 1024, overlap_frac: float = 0.5):
         power += (spec.real**2 + spec.imag**2).sum(axis=0)
     psd = power / (len(frames) * x.sample_rate_hz * np.dot(window, window))
     return np.fft.fftshift(np.fft.fftfreq(segment, 1.0 / x.sample_rate_hz)), np.fft.fftshift(psd)
-
-
-@dataclass(frozen=True)
-class ChannelPlan:
-    """Integration bands for ACPR: a main channel and two adjacent ones."""
-
-    main_bw_hz: float
-    adj_offset_hz: float
-    adj_bw_hz: float
-    center_hz: float = 0.0
-
-    def __post_init__(self):
-        if not self.main_bw_hz > 0 or not self.adj_bw_hz > 0:
-            raise ValueError("channel bandwidths must be positive")
-        if not self.adj_offset_hz > 0:
-            raise ValueError("adjacent channel offset must be positive")
-        if self.adj_offset_hz < (self.main_bw_hz + self.adj_bw_hz) / 2:
-            warnings.warn(
-                "adjacent band overlaps the main channel "
-                f"(offset {self.adj_offset_hz:g} Hz < half the summed bandwidths)",
-                stacklevel=2,
-            )
-
-    @classmethod
-    def for_bandwidth(cls, main_bw_hz: float) -> "ChannelPlan":
-        """Default plan: adjacent channels abut the main one (offset = bw)."""
-        return cls(main_bw_hz, main_bw_hz, main_bw_hz)
 
 
 def band_power(freqs: np.ndarray, psd: np.ndarray, lo_hz: float, hi_hz: float) -> float:
@@ -133,18 +94,15 @@ def band_power(freqs: np.ndarray, psd: np.ndarray, lo_hz: float, hi_hz: float) -
     return float(psd[mask].sum() * df)
 
 
-def acpr_db(freqs: np.ndarray, psd: np.ndarray, plan: ChannelPlan) -> tuple[float, float]:
-    """Adjacent-to-main power ratio in dB, (lower side, upper side)."""
-    c = plan.center_hz
-    main = band_power(freqs, psd, c - plan.main_bw_hz / 2, c + plan.main_bw_hz / 2)
+def acpr_db(freqs: np.ndarray, psd: np.ndarray, bw_hz: float) -> tuple[float, float]:
+    """Adjacent-to-main power ratio in dB, (lower side, upper side), of a main
+    channel of ``bw_hz`` centred on 0 Hz and adjacent channels as wide that
+    abut it."""
+    main = band_power(freqs, psd, -bw_hz / 2, bw_hz / 2)
     if main <= 0.0:
         raise ValueError("main channel contains no power")
-    lo = band_power(
-        freqs, psd, c - plan.adj_offset_hz - plan.adj_bw_hz / 2, c - plan.adj_offset_hz + plan.adj_bw_hz / 2
-    )
-    hi = band_power(
-        freqs, psd, c + plan.adj_offset_hz - plan.adj_bw_hz / 2, c + plan.adj_offset_hz + plan.adj_bw_hz / 2
-    )
+    lo = band_power(freqs, psd, -bw_hz - bw_hz / 2, -bw_hz + bw_hz / 2)
+    hi = band_power(freqs, psd, bw_hz - bw_hz / 2, bw_hz + bw_hz / 2)
     return (float(10.0 * np.log10(lo / main)), float(10.0 * np.log10(hi / main)))
 
 

@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import codec
+from .dataset import N_FEATURE_ROWS
 from .signals import _even_slices
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "load_params",
 ]
 
-N_INPUT_ROWS = 5
 N_OUTPUTS = 2
 
 ACTIVATION_KINDS = ("sigmoid", "relu", "elu", "leaky_relu", "tanh", "linear")
@@ -151,8 +151,8 @@ class ConvNetArch:
     def __post_init__(self):
         if self.memory_depth < 0:
             raise ValueError("memory_depth must be >= 0")
-        if not 1 <= self.kernel_rows <= N_INPUT_ROWS:
-            raise ValueError(f"kernel_rows must lie in 1..{N_INPUT_ROWS}")
+        if not 1 <= self.kernel_rows <= N_FEATURE_ROWS:
+            raise ValueError(f"kernel_rows must lie in 1..{N_FEATURE_ROWS}")
         if not 1 <= self.kernel_cols <= self.memory_depth + 1:
             raise ValueError("kernel_cols must lie in 1..memory_depth+1")
         if self.n_kernels < 1:
@@ -162,7 +162,7 @@ class ConvNetArch:
 
     @property
     def map_rows(self) -> int:
-        return N_INPUT_ROWS - self.kernel_rows + 1
+        return N_FEATURE_ROWS - self.kernel_rows + 1
 
     @property
     def map_cols(self) -> int:
@@ -174,7 +174,7 @@ class ConvNetArch:
 
     @property
     def input_shape(self) -> tuple[int, int]:
-        return (N_INPUT_ROWS, self.memory_depth + 1)
+        return (N_FEATURE_ROWS, self.memory_depth + 1)
 
 
 @dataclass(frozen=True)
@@ -194,14 +194,6 @@ class ConvNetParams:
 
     def as_list(self) -> list[np.ndarray]:
         return [getattr(self, f.name) for f in fields(self)]
-
-    @classmethod
-    def from_list(cls, arrays: Sequence[np.ndarray]) -> "ConvNetParams":
-        return cls(*arrays)
-
-    @property
-    def n_coefficients(self) -> int:
-        return sum(a.size for a in self.as_list())
 
     @staticmethod
     def shapes(arch: ConvNetArch) -> dict[str, tuple[int, ...]]:
@@ -471,22 +463,20 @@ class ConvStream:
 
 
 def mlp_forward(layers: Sequence[MlpLayer], x: np.ndarray) -> np.ndarray:
-    """Chain the layers over a single vector (D,) or a batch (N, D)."""
-    x = np.asarray(x, dtype=float)
-    out = Workspace(Net.of(layers), x[:, None] if x.ndim == 1 else x.T).forward()
-    return out[:, 0] if x.ndim == 1 else out.T
+    """Chain the layers over a batch (N, D); returns (N, outputs)."""
+    return Workspace(Net.of(layers), np.asarray(x, dtype=float).T).forward().T
 
 
-def mlp_init(widths: Sequence[int], hidden_act: Activation, seed: int = 0,
-             out_act: Activation = LINEAR) -> list[MlpLayer]:
-    """Glorot-initialized MLP; all hidden layers share one activation."""
+def mlp_init(widths: Sequence[int], hidden_act: Activation, seed: int = 0) -> list[MlpLayer]:
+    """Glorot-initialized MLP; all hidden layers share one activation, and
+    the output layer is linear."""
     if len(widths) < 2:
         raise ValueError("widths must list at least input and output sizes")
     rng = np.random.default_rng(seed)
     layers = []
     for j in range(len(widths) - 1):
         n_in, n_out = widths[j], widths[j + 1]
-        act = out_act if j == len(widths) - 2 else hidden_act
+        act = LINEAR if j == len(widths) - 2 else hidden_act
         layers.append(MlpLayer(_glorot(rng, (n_in, n_out), n_in, n_out), np.zeros(n_out), act))
     return layers
 

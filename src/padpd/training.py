@@ -355,12 +355,15 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
     the split's `_Split.cost`, the one Adam minimizes. Steps solve
     (J'J + mu I) delta = J'e; a step is kept only if the cost drops (then mu
     shrinks), otherwise it is undone and retried on the same J'J with a
-    larger mu. The net's vector is updated in place.
+    larger mu. The net's vector is updated in place; the damped system and
+    the parameters a step starts from are written into buffers made once.
     """
     (block,) = split.blocks
     theta, n = split.net.theta, split.targets.shape[1]
     mse = split.cost()
     jtj, grad = _fc_normal_equations(block)
+    damped, kept = np.empty_like(jtj), np.empty_like(theta)
+    diag = damped.reshape(-1)[:: jtj.shape[0] + 1]  # a view of damped's diagonal
     mu, history, reason = cfg.mu_init, [], "max_iters"
     for it in range(1, cfg.max_iters + 1):
         gnorm = float(np.max(np.abs(grad))) / n
@@ -368,15 +371,17 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
             reason = "gradient"
             break
         while True:
+            np.copyto(damped, jtj)
+            diag += mu
             try:
-                delta = np.linalg.solve(jtj + mu * np.eye(jtj.shape[0]), grad)
+                delta = np.linalg.solve(damped, grad)
                 break
             except np.linalg.LinAlgError:
                 mu *= cfg.mu_up
                 if mu > cfg.mu_max:
                     raise TrainingError("LM normal-equation solve failed at every damping level") from None
 
-        kept = theta.copy()
+        np.copyto(kept, theta)
         theta -= delta
         cand_mse = split.cost()
         if np.isfinite(cand_mse) and cand_mse < mse:

@@ -102,7 +102,7 @@ def test_criterion_02_gradient_correctness(capsys):
         rng = np.random.default_rng(100 + inst)
         graphs = rng.standard_normal((6, *arch.input_shape)) * 0.5
         labels = rng.standard_normal((6, 2)) * 0.3
-        data = Dataset(graphs, labels, "train")
+        data = Dataset(graphs, labels)
         params = init_params(arch, inst)
         analytic = np.concatenate([a.ravel() for a in backprop_grads(params, arch, data).as_list()])
         arrays = params.as_list()
@@ -113,9 +113,9 @@ def test_criterion_02_gradient_correctness(capsys):
                 orig = flat[fi]
                 bumped = [a.copy() for a in arrays]
                 bumped[ai].ravel()[fi] = orig + h
-                c_plus = mse_cost(ConvNetParams.from_list(bumped), arch, data)
+                c_plus = mse_cost(ConvNetParams(*bumped), arch, data)
                 bumped[ai].ravel()[fi] = orig - h
-                c_minus = mse_cost(ConvNetParams.from_list(bumped), arch, data)
+                c_minus = mse_cost(ConvNetParams(*bumped), arch, data)
                 numeric.append((c_plus - c_minus) / (2 * h))
         numeric = np.asarray(numeric)
         rel = np.linalg.norm(numeric - analytic) / np.linalg.norm(numeric)

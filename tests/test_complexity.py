@@ -24,7 +24,7 @@ def test_conv_net_default_arch_counts():
     assert conv_net_coeff_count(arch) == 158
     assert conv_net_flops(arch) == 876
     # the formula agrees with the actual parameter arrays
-    assert init_params(arch, 0).n_coefficients == 158
+    assert sum(a.size for a in init_params(arch, 0).as_list()) == 158
 
 
 def test_conv_net_memory_scaling():
@@ -41,7 +41,7 @@ def test_conv_net_kernel_variants():
     ]
     for arch, expect in spot:
         assert conv_net_coeff_count(arch) == expect
-        assert init_params(arch, 0).n_coefficients == expect
+        assert sum(a.size for a in init_params(arch, 0).as_list()) == expect
 
 
 def test_conv_net_formula_structure():

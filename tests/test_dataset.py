@@ -163,8 +163,8 @@ def test_build_dataset_validation():
         joint_scale(x, x, 3, 8)
     y = x.with_data(4.0 * x.data)
     assert joint_scale(x, y, 3, 7) == build_dataset(x, y, 3, 7, 0)[0].scale == 0.25
-    with pytest.raises(ValueError):
-        Dataset(np.zeros((4, 5, 3)), np.zeros((4, 2)), "validation")
+    with pytest.raises(TypeError):  # scale is keyword-only
+        Dataset(np.zeros((4, 5, 3)), np.zeros((4, 2)), 1.0)
 
 
 def test_dpd_dataset_normalizes_by_gain(monkeypatch):

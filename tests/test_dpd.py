@@ -14,9 +14,8 @@ from padpd import experiment, network
 from padpd.dataset import feature_graphs
 from padpd.dpd import DpdResult, apply_dpd, estimate_linear_gain, evaluate_linearization
 from padpd.experiment import ExperimentConfig, train_dpd
-from padpd.metrics import ChannelPlan
 from padpd.network import ConvNetArch, ConvNetParams, forward_batch, init_params
-from padpd.pa import PolyPaModel, default_pa, pa_forward, transmit_chain
+from padpd.pa import PolyPaModel, default_pa, transmit_chain
 from padpd.signals import ComplexSeq, OfdmConfig, generate_ofdm
 from padpd.training import AdamConfig, LmConfig
 
@@ -139,9 +138,7 @@ def test_apply_dpd_memory_does_not_grow_with_drive_length():
 
 def test_apply_dpd_zero_params_zero_output():
     arch = ConvNetArch()
-    params = ConvNetParams.from_list(
-        [np.zeros_like(a) for a in init_params(arch, 0).as_list()]
-    )
+    params = ConvNetParams(*[np.zeros_like(a) for a in init_params(arch, 0).as_list()])
     x = _seq(RNG.normal(size=20) + 1j * RNG.normal(size=20))
     out = apply_dpd(params, arch, x, 1.0)
     assert np.array_equal(out.data[: arch.memory_depth], x.data[: arch.memory_depth])
@@ -176,19 +173,14 @@ def test_train_and_evaluate_round_trip():
     assert gain > 0
     assert scale > 0
 
-    plan = ChannelPlan.for_bandwidth(cfg.signal.occupied_bandwidth_hz)
     result, spectra = evaluate_linearization(
-        pa, drive, output, params, arch, scale, plan, gain, nmse_inverse_db, segment=256,
+        pa, drive, output, params, arch, scale, cfg.signal.occupied_bandwidth_hz, gain, nmse_inverse_db,
+        segment=256,
     )
     assert result.nmse_inverse_db == pytest.approx(nmse_inverse_db)
     assert all(np.isfinite(v) for v in result.acpr_before_db + result.acpr_after_db)
     assert 0 < result.predistorted_peak < 1.2
     assert len(spectra["freqs_hz"]) == len(spectra["psd_before"]) == len(spectra["psd_after"])
-    assert len(spectra["predistorted"]) == len(drive)
-    # the bare-PA output in the spectra dict matches a direct PA run
-    np.testing.assert_allclose(
-        spectra["output_before"].data, pa_forward(pa, drive).data, rtol=1e-12
-    )
 
 
 def test_dpd_stage1_never_sees_the_held_out_split(monkeypatch):

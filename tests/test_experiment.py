@@ -167,7 +167,7 @@ def test_run_experiment_conv_net(tmp_path):
     assert history[2].startswith("1,") and history[-1].startswith("150,")
     params, arch = load_params(tmp_path / "model.json")
     assert arch == cfg.arch
-    assert params.n_coefficients == 158
+    assert sum(a.size for a in params.as_list()) == 158
 
 
 def test_stage2_final_mse_when_lm_accepts_no_step(tmp_path):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -186,29 +186,67 @@ def test_im2col_core_matches_loop_reference(arch, n, seed):
     np.testing.assert_allclose(forward_batch(params, arch, graphs), ref_out, rtol=1e-12, atol=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
-@given(conv_act=ACTIVATIONS, fc_act=ACTIVATIONS, n=st.integers(2, 40),
-       block=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-def test_forward_batch_blocks_keep_bytes(conv_act, fc_act, n, block, seed):
-    """Over several row blocks, `forward_batch` gives the bytes of its per-block
-    calls and of its lone-graph calls row by row, on the paper's layer shapes. (OpenBLAS
-    picks its GEMM kernel by matrix shape, and for some shapes, such as one
-    kernel or a 2-neuron FC layer, a product's sums round differently at
-    different row counts.)"""
-    arch = ConvNetArch(conv_activation=conv_act, fc_activation=fc_act)
+@st.composite
+def stable_archs(draw):
+    """The shapes whose rows keep their bytes at any batch size (README):
+    memory depth 0-6, 2-4 kernels of fewer than 15 taps, and 2-6 FC neurons."""
+    m = draw(st.integers(0, 6))
+    rows = draw(st.integers(1, 5))
+    return ConvNetArch(
+        memory_depth=m,
+        n_kernels=draw(st.integers(2, 4)),
+        kernel_rows=rows,
+        kernel_cols=draw(st.integers(1, min(m + 1, 14 // rows))),
+        fc_neurons=draw(st.integers(2, 6)),
+        conv_activation=draw(ACTIVATIONS),
+        fc_activation=draw(ACTIVATIONS),
+    )
+
+
+def per_block_forward(arch, n, block, seed):
+    """`forward_batch` over n random graphs: whole, in calls of ``block``
+    graphs, and one graph at a time."""
     rng = np.random.default_rng(seed)
     params = with_random_biases(init_params(arch, seed), rng)
     graphs = rng.standard_normal((n, *arch.input_shape))
     whole = forward_batch(params, arch, graphs)
-    rows = np.concatenate([forward_batch(params, arch, g[None]) for g in graphs])
     per_block = np.concatenate([forward_batch(params, arch, graphs[i : i + block])
                                 for i in range(0, n, block)])
+    rows = np.concatenate([forward_batch(params, arch, g[None]) for g in graphs])
+    return params, graphs, whole, per_block, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(arch=stable_archs(), n=st.integers(2, 40), block=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(arch=ConvNetArch(), n=40, block=7, seed=0)  # the paper's shapes
+def test_forward_batch_blocks_keep_bytes(arch, n, block, seed):
+    """Over several row blocks, `forward_batch` gives the bytes of its per-block
+    calls and of its lone-graph calls row by row, at every batch-stable shape.
+    (OpenBLAS picks its GEMM kernel by matrix shape, and numpy sends a
+    one-row or one-column product to gemv, so at other shapes a product's
+    sums can round differently at different row counts.)"""
+    params, graphs, whole, per_block, rows = per_block_forward(arch, n, block, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network, "_BLOCK_SAMPLES", block)
         blocked = forward_batch(params, arch, graphs)
     assert blocked.tobytes() == whole.tobytes()
     assert per_block.tobytes() == whole.tobytes()
     assert rows.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("arch", [
+    ConvNetArch(n_kernels=1, kernel_rows=1, kernel_cols=3),
+    ConvNetArch(n_kernels=2, kernel_rows=1, kernel_cols=1, fc_neurons=1),
+    ConvNetArch(n_kernels=2, kernel_rows=4, kernel_cols=4, fc_neurons=2),
+], ids=["one-kernel", "one-fc-neuron", "16-taps"])
+def test_forward_batch_rows_move_with_the_block_outside_the_stable_class(arch):
+    """The README's three exceptions to batch-size stability, one shape each:
+    in calls of 3 of 64 graphs some rows lose the whole batch's bytes. If a
+    numpy or OpenBLAS version makes one keep them, the README's list of
+    exceptions is out of date."""
+    _, _, whole, per_block, _ = per_block_forward(arch, 64, 3, 0)
+    np.testing.assert_allclose(per_block, whole, rtol=1e-12, atol=1e-12)
+    assert per_block.tobytes() != whole.tobytes()
 
 
 def test_forward_batch_memory_does_not_grow_with_rows():
@@ -258,7 +296,7 @@ def test_init_params_seeded_and_bounded():
     # glorot bound for the fc layer
     limit = np.sqrt(6 / (arch.n_flat_features + arch.fc_neurons))
     assert np.max(np.abs(p1.fc_weights)) <= limit
-    assert p1.n_coefficients == 158
+    assert sum(a.size for a in p1.as_list()) == 158
 
 
 def test_params_shape_check():
@@ -278,8 +316,6 @@ def test_mlp_forward_reference():
     out = mlp_forward(layers, x)
     hidden = np.tanh(x @ layers[0].weights + layers[0].biases)
     assert np.allclose(out, hidden @ layers[1].weights + layers[1].biases)
-    # single-vector call agrees with the batch row
-    assert np.allclose(mlp_forward(layers, x[0]), out[0])
     with pytest.raises(ValueError):
         mlp_forward(layers, np.zeros((2, 5)))
     with pytest.raises(ValueError):

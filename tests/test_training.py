@@ -67,7 +67,7 @@ def tiny_task(arch, n=60, seed=0, label_seed=1):
     teacher = init_params(arch, label_seed)
     labels = forward_batch(teacher, arch, graphs)
     labels = labels + 0.01 * rng.standard_normal(labels.shape)
-    return Dataset(graphs, labels, "train")
+    return Dataset(graphs, labels)
 
 
 # The list-based training loop that the flat-vector loop replaced, kept as
@@ -152,15 +152,15 @@ def ref_train_stage1(params, arch, train, cfg, test=None):
     test_cols = None if test is None else _im2col(test.graphs, arch)
 
     def cost_and_grads(values):
-        return ref_conv_cost_and_grads(ConvNetParams.from_list(values), arch, train_cols, train.labels.T)
+        return ref_conv_cost_and_grads(ConvNetParams(*values), arch, train_cols, train.labels.T)
 
     def test_cost(values):
-        outputs = ref_conv_forward(ConvNetParams.from_list(values), arch, test_cols)[3][-1]
+        outputs = ref_conv_forward(ConvNetParams(*values), arch, test_cols)[3][-1]
         return ref_cost_and_output_delta(outputs, test.labels.T)[0]
 
     values, history = ref_adam_minimize([a.copy() for a in params.as_list()], cost_and_grads, cfg,
                                         None if test is None else test_cost)
-    return ConvNetParams.from_list(values), history
+    return ConvNetParams(*values), history
 
 
 def ref_train_mlp(layers, x, labels, cfg):
@@ -229,7 +229,7 @@ def test_cost_and_grads_match_row_major_oracle(arch, n, seed):
     params = with_random_biases(init_params(arch, seed), rng)
     graphs = rng.standard_normal((n, *arch.input_shape))
     labels = rng.standard_normal((n, 2))
-    data = Dataset(graphs, labels, "train")
+    data = Dataset(graphs, labels)
     cost, grads = mse_cost(params, arch, data), backprop_grads(params, arch, data)
     ref_cost, ref_grads = row_major_cost_and_grads(params, arch, graphs, labels)
     assert cost == pytest.approx(ref_cost, rel=1e-12)
@@ -254,7 +254,7 @@ def test_backprop_matches_finite_differences():
             for sgn, store in ((1, "plus"), (-1, "minus")):
                 bumped = [a.copy() for a in arrays]
                 bumped[a_idx].ravel()[fi] += sgn * h
-                cost = mse_cost(ConvNetParams.from_list(bumped), arch, data)
+                cost = mse_cost(ConvNetParams(*bumped), arch, data)
                 if store == "plus":
                     c_plus = cost
                 else:
@@ -316,11 +316,11 @@ def test_stage1_matches_the_public_gradient_path():
     trained, hist = train_stage1_adam(params, arch, train, cfg, test)
 
     def cost_and_grads(values):
-        p = ConvNetParams.from_list(values)
+        p = ConvNetParams(*values)
         return mse_cost(p, arch, train), backprop_grads(p, arch, train).as_list()
 
     ref, ref_hist = ref_adam_minimize(params.as_list(), cost_and_grads, cfg,
-                                      lambda values: mse_cost(ConvNetParams.from_list(values), arch, test))
+                                      lambda values: mse_cost(ConvNetParams(*values), arch, test))
     assert hist.shape == (6, 3) and np.array_equal(hist, ref_hist)
     assert_same_bytes(trained.as_list(), ref)
 
@@ -370,7 +370,7 @@ def test_mlp_adam_matches_list_reference(name):
     x = mlp_features_from_graphs(graphs, spec.feature_kind)
     labels = np.tanh(x[:, :2]) * 0.3
     cfg = AdamConfig(max_iters=30, mse_threshold=0.0)
-    trained, hist = train_mlp_baseline(spec, Dataset(graphs, labels, "train"), cfg, seed=1)
+    trained, hist = train_mlp_baseline(spec, Dataset(graphs, labels), cfg, seed=1)
     layers = mlp_init(spec.widths(3), Activation(spec.hidden_activation), seed=1)
     ref, ref_hist = ref_train_mlp(layers, x, labels, cfg)
     assert hist.tobytes() == ref_hist.tobytes() and hist.shape == ref_hist.shape
@@ -387,8 +387,8 @@ def test_stage1_matches_list_reference_on_every_arch(arch, n, n_test, seed):
     activation, kernel and neuron count, batch size and test split."""
     rng = np.random.default_rng(seed)
     params = with_random_biases(init_params(arch, seed), rng)
-    train = Dataset(rng.standard_normal((n, *arch.input_shape)), rng.standard_normal((n, 2)), "train")
-    test = (Dataset(rng.standard_normal((n_test, *arch.input_shape)), rng.standard_normal((n_test, 2)), "test")
+    train = Dataset(rng.standard_normal((n, *arch.input_shape)), rng.standard_normal((n, 2)))
+    test = (Dataset(rng.standard_normal((n_test, *arch.input_shape)), rng.standard_normal((n_test, 2)))
             if n_test else None)
     cfg = AdamConfig(learning_rate=0.01, max_iters=4, mse_threshold=0.0)
     trained, hist = train_stage1_adam(params, arch, train, cfg, test)
@@ -407,8 +407,8 @@ def test_stage1_test_split_only_observes(arch, n, n_test, threshold, seed):
     split's forward pass reads the parameters and writes only its own buffers."""
     rng = np.random.default_rng(seed)
     params = with_random_biases(init_params(arch, seed), rng)
-    train = Dataset(rng.standard_normal((n, *arch.input_shape)), rng.standard_normal((n, 2)), "train")
-    test = Dataset(rng.standard_normal((n_test, *arch.input_shape)), rng.standard_normal((n_test, 2)), "test")
+    train = Dataset(rng.standard_normal((n, *arch.input_shape)), rng.standard_normal((n, 2)))
+    test = Dataset(rng.standard_normal((n_test, *arch.input_shape)), rng.standard_normal((n_test, 2)))
     cfg = AdamConfig(learning_rate=0.01, max_iters=6, mse_threshold=threshold)
     trained, hist = train_stage1_adam(params, arch, train, cfg)
     observed, observed_hist = train_stage1_adam(params, arch, train, cfg, test)
@@ -441,8 +441,8 @@ def _stage1_transient_peaks(max_iters):
     paper's arch; and the traced memory at each interval's start."""
     arch = ConvNetArch()
     rng = np.random.default_rng(0)
-    train = Dataset(rng.standard_normal((8400, *arch.input_shape)), rng.standard_normal((8400, 2)), "train")
-    test = Dataset(rng.standard_normal((5600, *arch.input_shape)), rng.standard_normal((5600, 2)), "test")
+    train = Dataset(rng.standard_normal((8400, *arch.input_shape)), rng.standard_normal((8400, 2)))
+    test = Dataset(rng.standard_normal((5600, *arch.input_shape)), rng.standard_normal((5600, 2)))
     peaks, starts = [], []
 
     def traced_step(*args):
@@ -517,7 +517,7 @@ def test_conv_blocks_keep_the_cost_and_gradient(arch, n, cap, seed):
     to 1e-14."""
     rng = np.random.default_rng(seed)
     params = with_random_biases(init_params(arch, seed), rng)
-    data = Dataset(rng.standard_normal((n, *arch.input_shape)), rng.standard_normal((n, 2)), "train")
+    data = Dataset(rng.standard_normal((n, *arch.input_shape)), rng.standard_normal((n, 2)))
     one_cost, one_grad = mse_cost(params, arch, data), backprop_grads(params, arch, data)
     net = conv_net(params, arch)
     grad = net.like(np.empty_like(net.theta))
@@ -561,7 +561,7 @@ def test_mlp_blocks_keep_the_cost_and_gradient(name):
         blocks = network.blocks(len(feats))
         split = _Split(net, [feats[b].T for b in blocks], labels, backward=True)
         assert len(split.blocks) == 5 and split.cost_and_grad(grads[1]) == one_cost
-        _, hist = train_mlp_baseline(spec, Dataset(graphs, labels, "train"), AdamConfig(max_iters=1), seed=2)
+        _, hist = train_mlp_baseline(spec, Dataset(graphs, labels), AdamConfig(max_iters=1), seed=2)
     assert_grads_close(grads[1].arrays, grads[0].arrays)
     assert [b.cols for b in trained[0].blocks] == blocks
     assert hist[0, 1] == one_cost
@@ -573,7 +573,7 @@ def _conv_trainer():
     params = init_params(arch, 2)
 
     def train(labels, cfg):
-        ds = Dataset(data.graphs, labels, "train")
+        ds = Dataset(data.graphs, labels)
         trained, hist = train_stage1_adam(params, arch, ds, cfg)
         return mse_cost(trained, arch, ds), hist
 
@@ -656,7 +656,7 @@ def test_lm_converges_immediately_at_zero_residual():
     graphs = rng.standard_normal((40, *arch.input_shape)) * 0.3
     params = init_params(arch, 7)
     labels = forward_batch(params, arch, graphs)  # exact fit already
-    data = Dataset(graphs, labels, "train")
+    data = Dataset(graphs, labels)
     polished, result = train_stage2_lm(params, arch, data, LmConfig())
     assert result.converged and result.reason == "gradient"
     assert result.n_iters == 0
@@ -830,7 +830,7 @@ def _zero_residual_setup():
     arch = ConvNetArch(memory_depth=1, kernel_cols=2, kernel_rows=2, n_kernels=2, fc_neurons=3)
     graphs = np.random.default_rng(6).standard_normal((40, *arch.input_shape)) * 0.3
     params = init_params(arch, 7)
-    return params, arch, Dataset(graphs, forward_batch(params, arch, graphs), "train")
+    return params, arch, Dataset(graphs, forward_batch(params, arch, graphs))
 
 
 @pytest.mark.parametrize("setup, cfg, reason", [
