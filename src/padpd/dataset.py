@@ -30,7 +30,7 @@ TRAIN_FRACTION_DEN = 5
 class Dataset:
     """Shuffled split of feature graphs and I/Q labels.
 
-    ``scale`` is the joint peak-normalization factor that was applied to both
+    ``scale`` (keyword-only) is the joint peak-normalization factor applied to both
     the input and output sequences before graphs were built.
     """
 
