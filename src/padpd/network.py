@@ -51,28 +51,18 @@ __all__ = [
 
 N_OUTPUTS = 2
 
-ACTIVATION_KINDS = ("sigmoid", "relu", "elu", "leaky_relu", "tanh", "linear")
+ACTIVATION_KINDS = ("sigmoid", "tanh", "linear")
 
 
 @dataclass(frozen=True)
 class Activation:
-    """Pointwise activation with its derivative.
-
-    ``alpha`` scales the negative branch of elu; ``leak`` is the negative
-    slope of leaky_relu. Both are ignored by the other kinds.
-    """
+    """Pointwise activation whose derivative is read off its output."""
 
     kind: str
-    alpha: float = 1.0
-    leak: float = 0.01
 
     def __post_init__(self):
         if self.kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.kind!r}, expected one of {ACTIVATION_KINDS}")
-        if not self.alpha > 0:
-            raise ValueError("elu alpha must be positive")
-        if not 0.0 < self.leak < 1.0:
-            raise ValueError("leaky_relu slope must lie in (0, 1)")
 
     def __call__(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The activation of ``v``, written into ``out`` when it is given."""
@@ -85,51 +75,26 @@ class Activation:
                 np.exp(np.negative(v, out=out), out=out)
             out += 1.0
             return np.divide(1.0, out, out=out)
-        if self.kind == "relu":
-            return np.maximum(v, 0.0, out=out)
         if self.kind == "tanh":
             return np.tanh(v, out=out)
-        if self.kind == "elu":
-            np.multiply(self.alpha, np.expm1(np.minimum(v, 0.0, out=out), out=out), out=out)
-            np.copyto(out, v, where=v >= 0.0)
-        elif self.kind == "leaky_relu":
-            np.multiply(self.leak, v, out=out)
-            np.copyto(out, v, where=v > 0.0)
-        else:
-            np.copyto(out, v)
+        np.copyto(out, v)
         return out
 
-    def derivative(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if self.kind == "sigmoid":
-            s = self(v)
-            return s * (1.0 - s)
-        if self.kind == "relu":
-            return (v > 0.0).astype(float)
-        if self.kind == "elu":
-            return np.where(v >= 0.0, 1.0, self.alpha * np.exp(np.minimum(v, 0.0)))
-        if self.kind == "leaky_relu":
-            return np.where(v > 0.0, 1.0, self.leak)
-        if self.kind == "tanh":
-            t = np.tanh(v)
-            return 1.0 - t * t
-        return np.ones_like(v)
-
-    def derivative_from_output(self, v: np.ndarray, out: np.ndarray,
-                               into: np.ndarray | None = None) -> np.ndarray:
-        """`derivative` at ``v``, given ``out = self(v)`` from the forward pass.
-
-        tanh and sigmoid take it from ``out`` alone, so the backward pass does
-        not evaluate them a second time, and write it into ``into`` when it is
-        given (``into`` may be ``v``); the values equal `derivative` bit for
-        bit. The other kinds compute it from ``v`` into a new array.
+    def derivative(self, out: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
+        """The derivative at ``v``, given ``out = self(v)`` from the forward
+        pass, written into ``into`` when it is given (``into`` may hold
+        ``v``): ``out (1 - out)`` for sigmoid, ``1 - out**2`` for tanh, ones
+        for linear. So the backward pass never evaluates an activation again.
         """
         if self.kind == "sigmoid":
             return np.multiply(out, np.subtract(1.0, out, out=into), out=into)
         if self.kind == "tanh":
             sq = np.multiply(out, out, out=into)
             return np.subtract(1.0, sq, out=sq)
-        return self.derivative(v)
+        if into is None:
+            return np.ones_like(out)
+        into.fill(1.0)
+        return into
 
 
 TANH = Activation("tanh")

@@ -182,8 +182,8 @@ class _Split:
         gradient at the head's input, ``fc_weights @ d_fc``, is the conv
         layer's (L, B*C*N) delta after a reshape, and its [K | b] gradient is
         one GEMM, ``d_pre @ cols.T``: the ones row of ``cols`` sums ``d_pre``
-        into the bias gradient. The derivatives of tanh and sigmoid overwrite
-        the pre-activations they no longer need.
+        into the bias gradient. Each derivative, taken from its layer's output,
+        overwrites the pre-activations, which are no longer needed.
         """
         net = self.net
         for i, block in enumerate(self.blocks):
@@ -192,15 +192,14 @@ class _Split:
             for j in range(len(net.layers) - 1, -1, -1):
                 layer, g_layer = net.layers[j], g.layers[j]
                 if layer.act.kind != "linear":
-                    delta *= layer.act.derivative_from_output(ws.pres[j], ws.acts[j + 1], into=ws.pres[j])
+                    delta *= layer.act.derivative(ws.acts[j + 1], into=ws.pres[j])
                 np.matmul(ws.acts[j], delta.T, out=g_layer.weights)
                 np.sum(delta, axis=1, out=g_layer.biases)
                 if block.deltas[j] is not None:
                     delta = np.matmul(layer.weights, delta, out=block.deltas[j])
             if net.conv is not None:
                 d_pre = delta.reshape(net.conv.shape[0], -1)
-                d_pre *= net.arch.conv_activation.derivative_from_output(ws.conv_pre, ws.conv_out,
-                                                                         into=ws.conv_pre)
+                d_pre *= net.arch.conv_activation.derivative(ws.conv_out, into=ws.conv_pre)
                 np.matmul(d_pre, ws.x.T, out=g.conv)
             if i:
                 np.add(grad.theta, g.theta, out=grad.theta)
@@ -308,14 +307,14 @@ def _fc_normal_equations(block: _Block):
     by ``out_w``, and J'e is the head's backprop gradient.
 
     The feature-major buffers and residual are read as (N, ·) transposes, so
-    ``flat.T`` and ``dact.T`` are contiguous; as in backprop, tanh's and
-    sigmoid's derivatives overwrite the pre-activations, which the next
-    forward pass refills. W is built
-    transposed, one contiguous N-long row per column. It gets zero columns up
-    to a multiple of 8: OpenBLAS then gives the Gram matrix the same bytes at
-    any thread count, which it does not for some other widths. W and the
-    head's delta are written into buffers the block keeps from its first call
-    on, so LM's later calls allocate nothing N-long.
+    ``flat.T`` and ``dact.T`` are contiguous; as in backprop, the FC
+    derivative overwrites the pre-activations, which the next forward pass
+    refills. W is built transposed, one contiguous N-long row per column. It
+    gets zero columns up to a multiple of 8: OpenBLAS then gives the Gram
+    matrix the same bytes at any thread count, which it does not for some
+    other widths. W and the head's delta are written into buffers the block
+    keeps from its first call on, so LM's later calls allocate nothing
+    N-long.
     """
     ws, e = block.ws, block.resid.T
     flat, fc_pre, fc_out = ws.acts[0].T, ws.pres[0].T, ws.acts[1].T
@@ -323,7 +322,7 @@ def _fc_normal_equations(block: _Block):
     n, t = fc_pre.shape
     f = flat.shape[1]
     m = (f + 1) * t  # FC weights and biases, in `Net` order
-    dact = fc_act.derivative_from_output(fc_pre, fc_out, into=fc_pre)
+    dact = fc_act.derivative(fc_out, into=fc_pre)
 
     if block.lm is None:  # the padding rows stay zero: no call writes them
         block.lm = np.zeros((-(-(m + t + 1) // 8) * 8, n)), np.empty((n, t))

@@ -201,19 +201,34 @@ def test_import_loads_no_scipy():
 
 
 def test_schema1_checkpoint_is_rejected(tmp_path, capsys):
-    # checkpoints written before kernel_depth was removed carry "kernel_depth": 1
-    path = tmp_path / "model.json"
-    save_params(init_params(ConvNetArch()), ConvNetArch(), path)
-    doc = json.loads(path.read_text())
-    doc["arch"]["kernel_depth"] = 1
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="arch.kernel_depth"):
-        load_params(path)
-    argv = ["run", "--config", write_config(tmp_path),
-            "--set", f"reuse_filter_from={json.dumps(str(path))}", "--output-dir", str(tmp_path / "run")]
-    assert main(argv) == 1
+    """A checkpoint carrying a key that a later schema removed fails to load,
+    naming the key: schema 1's "kernel_depth": 1, and schema 2's activation
+    parameters "alpha" and "leak"."""
+    for where, key, value in (("arch", "kernel_depth", 1), ("arch.conv_activation", "alpha", 1.0),
+                              ("arch.fc_activation", "leak", 0.01)):
+        path = tmp_path / f"{key}.json"
+        save_params(init_params(ConvNetArch()), ConvNetArch(), path)
+        doc = json.loads(path.read_text())
+        obj = doc
+        for part in where.split("."):
+            obj = obj[part]
+        obj[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{where}.{key}"):
+            load_params(path)
+        argv = ["run", "--config", write_config(tmp_path),
+                "--set", f"reuse_filter_from={json.dumps(str(path))}", "--output-dir", str(tmp_path / key)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [train]: ") and f"{where}.{key}" in err
+
+
+def test_schema2_activation_parameter_in_a_config_is_rejected(tmp_path, capsys):
+    doc = {**SMALL_DOC, "arch": {"conv_activation": {"kind": "tanh", "alpha": 1.0}}}
+    assert main(["run", "--config", write_config(tmp_path, doc), "--output-dir", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error [train]: ") and "kernel_depth" in err
+    assert err.startswith("error [config]: ") and "arch.conv_activation.alpha" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_dpd_command(tmp_path, capsys):

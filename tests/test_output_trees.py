@@ -81,6 +81,8 @@ def test_tree_diff_names_what_has_no_relative_difference():
     assert tree_diff.rel_diff(-2.0, 2.0) == 2.0
     assert tree_diff.csv_diffs("a,b\n1,x\n", "a,b\n1,y\n") == [("b", None)]
     assert tree_diff.csv_diffs("a\n1\n", "a\n1\n2\n") == [("header or row count", None)]
+    # a differing comment does not hide the columns under it
+    assert tree_diff.csv_diffs("# h=1\na\n1\n", "# h=2\na\n2\n") == [("comment", None), ("a", 0.5)]
     assert tree_diff.json_diffs({"k": [1, 2]}, {"k": [1]}) == [("k", None)]
     assert tree_diff.json_diffs({"k": True}, {"k": False}) == [("k", None)]
     assert tree_diff.json_diffs({"k": 1}, {"j": 1}) == [(".", None)]

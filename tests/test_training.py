@@ -42,7 +42,7 @@ from padpd.training import (
     train_stage1_adam,
     train_stage2_lm,
 )
-from test_network import conv_archs, conv_features, with_random_biases
+from test_network import closed_form_derivative, conv_archs, conv_features, with_random_biases
 
 
 def mlp_cost_and_grads(layers, x, labels):
@@ -94,7 +94,7 @@ def ref_backprop(layers, pres, acts, d_out):
     grads = [None] * len(layers)
     delta = d_out
     for j in range(len(layers) - 1, -1, -1):
-        delta = delta * layers[j].act.derivative_from_output(pres[j], acts[j + 1])
+        delta = delta * closed_form_derivative(layers[j].act, pres[j])
         grads[j] = (acts[j] @ delta.T, delta.sum(axis=1))
         if j:
             delta = layers[j].weights @ delta
@@ -115,7 +115,7 @@ def ref_conv_cost_and_grads(params, arch, cols, targets):
     cost, d_out = ref_cost_and_output_delta(acts[-1], targets)
     (g_fc, g_out), d_fc = ref_backprop(head, pres, acts, d_out)
     d_pre = (params.fc_weights @ d_fc).reshape(arch.n_kernels, -1)
-    d_pre *= arch.conv_activation.derivative_from_output(pre, acts[0].reshape(arch.n_kernels, -1))
+    d_pre *= closed_form_derivative(arch.conv_activation, pre)
     g_conv = d_pre @ cols.T
     return cost, [g_conv[:, :-1].reshape(params.conv_kernels.shape), g_conv[:, -1], *g_fc, *g_out]
 
@@ -210,9 +210,9 @@ def row_major_cost_and_grads(params, arch, graphs, labels):
     fc_out = arch.fc_activation(fc_pre)
     resid = fc_out @ params.out_weights + params.out_biases - labels
     d_out = resid / n
-    d_fc = (d_out @ params.out_weights.T) * arch.fc_activation.derivative(fc_pre)
+    d_fc = (d_out @ params.out_weights.T) * closed_form_derivative(arch.fc_activation, fc_pre)
     d_flat = (d_fc @ params.fc_weights.T).reshape(n, l_k, b * c).transpose(0, 2, 1).reshape(-1, l_k)
-    g_conv = (d_flat * arch.conv_activation.derivative(pre)).T @ cols
+    g_conv = (d_flat * closed_form_derivative(arch.conv_activation, pre)).T @ cols
     return np.sum(resid**2) / (2 * n), [g_conv[:, :-1].reshape(l_k, r, s), g_conv[:, -1],
                                         flat.T @ d_fc, d_fc.sum(axis=0), fc_out.T @ d_out, d_out.sum(axis=0)]
 
@@ -424,7 +424,7 @@ def test_mlp_adam_matches_list_reference_on_every_width(widths, out, kind, n, se
     """Byte agreement with the list-based loop for any depth, widths, hidden
     activation and batch size; the output may have 1-3 units."""
     rng = np.random.default_rng(seed)
-    layers = mlp_init([*widths, out], Activation(kind, alpha=0.7, leak=0.1), seed=seed % 1000)
+    layers = mlp_init([*widths, out], Activation(kind), seed=seed % 1000)
     x = rng.standard_normal((n, widths[0]))
     labels = rng.standard_normal((n, out))
     cfg = AdamConfig(learning_rate=0.01, max_iters=4, mse_threshold=0.0)
@@ -671,7 +671,7 @@ def reference_fc_jacobian(ws):
     out_w = ws.net.layers[1].weights
     n, t = fc_pre.shape
     f = flat.shape[1]
-    dact = ws.net.layers[0].act.derivative_from_output(fc_pre, fc_out)  # (N, T)
+    dact = closed_form_derivative(ws.net.layers[0].act, fc_pre)  # (N, T)
     sens = dact[:, :, None] * out_w[None, :, :]  # (N, T, 2)
     sens = np.moveaxis(sens, 2, 1)  # (N, 2, T)
     j_fc_w = np.einsum("nf,nct->ncft", flat, sens).reshape(n, 2, f * t)

@@ -50,10 +50,9 @@ def _split_csv(text: str) -> tuple[list[str], list[str], list[list[str]]]:
 def csv_diffs(a: str, b: str) -> list[tuple[str, float | None]]:
     """(column or part, largest relative difference or None) of two CSV texts."""
     (ca, ha, ra), (cb, hb, rb) = _split_csv(a), _split_csv(b)
-    if ca != cb:
-        return [("comment", None)]
+    comment = [("comment", None)] if ca != cb else []
     if ha != hb or len(ra) != len(rb):
-        return [("header or row count", None)]
+        return [*comment, ("header or row count", None)]
     worst: dict[str, float | None] = {}
     for row_a, row_b in zip(ra, rb):
         for name, x, y in zip(ha, row_a, row_b):
@@ -65,7 +64,7 @@ def csv_diffs(a: str, b: str) -> list[tuple[str, float | None]]:
                 worst[name] = None
             elif d:
                 worst[name] = max(worst.get(name, 0.0), d)
-    return list(worst.items())
+    return [*comment, *worst.items()]
 
 
 def json_diffs(a, b, path: str = "") -> list[tuple[str, float | None]]:
