@@ -70,7 +70,7 @@ __all__ = [
     "sweep_memory",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 MODEL_KINDS = ("conv_net", "gmp", "rvtdnn", "arvtdnn", "dnn")
 

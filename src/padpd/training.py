@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 
+_STALL_WINDOW = 3  # consecutive small accepted steps that stop LM as stalled
+
+
 class TrainingError(RuntimeError):
     """Raised when an optimizer diverges or its linear solves fail."""
 
@@ -87,27 +90,25 @@ class AdamConfig:
 
 @dataclass(frozen=True)
 class LmConfig:
+    """``mu_init`` is the factor on max diag(J'J) that gives LM's first damping
+    value; ``mu_max`` is the absolute damping value past which a rejected step
+    stops LM (``damping_limit``)."""
+
     mu_init: float = 1e-3
-    mu_up: float = 10.0
-    mu_down: float = 0.1
     max_iters: int = 200
     grad_tol: float = 1e-9
     mu_max: float = 1e12
     min_rel_improvement: float = 5e-3
 
     def __post_init__(self):
-        if not self.mu_init > 0:
-            raise ValueError("mu_init must be positive")
-        if not self.mu_up > 1.0:
-            raise ValueError("mu_up must exceed 1")
-        if not 0.0 < self.mu_down < 1.0:
-            raise ValueError("mu_down must lie in (0, 1)")
+        if not 0.0 < self.mu_init < math.inf:
+            raise ValueError("mu_init must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 <= self.grad_tol < math.inf:
             raise ValueError("grad_tol must be finite and >= 0")
-        if not self.mu_init <= self.mu_max < math.inf:
-            raise ValueError("mu_max must be finite and at least mu_init")
+        if not 0.0 < self.mu_max < math.inf:
+            raise ValueError("mu_max must be finite and positive")
         if not 0.0 <= self.min_rel_improvement < 1.0:
             raise ValueError("min_rel_improvement must lie in [0, 1)")
 
@@ -312,9 +313,10 @@ def _fc_normal_equations(block: _Block):
     refills. W is built transposed, one contiguous N-long row per column. It
     gets zero columns up to a multiple of 8: OpenBLAS then gives the Gram
     matrix the same bytes at any thread count, which it does not for some
-    other widths. W and the head's delta are written into buffers the block
-    keeps from its first call on, so LM's later calls allocate nothing
-    N-long.
+    other widths. W, the head's delta, the Gram matrix, J'J with its output
+    weight factors, and J'e are written into buffers the block keeps from its
+    first call on, so LM's later calls allocate no array of N or of P×P
+    elements; each call overwrites the J'J and J'e it returns.
     """
     ws, e = block.ws, block.resid.T
     flat, fc_pre, fc_out = ws.acts[0].T, ws.pres[0].T, ws.acts[1].T
@@ -322,28 +324,43 @@ def _fc_normal_equations(block: _Block):
     n, t = fc_pre.shape
     f = flat.shape[1]
     m = (f + 1) * t  # FC weights and biases, in `Net` order
+    p = m + 2 * (t + 1)
     dact = fc_act.derivative(fc_out, into=fc_pre)
 
     if block.lm is None:  # the padding rows stay zero: no call writes them
-        block.lm = np.zeros((-(-(m + t + 1) // 8) * 8, n)), np.empty((n, t))
-    w_t, delta = block.lm
+        rows = -(-(m + t + 1) // 8) * 8
+        scale = np.zeros((p, p))
+        scale[m:, m:] = np.kron(np.ones((t + 1, t + 1)), np.eye(2))
+        block.lm = (np.zeros((rows, n)), np.empty((n, t)), np.empty((rows, rows)), np.zeros((p, p)), scale,
+                    np.empty(p))
+    w_t, delta, g, jtj, scale, jte = block.lm
     fc_rows = w_t[:m].reshape(f + 1, t, n)
     np.multiply(flat.T[:, None, :], dact.T[None, :, :], out=fc_rows[:f])
     fc_rows[f] = dact.T
     w_t[m : m + t] = fc_out.T
     w_t[m + t] = 1.0
-    g = w_t @ w_t.T
+    np.matmul(w_t, w_t.T, out=g)
 
-    jtj = np.empty((m + 2 * (t + 1),) * 2)
-    jtj[:m, :m] = g[:m, :m] * np.tile(out_w @ out_w.T, (f + 1, f + 1))
-    cross = (g[:m, m : m + t + 1, None] * np.tile(out_w, (f + 1, 1))[:, None, :]).reshape(m, -1)
-    jtj[:m, m:] = cross
-    jtj[m:, :m] = cross.T
-    jtj[m:, m:] = np.kron(g[m : m + t + 1, m : m + t + 1], np.eye(2))
+    # J'J: each Gram entry at its J'J positions, times the output weights that J's I and Q rows
+    # there carry (``scale``). Copies place the entries, and the one product runs over contiguous
+    # arrays: a ufunc over strided blocks would take buffers of up to 3 P×P arrays.
+    jtj[:m, :m] = g[:m, :m]
+    jtj[:m, m:].reshape(m, t + 1, 2)[...] = g[:m, m : m + t + 1, None]
+    jtj[m:, m:].reshape(t + 1, 2, t + 1, 2)[...] = g[m : m + t + 1, None, m : m + t + 1, None]
+    scale[:m, :m].reshape(f + 1, t, f + 1, t)[...] = (out_w @ out_w.T)[None, :, None, :]
+    scale[:m, m:].reshape(f + 1, t, t + 1, 2)[...] = out_w[None, :, None, :]
+    np.multiply(jtj, scale, out=jtj)
+    jtj[m:, :m] = jtj[:m, m:].T
 
-    np.multiply(dact, np.matmul(e, out_w.T, out=delta), out=delta)
-    jte = np.concatenate([(flat.T @ delta).ravel(), delta.sum(axis=0),
-                          (w_t[m : m + t + 1] @ e).ravel()])
+    # The head's delta, dact * (e out_w'), is formed in the pre-activations' layout, that of
+    # dact's copy in W, so that the product takes no ufunc buffer, then copied into a C-order
+    # buffer for J'e's sums.
+    prod = np.matmul(e, out_w.T, out=fc_pre)
+    np.multiply(fc_rows[f].T, prod, out=prod)
+    np.copyto(delta, prod)
+    np.matmul(flat.T, delta, out=jte[: f * t].reshape(f, t))
+    np.sum(delta, axis=0, out=jte[f * t : m])
+    np.matmul(w_t[m : m + t + 1], e, out=jte[m:].reshape(t + 1, 2))
     return jtj, jte
 
 
@@ -352,10 +369,17 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
 
     The split is one block: LM takes one pass over all of it, and its cost is
     the split's `_Split.cost`, the one Adam minimizes. Steps solve
-    (J'J + mu I) delta = J'e; a step is kept only if the cost drops (then mu
-    shrinks), otherwise it is undone and retried on the same J'J with a
-    larger mu. The net's vector is updated in place; the damped system and
-    the parameters a step starts from are written into buffers made once.
+    (J'J + mu I) delta = J'e, from mu = ``mu_init`` * max diag(J'J). A step is
+    kept only if the cost drops; then mu is scaled by Nielsen's gain-ratio
+    rule, max(1/3, 1 - (2 rho - 1)^3), where rho is the cost's drop over the
+    drop the linear model predicts, and nu is reset to 2. Otherwise the step
+    is undone and retried on the same J'J with mu scaled by nu, and nu
+    doubles (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least Squares
+    Problems, IMM DTU 2004). LM stops as ``stalled`` once `_STALL_WINDOW`
+    accepted steps in a row each lower the cost by less than
+    ``min_rel_improvement`` of it. The net's vector is updated in place; the
+    damped system and the parameters a step starts from are written into
+    buffers made once.
     """
     (block,) = split.blocks
     theta, n = split.net.theta, split.targets.shape[1]
@@ -363,7 +387,8 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
     jtj, grad = _fc_normal_equations(block)
     damped, kept = np.empty_like(jtj), np.empty_like(theta)
     diag = damped.reshape(-1)[:: jtj.shape[0] + 1]  # a view of damped's diagonal
-    mu, history, reason = cfg.mu_init, [], "max_iters"
+    mu, nu, small = cfg.mu_init * float(jtj.diagonal().max()), 2.0, 0
+    history, reason = [], "max_iters"
     for it in range(1, cfg.max_iters + 1):
         gnorm = float(np.max(np.abs(grad))) / n
         if gnorm < cfg.grad_tol:
@@ -376,7 +401,7 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
                 delta = np.linalg.solve(damped, grad)
                 break
             except np.linalg.LinAlgError:
-                mu *= cfg.mu_up
+                mu, nu = mu * nu, 2 * nu
                 if mu > cfg.mu_max:
                     raise TrainingError("LM normal-equation solve failed at every damping level") from None
 
@@ -384,18 +409,20 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
         theta -= delta
         cand_mse = split.cost()
         if np.isfinite(cand_mse) and cand_mse < mse:
-            rel = (mse - cand_mse) / mse
+            # the drop of N * mse = ||e||^2 / 2 against the linear model's, (delta'(mu delta + J'e)) / 2
+            rho = n * (mse - cand_mse) / (0.5 * float(delta @ (mu * delta + grad)))
+            small = small + 1 if (mse - cand_mse) / mse < cfg.min_rel_improvement else 0
             mse = cand_mse
-            mu = max(mu * cfg.mu_down, 1e-14)
+            mu, nu = mu * max(1 / 3, 1 - (2 * min(rho, 1.0) - 1) ** 3), 2.0
             history.append((it, mse, mu, 1, gnorm))
-            if rel < cfg.min_rel_improvement:
+            if small == _STALL_WINDOW:
                 reason = "stalled"
                 break
             if it < cfg.max_iters:  # the buffers hold the accepted parameters' forward pass
                 jtj, grad = _fc_normal_equations(block)
         else:
             theta[:] = kept
-            mu *= cfg.mu_up
+            mu, nu = mu * nu, 2 * nu
             history.append((it, mse, mu, 0, gnorm))
             if mu > cfg.mu_max:
                 reason = "damping_limit"

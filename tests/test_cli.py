@@ -121,7 +121,9 @@ def test_wrong_json_type_is_a_config_error(override, path, tmp_path, capsys):
     ("lm.grad_tol=-1e-9", "grad_tol"),
     ("lm.grad_tol=NaN", "grad_tol"),
     ("lm.grad_tol=Infinity", "grad_tol"),
-    ("lm.mu_max=1e-6", "mu_max"),
+    ("lm.mu_init=0", "mu_init"),
+    ("lm.mu_init=Infinity", "mu_init"),
+    ("lm.mu_max=0", "mu_max"),
     ("lm.mu_max=Infinity", "mu_max"),
     ("lm.mu_max=NaN", "mu_max"),
     ("lm.min_rel_improvement=1", "min_rel_improvement"),
@@ -228,6 +230,14 @@ def test_schema2_activation_parameter_in_a_config_is_rejected(tmp_path, capsys):
     assert main(["run", "--config", write_config(tmp_path, doc), "--output-dir", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error [config]: ") and "arch.conv_activation.alpha" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_schema3_damping_factor_in_a_config_is_rejected(tmp_path, capsys):
+    doc = {**SMALL_DOC, "lm": {"mu_up": 10.0}}
+    assert main(["run", "--config", write_config(tmp_path, doc), "--output-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [config]: ") and "lm.mu_up" in err
     assert not (tmp_path / "run").exists()
 
 

@@ -132,7 +132,7 @@ def test_stage_error_carries_stage_and_cause():
 def test_run_experiment_conv_net(tmp_path):
     cfg = small_config()
     report = run_experiment(cfg, tmp_path)
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert report["config_hash"] == config_hash(cfg)
     res = report["results"]
     assert res["model"] == "conv_net"
@@ -162,9 +162,10 @@ def test_run_experiment_conv_net(tmp_path):
 
 
 def test_stage2_final_mse_when_lm_accepts_no_step(tmp_path):
-    # LM's only step is rejected here; the report then gives the mse LM started from
+    # LM's only step, nearly undamped from mu_init=1e-6, is rejected here; the report then
+    # gives the mse LM started from
     cfg = small_config(signal=OfdmConfig(n_symbols=6), adam=AdamConfig(max_iters=50),
-                       lm=LmConfig(max_iters=1), dataset_count=800, segment=512)
+                       lm=LmConfig(max_iters=1, mu_init=1e-6), dataset_count=800, segment=512)
     stage2 = run_experiment(cfg, tmp_path)["results"]["stage2"]
     assert (stage2["iters"], stage2["reason"]) == (1, "max_iters")
     it, mse, _, accepted, _ = (tmp_path / "history_stage2.csv").read_text().splitlines()[2].split(",")

@@ -1,9 +1,11 @@
-"""The run list of tools/output_trees.py parses as CLI configs (nothing runs),
-and tools/tree_diff.py reports the differences of two synthetic trees."""
+"""The run lists of tools/output_trees.py and tools/time_to_quality.py parse
+as CLI configs (nothing runs), and tools/tree_diff.py reports the differences
+of two synthetic trees."""
 
 import importlib.util
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ def _load_tool(name):
 
 
 output_trees = _load_tool("output_trees")
+time_to_quality = _load_tool("time_to_quality")
 tree_diff = _load_tool("tree_diff")
 
 
@@ -35,6 +38,12 @@ def test_every_run_parses_as_a_config(name, command, overrides, extra):
     args = build_parser().parse_args(output_trees.cli_args(name, command, overrides, extra))
     assert args.command == command and args.output_dir == name
     assert isinstance(_load_config(args), ExperimentConfig)
+
+
+@pytest.mark.parametrize("budget", [300, 1000, 2000])
+def test_time_to_quality_budgets_parse_as_default_configs(budget):
+    cfg = _load_config(build_parser().parse_args(time_to_quality.cli_args(budget)))
+    assert cfg == replace(ExperimentConfig(), adam=replace(ExperimentConfig().adam, max_iters=budget))
 
 
 def _write_tree(root, files):

@@ -745,12 +745,14 @@ def test_fc_normal_equations_match_reference_jacobian(arch, n, seed):
 
 
 def test_fc_normal_equations_reuse_the_block_buffers():
-    """The first call keeps its N-long buffers on the block. A second one, after
-    another forward pass, allocates no array of N or more elements (its
-    tracemalloc peak stays under N floats) and gives the same bytes."""
+    """The first call keeps its N-long buffers, the Gram matrix, J'J and J'e
+    on the block. A second one, after another forward pass, allocates no
+    array of N elements nor a P×P one (its tracemalloc peak stays under P×P
+    floats, for the P = 68 parameters), writes J'J and J'e into the same
+    arrays and gives the same bytes."""
     n = 20_000
     rng = np.random.default_rng(3)
-    split = _Split(Net.of(mlp_init([2, 2, 2], Activation("tanh"), seed=1)), [rng.standard_normal((2, n))],
+    split = _Split(Net.of(mlp_init([8, 6, 2], Activation("tanh"), seed=1)), [rng.standard_normal((8, n))],
                    rng.standard_normal((n, 2)))
     (block,) = split.blocks
     peaks, results = [], []
@@ -762,15 +764,21 @@ def test_fc_normal_equations_reuse_the_block_buffers():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] >= 16 * 8 * n  # W, 6 weight and bias columns, 2 output and 1 bias, padded to 16
-    assert peaks[1] < 8 * n, peaks
-    assert [a.tobytes() for a in results[0]] == [a.tobytes() for a in results[1]]
+        results[-1] = results[-1] + tuple(a.tobytes() for a in results[-1])
+    assert peaks[0] >= 64 * 8 * n  # W: 54 weight and bias columns, 6 output and 1 bias, padded to 64
+    assert peaks[1] < 8 * 68 * 68, peaks
+    assert all(a is b for a, b in zip(results[0][:2], results[1][:2]))
+    assert results[0][2:] == results[1][2:]
 
 
 def reference_lm(head, flat, labels, cfg):
     """The LM rules on the formed Jacobian of a head `Net` over its (N, F)
-    features: (accepted, mse) per iteration and the stop reason. The head's
-    parameters are not written."""
+    features: (accepted, mse) per iteration and the stop reason. The damping
+    starts at ``mu_init`` * max diag(J'J). A step is kept when the cost drops;
+    then mu is scaled by max(1/3, 1 - (2 rho - 1)^3), with rho the cost's drop
+    over the linear model's, 1/2 |e|^2 - 1/2 |e - J delta|^2, and nu = 2.
+    Otherwise mu is scaled by nu, and nu doubles. Three small accepted steps
+    in a row stop it. The head's parameters are not written."""
     n = labels.shape[0]
 
     def evaluate(theta):
@@ -779,23 +787,25 @@ def reference_lm(head, flat, labels, cfg):
 
     theta = head.theta
     resid, mse, jac = evaluate(theta)
-    mu = cfg.mu_init
+    mu, nu, small = cfg.mu_init * np.max(np.diag(jac.T @ jac)), 2.0, 0
     rows = []
     for _ in range(cfg.max_iters):
         grad = jac.T @ resid
         if np.max(np.abs(grad)) / n < cfg.grad_tol:
             return rows, "gradient"
-        cand = theta - np.linalg.solve(jac.T @ jac + mu * np.eye(theta.size), grad)
-        cand_resid, cand_mse, cand_jac = evaluate(cand)
+        delta = np.linalg.solve(jac.T @ jac + mu * np.eye(theta.size), grad)
+        cand_resid, cand_mse, cand_jac = evaluate(theta - delta)
         if cand_mse < mse:
-            rel = (mse - cand_mse) / mse
-            theta, resid, mse, jac = cand, cand_resid, cand_mse, cand_jac
-            mu = max(mu * cfg.mu_down, 1e-14)
+            linear = resid - jac @ delta
+            rho = n * (mse - cand_mse) / (0.5 * (resid @ resid) - 0.5 * (linear @ linear))
+            small = small + 1 if (mse - cand_mse) / mse < cfg.min_rel_improvement else 0
+            theta, resid, mse, jac = theta - delta, cand_resid, cand_mse, cand_jac
+            mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
             rows.append((1, mse))
-            if rel < cfg.min_rel_improvement:
+            if small == 3:
                 return rows, "stalled"
         else:
-            mu *= cfg.mu_up
+            mu, nu = mu * nu, 2 * nu
             rows.append((0, mse))
             if mu > cfg.mu_max:
                 return rows, "damping_limit"
@@ -851,8 +861,8 @@ def test_lm_path_matches_formed_jacobian_loop(setup, cfg, reason):
     assert_same_lm_path(result, rows, ref_reason)
     if reason is not None:
         assert result.reason == reason
-    if reason == "damping_limit":  # mu 1e-3 -> 1e-2 -> 1e-1 > mu_max: two rejected steps end it
-        assert result.history[:, 3].tolist() == [0, 0]
+    if reason == "damping_limit":  # mu starts above mu_max; an accepted step, then a rejected one ends it
+        assert result.history[:, 3].tolist() == [1, 0]
 
 
 @pytest.mark.parametrize("setup, max_iters", [
@@ -874,8 +884,9 @@ def test_lm_scores_with_the_split_cost(setup, max_iters):
 def test_lm_forms_no_normal_equations_after_its_last_step(monkeypatch, max_iters, last_accepted):
     """J'J and J'e are formed before the loop and after each accepted step
     that has a next iteration, so an accepted step at `max_iters` forms none.
-    On the warm start LM alternates accepted and rejected steps: 2 steps end
-    on a rejected one (the `max_iters` input above), 3 on an accepted one."""
+    On the warm start LM's first steps are accepted, rejected, accepted: 2
+    steps end on a rejected one (the `max_iters` input above), 3 on an
+    accepted one."""
     params, arch, data = _warm_start_setup()
     calls = []
 
@@ -888,6 +899,47 @@ def test_lm_forms_no_normal_equations_after_its_last_step(monkeypatch, max_iters
     accepted = result.history[:, 3]
     assert (result.reason, result.n_iters, accepted[-1]) == ("max_iters", max_iters, last_accepted)
     assert len(calls) == 1 + int(accepted[:-1].sum())
+
+
+def test_predicted_drop_is_the_linear_models_drop():
+    """LM's predicted drop, 1/2 delta'(mu delta + J'e), equals the drop of
+    1/2 |e|^2 under the linear model, 1/2 |e|^2 - 1/2 |e - J delta|^2, for
+    the damped step delta, on the formed Jacobian."""
+    arch = ConvNetArch(memory_depth=2, kernel_cols=2, kernel_rows=3, n_kernels=2, fc_neurons=4)
+    rng = np.random.default_rng(12)
+    params = with_random_biases(init_params(arch, 13), rng)
+    graphs = rng.standard_normal((50, *arch.input_shape))
+    ws, resid = head_parts(head_of(params, arch), conv_features(params, arch, graphs), rng.standard_normal((50, 2)))
+    jac = reference_fc_jacobian(ws)
+    grad = jac.T @ resid
+    for mu in (1e-4, 1e-1, 1e2):
+        delta = np.linalg.solve(jac.T @ jac + mu * np.eye(jac.shape[1]), grad)
+        linear = resid - jac @ delta
+        want = 0.5 * (resid @ resid) - 0.5 * (linear @ linear)
+        assert 0.5 * delta @ (mu * delta + grad) == pytest.approx(want, rel=1e-10)
+
+
+def test_lm_stalls_on_the_third_small_accepted_step_in_a_row(monkeypatch):
+    """Two small accepted steps in a row do not stop LM; a large one resets
+    the count, a rejected one does not, and the third small one in a row
+    stops it as stalled. The split's costs are scripted: each lowers the
+    last accepted cost by 0.1 % (small, under the default 0.5 %) but the
+    third, by 10 %, and the sixth, which rises."""
+    rng = np.random.default_rng(14)
+    split = _Split(Net.of(mlp_init([3, 4, 2], Activation("tanh"), seed=1)), [rng.standard_normal((3, 50))],
+                   rng.standard_normal((50, 2)))
+    costs = iter([1.0, 0.999, 0.998, 0.9, 0.8991, 2.0, 0.8982, 0.8973])
+    real_cost = split.cost
+
+    def scripted():
+        real_cost()  # the forward pass that the normal equations read
+        return next(costs)
+
+    monkeypatch.setattr(split, "cost", scripted)
+    result = lm_minimize(split, LmConfig())
+    assert result.reason == "stalled"
+    assert result.history[:, 3].tolist() == [1, 1, 1, 1, 0, 1, 1]
+    assert result.history[:, 1].tolist() == [0.999, 0.998, 0.9, 0.8991, 0.8991, 0.8982, 0.8973]
 
 
 def test_lm_minimize_trains_a_net_with_no_conv_layer():

@@ -34,7 +34,7 @@ RUNS = [
     ("conv-case3-sigmoid", "run",
      ["adam.max_iters=300", "impairment_case=3", "arch.fc_activation.kind=sigmoid"], []),
     ("criterion-10", "run", _CRITERION_10, []),
-    # LM stops by its damping limit after one rejected step
+    # LM starts above its damping limit: two accepted steps, then the first rejected one stops it
     ("lm-damping-limit", "run", [*_CRITERION_10, "lm.mu_max=0.001"], []),
     ("conv-reuse", "run", ["adam.max_iters=300", "reuse_filter_from=conv-300/model.json"], []),
     ("gmp", "run", ["model=gmp", "adam.max_iters=200"], []),
