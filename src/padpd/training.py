@@ -413,6 +413,7 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
             rho = n * (mse - cand_mse) / (0.5 * float(delta @ (mu * delta + grad)))
             small = small + 1 if (mse - cand_mse) / mse < cfg.min_rel_improvement else 0
             mse = cand_mse
+            # every rho >= 1 gives the floor 1/3; the cap keeps the cube finite
             mu, nu = mu * max(1 / 3, 1 - (2 * min(rho, 1.0) - 1) ** 3), 2.0
             history.append((it, mse, mu, 1, gnorm))
             if small == _STALL_WINDOW:
