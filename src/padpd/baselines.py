@@ -228,21 +228,21 @@ def load_gmp(path) -> GmpModel:
 MLP_FEATURE_KINDS = ("iq", "iq_env")
 
 
-def mlp_features_from_graphs(graphs: np.ndarray, kind: str) -> np.ndarray:
-    """Flatten feature graphs into MLP input rows.
+def mlp_features_from_graphs(graphs: np.ndarray, kind: str, dtype=float) -> np.ndarray:
+    """Flatten feature graphs into MLP input rows, in ``dtype``.
 
     "iq" keeps only the I/Q rows (2(M+1) inputs); "iq_env" keeps all five
     rows (5(M+1) inputs). Row-major flattening, newest sample first within
-    each row — the same layout the graphs themselves use.
+    each row — the same layout the graphs themselves use. The kept rows are
+    cast once, so another dtype than float64 takes no float64 copy of them.
     """
-    graphs = np.asarray(graphs, dtype=float)
+    graphs = np.asarray(graphs)
     if graphs.ndim != 3 or graphs.shape[1] != N_FEATURE_ROWS:
         raise ValueError(f"graphs must have shape (n, 5, M+1), got {graphs.shape}")
-    if kind == "iq":
-        return graphs[:, :2, :].reshape(graphs.shape[0], -1)
-    if kind == "iq_env":
-        return graphs.reshape(graphs.shape[0], -1)
-    raise ValueError(f"unknown feature kind {kind!r}; expected one of {MLP_FEATURE_KINDS}")
+    if kind not in MLP_FEATURE_KINDS:
+        raise ValueError(f"unknown feature kind {kind!r}; expected one of {MLP_FEATURE_KINDS}")
+    rows = graphs[:, :2, :] if kind == "iq" else graphs
+    return np.asarray(rows, dtype=dtype).reshape(graphs.shape[0], -1)
 
 
 @dataclass(frozen=True)

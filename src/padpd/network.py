@@ -15,6 +15,11 @@ the graphs of a drive's consecutive samples one `ConvStream` for them all.
 Inside, every activation is stored feature-major, shape (features, N), with
 the sample index contiguous: the conv GEMM's output is then the head's input
 as it stands. The public functions take and return (N, features) arrays.
+
+A `Workspace` allocates its buffers in its input's dtype, so one code path
+runs a pass in float64 or float32: `training` runs Adam's passes in float32
+over float32 `_im2col` columns and a float32 `Net`. Every public function
+here runs in float64.
 """
 
 from __future__ import annotations
@@ -54,6 +59,13 @@ N_OUTPUTS = 2
 ACTIVATION_KINDS = ("sigmoid", "tanh", "linear")
 
 
+def _float(a) -> np.ndarray:
+    """``a`` as a float array: a float32 array stays float32 (and is not
+    copied), anything else becomes float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class Activation:
     """Pointwise activation whose derivative is read off its output."""
@@ -66,7 +78,7 @@ class Activation:
 
     def __call__(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The activation of ``v``, written into ``out`` when it is given."""
-        v = np.asarray(v, dtype=float)
+        v = _float(v)
         if out is None:
             out = np.empty_like(v)
         if self.kind == "sigmoid":
@@ -188,20 +200,21 @@ def _as_graphs(graphs, arch: ConvNetArch) -> np.ndarray:
     return graphs
 
 
-def _im2col(graphs: np.ndarray, arch: ConvNetArch) -> np.ndarray:
-    """Unrolled convolution input, shape (r*s+1, B*C*N).
+def _im2col(graphs: np.ndarray, arch: ConvNetArch, dtype=float) -> np.ndarray:
+    """Unrolled convolution input, shape (r*s+1, B*C*N), in ``dtype``.
 
     Column (b, c, n) holds the taps of graph n's kernel window at map cell
     (b, c), in kernel row-major order, then a 1. The forward pass is one GEMM,
     ``[K | b] @ cols``, for the convolution plus its bias; its (L, B*C*N)
     result reshaped to (L*B*C, N) is the head's kernel-major input. The
     backward pass is one GEMM, ``d_pre @ cols.T``, for the kernel and bias
-    gradients.
+    gradients. The columns are cast from the graphs once, so another dtype
+    than float64 takes no float64 copy of them.
     """
     graphs = _as_graphs(graphs, arch)
     r, s, b, c = arch.kernel_rows, arch.kernel_cols, arch.map_rows, arch.map_cols
-    cells = np.ascontiguousarray(graphs.transpose(1, 2, 0))  # (5, M+1, N)
-    cols = np.empty((r * s + 1, b, c, graphs.shape[0]))
+    cells = np.ascontiguousarray(graphs.transpose(1, 2, 0), dtype=dtype)  # (5, M+1, N)
+    cols = np.empty((r * s + 1, b, c, graphs.shape[0]), dtype)
     for u in range(r):
         for v in range(s):
             cols[u * s + v] = cells[u : u + b, v : v + c]
@@ -255,8 +268,7 @@ class MlpLayer:
     act: Activation = LINEAR
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        b = np.asarray(self.biases, dtype=float)
+        w, b = _float(self.weights), _float(self.biases)
         if w.ndim != 2 or b.shape != (w.shape[1],):
             raise ValueError("layer weights must be (n_in, n_out) with matching biases")
         object.__setattr__(self, "weights", w)
@@ -346,15 +358,18 @@ class Workspace:
     an MLP's ``x``, or a conv model's activated maps, kernel-major, as
     (L*B*C, N). A conv model's ``conv_pre`` and ``conv_out`` hold its conv
     layer's pre-activations and activations in the GEMM's (L, B*C*N) shape;
-    ``acts[0]`` is ``conv_out`` reshaped.
+    ``acts[0]`` is ``conv_out`` reshaped. Every buffer has ``x``'s dtype, which
+    must be the net's.
     """
 
     def __init__(self, net: Net, x: np.ndarray):
+        if x.dtype != net.theta.dtype:
+            raise ValueError(f"the input is {x.dtype} but the net is {net.theta.dtype}")
         self.net, self.x = net, x
         if net.conv is None:
             head_in = x
         else:
-            self.conv_pre = np.empty((net.conv.shape[0], x.shape[1]))
+            self.conv_pre = np.empty((net.conv.shape[0], x.shape[1]), x.dtype)
             self.conv_out = np.empty_like(self.conv_pre)
             head_in = self.conv_out.reshape(net.arch.n_flat_features, -1)
         self.pres, self.acts = [], [head_in]
@@ -363,7 +378,7 @@ class Workspace:
                 raise ValueError(
                     f"layer expects {layer.weights.shape[0]} inputs, got {self.acts[-1].shape[0]}"
                 )
-            self.pres.append(np.empty((layer.weights.shape[1], head_in.shape[1])))
+            self.pres.append(np.empty((layer.weights.shape[1], head_in.shape[1]), x.dtype))
             self.acts.append(np.empty_like(self.pres[-1]))
 
     def forward(self) -> np.ndarray:

@@ -17,6 +17,16 @@ The cost everywhere is mse = (1/2N) * sum[(I'-I)^2 + (Q'-Q)^2], one sum
 over a split's squared residuals (`_Split.cost`) for Adam and LM alike. Inside,
 activations, deltas and targets are feature-major, shape (features, N), as
 in `network`; the public functions take (N, features) arrays.
+
+Adam's forward and backward passes run in float32, the mixed-precision
+recipe (Micikevicius et al., Mixed Precision Training, ICLR 2018): its
+splits hold float32 inputs and buffers over a float32 copy of the net
+(`_pass_net`), while the parameters Adam updates and its moments stay
+float64 and are rounded into that copy after each step. At float32 numpy's
+tanh is about 5x faster than at float64, its sigmoid about 2x, and the small
+GEMMs about 2x. Everything else runs in float64: the LM polish, which builds
+its features from the float64 parameters, `mse_cost` and `backprop_grads`.
+A split's buffers follow its input's dtype, so one code path serves both.
 """
 
 from __future__ import annotations
@@ -58,6 +68,8 @@ __all__ = [
 
 
 _STALL_WINDOW = 3  # consecutive small accepted steps that stop LM as stalled
+
+_PASS_DTYPE = np.float32  # the dtype of Adam's forward and backward passes
 
 
 class TrainingError(RuntimeError):
@@ -117,13 +129,14 @@ class _Block:
     """One column block of a `_Split`: its `Workspace`, its residual,
     ``cols``, the split's samples it holds, which begin at ``start``, and
     with ``backward`` the buffers of each dense layer's input gradient.
-    ``lm`` holds `_fc_normal_equations`' N-long buffers once it has run."""
+    ``lm`` holds `_fc_normal_equations`' N-long buffers once it has run.
+    Every buffer but those has ``x``'s dtype."""
 
     def __init__(self, net: Net, x: np.ndarray, start: int, backward: bool):
         self.ws = Workspace(net, x)
-        self.resid = np.empty(self.ws.acts[-1].shape)
+        self.resid = np.empty_like(self.ws.acts[-1])
         self.cols = slice(start, start + self.resid.shape[1])
-        self.deltas = [np.empty(a.shape) for a in self.ws.acts[:-1]] if backward else []
+        self.deltas = [np.empty(a.shape, x.dtype) for a in self.ws.acts[:-1]] if backward else []
         if backward and net.conv is None:
             self.deltas[0] = None  # an MLP needs no gradient at its input
         self.lm = None
@@ -137,18 +150,19 @@ class _Split:
     columns run through the split in order: a conv model's `_im2col` columns
     or an MLP's features per block. Each block gets its own buffers, so a pass
     over it stays in cache. ``sq`` holds the whole split's squared residuals,
-    whose one sum is the cost of every trainer, Adam's and LM's.
+    whose one sum is the cost of every trainer, Adam's and LM's. The targets
+    and ``sq`` take the input's dtype, as the blocks' buffers do.
     """
 
     def __init__(self, net: Net, xs: list[np.ndarray], labels: np.ndarray, backward: bool = False):
-        self.net, self.targets = net, labels.T
+        self.net, self.targets = net, np.asarray(labels, dtype=xs[0].dtype).T
         self.blocks, start = [], 0
         for x in xs:
             self.blocks.append(_Block(net, x, start, backward))
             start = self.blocks[-1].cols.stop
         if start != self.targets.shape[1]:
             raise ValueError(f"the blocks hold {start} samples, the labels {self.targets.shape[1]}")
-        self.sq = np.empty(self.targets.shape)
+        self.sq = np.empty(self.targets.shape, self.targets.dtype)
         # where the blocks after the first write their gradient
         self.block_grad = net.like(np.empty_like(net.theta)) if backward and len(xs) > 1 else None
 
@@ -207,11 +221,17 @@ class _Split:
         return self._mse()
 
 
+def _pass_net(net: Net) -> Net:
+    """``net``'s layout over a `_PASS_DTYPE` copy of its vector: the net whose
+    splits Adam's passes run on."""
+    return net.like(net.theta.astype(_PASS_DTYPE))
+
+
 def _conv_split(net: Net, data: Dataset, backward: bool = False) -> _Split:
     """A conv model's split of ``data``: one block of `_im2col` columns per
-    `blocks` slice of its graphs."""
-    return _Split(net, [_im2col(data.graphs[b], net.arch) for b in blocks(len(data.graphs))], data.labels,
-                  backward)
+    `blocks` slice of its graphs, in the net's dtype."""
+    return _Split(net, [_im2col(data.graphs[b], net.arch, net.theta.dtype) for b in blocks(len(data.graphs))],
+                  data.labels, backward)
 
 
 def mse_cost(params: ConvNetParams, arch: ConvNetArch, data: Dataset) -> float:
@@ -239,18 +259,22 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     theta -= cfg.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + cfg.epsilon)
 
 
-def adam_minimize(train: _Split, cfg: AdamConfig, test: _Split | None = None) -> np.ndarray:
-    """Full-batch Adam on the split's net, until mse < threshold or max_iters.
+def adam_minimize(theta: np.ndarray, train: _Split, cfg: AdamConfig, test: _Split | None = None) -> np.ndarray:
+    """Full-batch Adam on ``theta``, the float64 master copy of the split's
+    net's vector, until mse < threshold or max_iters.
 
-    The net's parameter vector is updated in place, with its gradient in one
-    flat buffer. Returns the history rows, (iteration, mse_train), or
-    (iteration, mse_train, mse_test) when a ``test`` split of the same net is
-    given. On a threshold stop the parameters are the ones whose cost is the
-    last history row.
+    The passes run on the net's own vector, in its dtype, with the gradient
+    in one flat buffer of that dtype. Each step casts the gradient to
+    ``theta``'s dtype, updates ``theta`` and its float64 moments in place, and
+    writes ``theta`` into the net's vector, which may be ``theta`` itself.
+    Returns the history rows, (iteration, mse_train), or (iteration,
+    mse_train, mse_test) when a ``test`` split of the same net is given. On a
+    threshold stop the net's vector, ``theta`` in its dtype, is the one whose
+    cost is the last history row.
     """
-    theta = train.net.theta
-    grad = train.net.like(np.empty_like(theta))
-    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    net = train.net
+    grad = net.like(np.empty_like(net.theta))
+    step_grad, m, v = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta)
     history = []
     for it in range(1, cfg.max_iters + 1):
         cost = train.cost_and_grad(grad)
@@ -259,7 +283,9 @@ def adam_minimize(train: _Split, cfg: AdamConfig, test: _Split | None = None) ->
         history.append((it, cost) if test is None else (it, cost, test.cost()))
         if cost < cfg.mse_threshold:
             break
-        adam_step(theta, grad.theta, m, v, it, cfg)
+        np.copyto(step_grad, grad.theta)
+        adam_step(theta, step_grad, m, v, it, cfg)
+        np.copyto(net.theta, theta)
     return np.asarray(history)
 
 
@@ -272,12 +298,14 @@ def train_stage1_adam(
 ) -> tuple[ConvNetParams, np.ndarray]:
     """Stage 1: `adam_minimize` over every conv model parameter.
 
-    Each split's `_im2col` columns and buffers are built once up front, in
-    `blocks`, and every iteration reuses them.
+    Each split's float32 `_im2col` columns and buffers are built once up
+    front, in `blocks`, and every iteration reuses them; the parameters are
+    returned from the float64 master vector.
     """
     net = conv_net(params, arch)
-    history = adam_minimize(_conv_split(net, train, backward=True), cfg,
-                            None if test is None else _conv_split(net, test))
+    passes = _pass_net(net)
+    history = adam_minimize(net.theta, _conv_split(passes, train, backward=True), cfg,
+                            None if test is None else _conv_split(passes, test))
     return net.conv_params(), history
 
 
@@ -456,9 +484,11 @@ def train_mlp_baseline(
     seed: int = 0,
 ) -> tuple[list[MlpLayer], np.ndarray]:
     """`adam_minimize` over every weight and bias of a baseline MLP, on a
-    dataset's graphs, in `blocks` of their features; returns (layers, history)."""
-    feats = mlp_features_from_graphs(train.graphs, spec.feature_kind)
+    dataset's graphs, in `blocks` of their float32 features; returns the
+    float64 (layers, history)."""
     net = Net.of(mlp_init(spec.widths(train.memory_depth), Activation(spec.hidden_activation), seed))
-    split = _Split(net, [feats[b].T for b in blocks(len(feats))], train.labels, backward=True)
-    history = adam_minimize(split, cfg)
+    passes = _pass_net(net)
+    xs = [mlp_features_from_graphs(train.graphs[b], spec.feature_kind, passes.theta.dtype).T
+          for b in blocks(len(train.graphs))]
+    history = adam_minimize(net.theta, _Split(passes, xs, train.labels, backward=True), cfg)
     return net.layers, history

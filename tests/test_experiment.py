@@ -209,6 +209,34 @@ def test_stage1_history_independent_of_blas_threads(tmp_path):
 
 
 @pytest.mark.slow
+def test_float32_adam_outputs_independent_of_blas_threads(tmp_path):
+    """With Adam's passes in float32, at the default dataset (an 8400-sample
+    train split in three blocks) the conv model's stage-1 history and every
+    MLP baseline's whole output tree have the same bytes at 1 and 2 OpenBLAS
+    threads. (The conv run's LM solve is not thread-invariant, so its later
+    outputs are not compared.)"""
+    script = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from padpd.experiment import ExperimentConfig, run_experiment\n"
+        "from padpd.training import AdamConfig, LmConfig\n"
+        "out = Path(sys.argv[1])\n"
+        "run_experiment(ExperimentConfig(adam=AdamConfig(max_iters=60), lm=LmConfig(max_iters=2)), out / 'conv_net')\n"
+        "for model in ('rvtdnn', 'arvtdnn', 'dnn'):\n"
+        "    run_experiment(ExperimentConfig(model=model, adam=AdamConfig(max_iters=60)), out / model)\n"
+    )
+    for threads in ("1", "2"):
+        _run_at_blas_threads(threads, script, str(tmp_path / threads))
+    one, two = tmp_path / "1", tmp_path / "2"
+    assert (one / "conv_net/history_stage1.csv").read_bytes() == (two / "conv_net/history_stage1.csv").read_bytes()
+    for model in ("rvtdnn", "arvtdnn", "dnn"):
+        files = sorted(f.name for f in (one / model).iterdir())
+        assert files == sorted(f.name for f in (two / model).iterdir()) and "history_stage1.csv" in files
+        for name in files:
+            assert (one / model / name).read_bytes() == (two / model / name).read_bytes(), (model, name)
+
+
+@pytest.mark.slow
 def test_lm_normal_equations_independent_of_blas_threads():
     """LM's J'J and J'e for the paper's arch have the same bytes at 1 and 2
     OpenBLAS threads, at the train-split sizes the pipelines use."""

@@ -26,7 +26,8 @@ from padpd.network import (
     mlp_forward,
     mlp_init,
 )
-from padpd.signals import ComplexSeq
+from padpd.pa import ImpairmentConfig, default_pa, transmit_chain
+from padpd.signals import ComplexSeq, OfdmConfig, generate_ofdm
 from padpd.training import (
     AdamConfig,
     _fc_normal_equations,
@@ -45,6 +46,9 @@ from padpd.training import (
 from test_network import closed_form_derivative, conv_archs, conv_features, with_random_biases
 
 
+F32 = np.float32  # the dtype of Adam's passes
+
+
 def mlp_cost_and_grads(layers, x, labels):
     """MSE cost and per-layer (dW, db) of a plain MLP over x (N, D)."""
     net = Net.of(layers)
@@ -55,9 +59,21 @@ def mlp_cost_and_grads(layers, x, labels):
 
 def train_mlp(layers, x, labels, cfg):
     """`adam_minimize` over every weight and bias of an MLP over x (N, D), as
-    `train_mlp_baseline` runs it on a baseline's features."""
+    `train_mlp_baseline` runs it on a baseline's features: float32 passes over
+    float64 master weights, which it returns."""
     net = Net.of(layers)
-    return net.layers, adam_minimize(_Split(net, [x.T], labels, backward=True), cfg)
+    split = _Split(training._pass_net(net), [x.astype(F32).T], labels, backward=True)
+    return net.layers, adam_minimize(net.theta, split, cfg)
+
+
+def mlp_pass_cost(layers, x, labels):
+    """The cost of Adam's float32 pass over x (N, D) at the given layers."""
+    return _Split(training._pass_net(Net.of(layers)), [x.astype(F32).T], labels).cost()
+
+
+def conv_pass_cost(params, arch, data):
+    """The cost of Adam's float32 pass over a dataset at the given parameters."""
+    return training._conv_split(training._pass_net(conv_net(params, arch)), data).cost()
 
 
 def tiny_task(arch, n=60, seed=0, label_seed=1):
@@ -73,8 +89,11 @@ def tiny_task(arch, n=60, seed=0, label_seed=1):
 # The list-based training loop that the flat-vector loop replaced, kept as
 # its reference: Adam over one array per layer parameter, with the cost and
 # gradients of allocating forward and backward passes, and the parameters
-# rebuilt from the arrays at every call. Every float operation is the one the
-# flat-vector loop makes, on the same operands, so the two agree bit for bit.
+# rebuilt from the arrays at every call. It runs at the trainer's precision:
+# float64 master values and moments, float32 passes over float32 copies of
+# them, and float32 gradients cast to float64 for each update. Every float
+# operation is the one the flat-vector loop makes, on the same operands, so
+# the two agree bit for bit.
 
 def ref_forward_parts(layers, x):
     acts, pres = [x], []
@@ -101,23 +120,24 @@ def ref_backprop(layers, pres, acts, d_out):
     return grads, delta
 
 
-def ref_conv_forward(params, arch, cols):
-    ker = params.conv_kernels
-    pre = np.column_stack([ker.reshape(ker.shape[0], -1), params.conv_biases]) @ cols
+def ref_conv_forward(values, arch, cols):
+    """The forward pass at ``values``, the conv model's parameter arrays in
+    `ConvNetParams` field order, in their dtype."""
+    ker, ker_b, fc_w, fc_b, out_w, out_b = values
+    pre = np.column_stack([ker.reshape(ker.shape[0], -1), ker_b]) @ cols
     maps = arch.conv_activation(pre).reshape(arch.n_flat_features, -1)
-    head = [MlpLayer(params.fc_weights, params.fc_biases, arch.fc_activation),
-            MlpLayer(params.out_weights, params.out_biases, LINEAR)]
+    head = [MlpLayer(fc_w, fc_b, arch.fc_activation), MlpLayer(out_w, out_b, LINEAR)]
     return pre, head, *ref_forward_parts(head, maps)
 
 
-def ref_conv_cost_and_grads(params, arch, cols, targets):
-    pre, head, pres, acts = ref_conv_forward(params, arch, cols)
+def ref_conv_cost_and_grads(values, arch, cols, targets):
+    pre, head, pres, acts = ref_conv_forward(values, arch, cols)
     cost, d_out = ref_cost_and_output_delta(acts[-1], targets)
     (g_fc, g_out), d_fc = ref_backprop(head, pres, acts, d_out)
-    d_pre = (params.fc_weights @ d_fc).reshape(arch.n_kernels, -1)
+    d_pre = (head[0].weights @ d_fc).reshape(arch.n_kernels, -1)
     d_pre *= closed_form_derivative(arch.conv_activation, pre)
     g_conv = d_pre @ cols.T
-    return cost, [g_conv[:, :-1].reshape(params.conv_kernels.shape), g_conv[:, -1], *g_fc, *g_out]
+    return cost, [g_conv[:, :-1].reshape(values[0].shape), g_conv[:, -1], *g_fc, *g_out]
 
 
 def ref_adam_step(values, grads, ms, vs, k, cfg):
@@ -134,29 +154,33 @@ def ref_adam_step(values, grads, ms, vs, k, cfg):
 
 
 def ref_adam_minimize(values, cost_and_grads, cfg, test_cost=None):
+    """Adam over the float64 ``values``; ``cost_and_grads`` and ``test_cost``
+    get their float32 copies."""
     ms, vs = [np.zeros_like(a) for a in values], [np.zeros_like(a) for a in values]
     history = []
     for it in range(1, cfg.max_iters + 1):
-        cost, grads = cost_and_grads(values)
+        passes = [a.astype(F32) for a in values]
+        cost, grads = cost_and_grads(passes)
         if not np.isfinite(cost):
             raise TrainingError(f"Adam diverged at iteration {it} (mse={cost})")
-        history.append((it, cost) if test_cost is None else (it, cost, test_cost(values)))
+        history.append((it, cost) if test_cost is None else (it, cost, test_cost(passes)))
         if cost < cfg.mse_threshold:
             break
-        values = ref_adam_step(values, grads, ms, vs, it, cfg)
+        values = ref_adam_step(values, [g.astype(float) for g in grads], ms, vs, it, cfg)
     return values, np.asarray(history)
 
 
 def ref_train_stage1(params, arch, train, cfg, test=None):
-    train_cols = _im2col(train.graphs, arch)
-    test_cols = None if test is None else _im2col(test.graphs, arch)
+    train_cols, train_targets = _im2col(train.graphs, arch, F32), train.labels.astype(F32).T
+    if test is not None:
+        test_cols, test_targets = _im2col(test.graphs, arch, F32), test.labels.astype(F32).T
 
     def cost_and_grads(values):
-        return ref_conv_cost_and_grads(ConvNetParams(*values), arch, train_cols, train.labels.T)
+        return ref_conv_cost_and_grads(values, arch, train_cols, train_targets)
 
     def test_cost(values):
-        outputs = ref_conv_forward(ConvNetParams(*values), arch, test_cols)[3][-1]
-        return ref_cost_and_output_delta(outputs, test.labels.T)[0]
+        outputs = ref_conv_forward(values, arch, test_cols)[3][-1]
+        return ref_cost_and_output_delta(outputs, test_targets)[0]
 
     values, history = ref_adam_minimize([a.copy() for a in params.as_list()], cost_and_grads, cfg,
                                         None if test is None else test_cost)
@@ -164,12 +188,14 @@ def ref_train_stage1(params, arch, train, cfg, test=None):
 
 
 def ref_train_mlp(layers, x, labels, cfg):
+    x_t, targets = x.astype(F32).T, labels.astype(F32).T
+
     def rebuild(values):
         return [MlpLayer(values[2 * j], values[2 * j + 1], layer.act) for j, layer in enumerate(layers)]
 
     def cost_and_grads(values):
-        pres, acts = ref_forward_parts(rebuild(values), x.T)
-        cost, d_out = ref_cost_and_output_delta(acts[-1], labels.T)
+        pres, acts = ref_forward_parts(rebuild(values), x_t)
+        cost, d_out = ref_cost_and_output_delta(acts[-1], targets)
         return cost, [g for dw_db in ref_backprop(rebuild(values), pres, acts, d_out)[0] for g in dw_db]
 
     values = [a.copy() for layer in layers for a in (layer.weights, layer.biases)]
@@ -307,20 +333,26 @@ def test_stage1_descends_and_stops_at_threshold():
 
 def test_stage1_matches_the_public_gradient_path():
     """Stage 1 trains on one flat vector with preallocated workspaces; driving
-    the list-based reference loop with `backprop_grads`/`mse_cost`, which
-    build theirs afresh at every call, must give the same bytes."""
+    the list-based reference loop with the path of `backprop_grads` and
+    `mse_cost` at Adam's precision, which builds a net and a split afresh at
+    every call, must give the same bytes: `conv_net` over the parameters, its
+    float32 copy (`_pass_net`), and that copy's `_conv_split`."""
     arch = ConvNetArch(conv_activation=Activation("sigmoid"))
     train, test = tiny_task(arch, n=70, seed=4), tiny_task(arch, n=30, seed=5)
     params = init_params(arch, 3)
     cfg = AdamConfig(max_iters=6, mse_threshold=0.0)
     trained, hist = train_stage1_adam(params, arch, train, cfg, test)
 
+    def pass_split(values, data, backward=False):
+        return training._conv_split(training._pass_net(conv_net(ConvNetParams(*values), arch)), data, backward)
+
     def cost_and_grads(values):
-        p = ConvNetParams(*values)
-        return mse_cost(p, arch, train), backprop_grads(p, arch, train).as_list()
+        split = pass_split(values, train, backward=True)
+        grad = split.net.like(np.empty_like(split.net.theta))
+        return split.cost_and_grad(grad), grad.conv_params().as_list()
 
     ref, ref_hist = ref_adam_minimize(params.as_list(), cost_and_grads, cfg,
-                                      lambda values: mse_cost(ConvNetParams(*values), arch, test))
+                                      lambda values: pass_split(values, test).cost())
     assert hist.shape == (6, 3) and np.array_equal(hist, ref_hist)
     assert_same_bytes(trained.as_list(), ref)
 
@@ -466,13 +498,15 @@ def _stage1_transient_peaks(max_iters):
 
 
 def test_stage1_iteration_allocates_little():
-    """An iteration's transient allocations peak at no more than 3.8 MB on an
-    8400/5600 split (the list-based loop's peak is about 7.7 MB), and neither
-    that peak nor the memory held between iterations grows with the
-    iteration count."""
+    """An iteration's transient allocations peak at no more than 26 kB on an
+    8400/5600 split (24.1 kB measured with float32 passes, numpy 2.4: numpy's
+    temporaries for the ufuncs that read a block's columns of the split-wide
+    targets and squares; 46.5 kB with float64 passes, and about 7.7 MB in the
+    list-based loop), and neither that peak nor the memory held between
+    iterations grows with the iteration count."""
     short_peaks, _ = _stage1_transient_peaks(4)
     peaks, starts = _stage1_transient_peaks(16)
-    assert max(peaks) <= 3.8e6, peaks
+    assert max(peaks) <= 26_000, peaks
     assert max(peaks) <= max(short_peaks) + 10_000, (short_peaks, peaks)
     assert starts[-1] - starts[0] <= 10_000, starts
 
@@ -539,32 +573,144 @@ def test_conv_blocks_keep_the_cost_and_gradient(arch, n, cap, seed):
 @pytest.mark.parametrize("name", sorted(MLP_BASELINES))
 def test_mlp_blocks_keep_the_cost_and_gradient(name):
     """Each baseline MLP, over its features in blocks of at most 23 samples,
-    gives the one-block cost byte for byte and its gradient to 1e-12; and
-    `train_mlp_baseline` trains on a split cut into those blocks."""
+    gives the one-block cost byte for byte, in float64 and in Adam's float32,
+    and its gradient to 1e-12 in float64 (1e-5 in float32, whose sums over
+    the samples round about 1e-7 apart); and `train_mlp_baseline` trains on a
+    float32 split cut into those blocks, whose first cost is the one-block
+    float32 cost."""
     spec = MLP_BASELINES[name]
     rng = np.random.default_rng(13)
     graphs = rng.standard_normal((100, 5, 4)) * 0.5
     labels = rng.standard_normal((100, 2)) * 0.3
-    feats = mlp_features_from_graphs(graphs, spec.feature_kind)
-    net = Net.of(mlp_init(spec.widths(3), Activation(spec.hidden_activation), seed=2))
-    grads = [net.like(np.empty_like(net.theta)) for _ in range(2)]
-    one_cost = _Split(net, [feats.T], labels, backward=True).cost_and_grad(grads[0])
+    net64 = Net.of(mlp_init(spec.widths(3), Activation(spec.hidden_activation), seed=2))
     trained = []
 
-    def recorded(split, cfg, test=None):
+    def recorded(theta, split, cfg, test=None):
         trained.append(split)
-        return adam_minimize(split, cfg, test)
+        return adam_minimize(theta, split, cfg, test)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network, "_BLOCK_SAMPLES", 23)
         mp.setattr(training, "adam_minimize", recorded)
-        blocks = network.blocks(len(feats))
-        split = _Split(net, [feats[b].T for b in blocks], labels, backward=True)
-        assert len(split.blocks) == 5 and split.cost_and_grad(grads[1]) == one_cost
+        blocks = network.blocks(len(graphs))
+        for net, tol in ((net64, 1e-12), (training._pass_net(net64), 1e-5)):
+            feats = mlp_features_from_graphs(graphs, spec.feature_kind, net.theta.dtype)
+            grads = [net.like(np.empty_like(net.theta)) for _ in range(2)]
+            one_cost = _Split(net, [feats.T], labels, backward=True).cost_and_grad(grads[0])
+            split = _Split(net, [feats[b].T for b in blocks], labels, backward=True)
+            assert len(split.blocks) == 5 and split.cost_and_grad(grads[1]) == one_cost
+            for g, w in zip(grads[1].arrays, grads[0].arrays):
+                np.testing.assert_allclose(g, w, rtol=tol, atol=tol * np.abs(w).max())
         _, hist = train_mlp_baseline(spec, Dataset(graphs, labels), AdamConfig(max_iters=1), seed=2)
-    assert_grads_close(grads[1].arrays, grads[0].arrays)
     assert [b.cols for b in trained[0].blocks] == blocks
+    assert trained[0].net.theta.dtype == F32
     assert hist[0, 1] == one_cost
+
+
+def test_float32_net_layers_stay_views_of_theta():
+    """`Activation` and `MlpLayer` keep float32 arrays float32, uncopied. So
+    every layer array of a float32 `Net.like`, a conv model's or an MLP's,
+    shares memory with its vector; and one `adam_minimize` step, which writes
+    the float64 master vector into it, changes the layers' forward output."""
+    v = np.linspace(-2, 2, 7, dtype=F32)
+    assert all(Activation(kind)(v).dtype == F32 for kind in ACTIVATION_KINDS)
+    w, b = np.ones((3, 2), F32), np.zeros(2, F32)
+    layer = MlpLayer(w, b)
+    assert layer.weights is w and layer.biases is b
+
+    arch = ConvNetArch()
+    data = tiny_task(arch, n=50)
+    rng = np.random.default_rng(3)
+    for net, x in ((conv_net(init_params(arch, 1), arch), _im2col(data.graphs, arch, F32)),
+                   (Net.of(mlp_init([6, 5, 2], Activation("sigmoid"), seed=1)), rng.standard_normal((6, 50), F32))):
+        passes = training._pass_net(net)
+        assert passes.theta.dtype == F32 and len(passes.arrays) == len(net.arrays)
+        assert all(a.dtype == F32 and np.shares_memory(a, passes.theta) for a in passes.arrays)
+        before = Workspace(passes, x).forward().copy()
+        adam_minimize(net.theta, _Split(passes, [x], data.labels, backward=True),
+                      AdamConfig(max_iters=2, mse_threshold=0.0))
+        assert passes.theta.tobytes() == net.theta.astype(F32).tobytes()
+        after = Workspace(passes, x).forward()
+        assert after.dtype == F32 and not np.array_equal(before, after)
+
+
+def _relative_gap(got, want):
+    """The largest |got - want| over the largest |want|."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.fixture(scope="module")
+def pa_dataset():
+    """The criterion-10 config's 480/320 split of the default PA's output."""
+    x = generate_ofdm(OfdmConfig(n_symbols=6))
+    return build_dataset(x, transmit_chain(default_pa(), x, ImpairmentConfig.case(1)), 3, 800, 0)
+
+
+def test_float32_stage1_tracks_float64(pa_dataset):
+    """300 Adam steps on the paper's arch over a PA dataset: the float32
+    passes' history is within 1e-6 relative of float64 passes' (2.7e-7
+    measured), and the trained parameters within 1e-6 of the largest (2.1e-8
+    measured)."""
+    arch, (train, test) = ConvNetArch(), pa_dataset
+    cfg = AdamConfig(max_iters=300, mse_threshold=0.0)
+    trained, hist = train_stage1_adam(init_params(arch, 0), arch, train, cfg, test)
+    net = conv_net(init_params(arch, 0), arch)
+    ref_hist = adam_minimize(net.theta, training._conv_split(net, train, backward=True), cfg,
+                             training._conv_split(net, test))
+    assert hist.shape == ref_hist.shape == (300, 3)
+    np.testing.assert_allclose(hist, ref_hist, rtol=1e-6, atol=0)
+    assert _relative_gap(conv_net(trained, arch).theta, net.theta) < 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(MLP_BASELINES))
+def test_float32_mlp_baselines_track_float64(pa_dataset, name):
+    """40 Adam steps of each baseline over a PA dataset: the float32 passes'
+    history is within 1e-6 relative of float64 passes' (2.0e-7 measured), and
+    the weights within 1e-6 of the largest (1.2e-7 measured)."""
+    spec, (train, _) = MLP_BASELINES[name], pa_dataset
+    cfg = AdamConfig(max_iters=40, mse_threshold=0.0)
+    layers, hist = train_mlp_baseline(spec, train, cfg, seed=0)
+    net = Net.of(mlp_init(spec.widths(3), Activation(spec.hidden_activation), seed=0))
+    feats = mlp_features_from_graphs(train.graphs, spec.feature_kind)
+    ref_hist = adam_minimize(net.theta, _Split(net, [feats.T], train.labels, backward=True), cfg)
+    assert hist.shape == ref_hist.shape == (40, 2)
+    np.testing.assert_allclose(hist, ref_hist, rtol=1e-6, atol=0)
+    assert all(a.dtype == np.float64 for layer in layers for a in (layer.weights, layer.biases))
+    assert _relative_gap(Net.of(layers).theta, net.theta) < 1e-6
+
+
+def test_only_adam_passes_run_in_float32(monkeypatch):
+    """Every `Workspace` that `mse_cost`, `backprop_grads`, `forward_batch`
+    and the LM polish fill has a float64 input, net and buffers, and LM's
+    normal equations are float64; stage 1's workspaces are float32."""
+    seen, normal_equations = [], []
+    real_forward, real_normal_equations = Workspace.forward, training._fc_normal_equations
+
+    def recorded_forward(ws):
+        conv = [] if ws.net.conv is None else [ws.conv_pre, ws.conv_out]
+        seen.append({a.dtype for a in (ws.x, ws.net.theta, *conv, *ws.pres, *ws.acts)})
+        return real_forward(ws)
+
+    def recorded_normal_equations(block):
+        out = real_normal_equations(block)
+        normal_equations.append({a.dtype for a in (*block.lm, *out, block.resid, block.ws.x)})
+        return out
+
+    monkeypatch.setattr(Workspace, "forward", recorded_forward)
+    monkeypatch.setattr(training, "_fc_normal_equations", recorded_normal_equations)
+    arch = ConvNetArch()
+    data = tiny_task(arch, n=60)
+    params = init_params(arch, 1)
+    for run in (lambda: mse_cost(params, arch, data), lambda: backprop_grads(params, arch, data),
+                lambda: forward_batch(params, arch, data.graphs),
+                lambda: train_stage2_lm(params, arch, data, LmConfig(max_iters=3))):
+        seen.clear()
+        run()
+        assert seen and all(dtypes == {np.dtype(np.float64)} for dtypes in seen)
+    assert normal_equations and all(dtypes == {np.dtype(np.float64)} for dtypes in normal_equations)
+    seen.clear()
+    train_stage1_adam(params, arch, data, AdamConfig(max_iters=2, mse_threshold=0.0))
+    assert seen and all(dtypes == {np.dtype(F32)} for dtypes in seen)
 
 
 def _conv_trainer():
@@ -575,7 +721,7 @@ def _conv_trainer():
     def train(labels, cfg):
         ds = Dataset(data.graphs, labels)
         trained, hist = train_stage1_adam(params, arch, ds, cfg)
-        return mse_cost(trained, arch, ds), hist
+        return conv_pass_cost(trained, arch, ds), hist
 
     return data.labels, train
 
@@ -588,7 +734,7 @@ def _mlp_trainer():
 
     def train(labels, cfg):
         trained, hist = train_mlp(layers, x, labels, cfg)
-        return mlp_cost_and_grads(trained, x, labels)[0], hist
+        return mlp_pass_cost(trained, x, labels), hist
 
     return labels, train
 
@@ -606,7 +752,8 @@ def test_adam_loop_stop_rules(make_trainer):
     assert len(hist) <= 30
     assert np.array_equal(hist, full[: len(hist)])
     assert hist[-1, 1] < threshold <= hist[:-1, 1].min(initial=np.inf)
-    # the returned parameters are the ones the last history row scored
+    # the returned parameters are the ones the last history row scored: Adam's
+    # float32 pass at them gives its cost byte for byte
     assert cost == hist[-1, 1]
 
 
