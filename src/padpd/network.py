@@ -17,9 +17,8 @@ the sample index contiguous: the conv GEMM's output is then the head's input
 as it stands. The public functions take and return (N, features) arrays.
 
 A `Workspace` allocates its buffers in its input's dtype, so one code path
-runs a pass in float64 or float32: `training` runs Adam's passes in float32
-over float32 `_im2col` columns and a float32 `Net`. Every public function
-here runs in float64.
+runs a pass in float64 or float32 (`training` runs Adam's in float32); every
+public function here runs in float64.
 """
 
 from __future__ import annotations

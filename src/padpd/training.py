@@ -18,15 +18,13 @@ over a split's squared residuals (`_Split.cost`) for Adam and LM alike. Inside,
 activations, deltas and targets are feature-major, shape (features, N), as
 in `network`; the public functions take (N, features) arrays.
 
-Adam's forward and backward passes run in float32, the mixed-precision
-recipe (Micikevicius et al., Mixed Precision Training, ICLR 2018): its
-splits hold float32 inputs and buffers over a float32 copy of the net
-(`_pass_net`), while the parameters Adam updates and its moments stay
-float64 and are rounded into that copy after each step. At float32 numpy's
-tanh is about 5x faster than at float64, its sigmoid about 2x, and the small
-GEMMs about 2x. Everything else runs in float64: the LM polish, which builds
-its features from the float64 parameters, `mse_cost` and `backprop_grads`.
-A split's buffers follow its input's dtype, so one code path serves both.
+Adam's forward and backward passes run in float32 over float64 master
+weights (Micikevicius et al., Mixed Precision Training, ICLR 2018), since
+numpy's float32 tanh, sigmoid and small GEMMs are 2-5x faster than float64's:
+its splits hold float32 inputs and buffers over a float32 copy of the net
+(`_pass_net`). Everything else, LM, `mse_cost` and `backprop_grads`
+included, runs in float64 on the same code: a split's buffers take its
+input's dtype.
 """
 
 from __future__ import annotations

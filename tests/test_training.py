@@ -27,7 +27,7 @@ from padpd.network import (
     mlp_init,
 )
 from padpd.pa import ImpairmentConfig, default_pa, transmit_chain
-from padpd.signals import ComplexSeq, OfdmConfig, generate_ofdm
+from padpd.signals import OfdmConfig, generate_ofdm
 from padpd.training import (
     AdamConfig,
     _fc_normal_equations,
@@ -611,7 +611,8 @@ def test_float32_net_layers_stay_views_of_theta():
     """`Activation` and `MlpLayer` keep float32 arrays float32, uncopied. So
     every layer array of a float32 `Net.like`, a conv model's or an MLP's,
     shares memory with its vector; and one `adam_minimize` step, which writes
-    the float64 master vector into it, changes the layers' forward output."""
+    the float64 master vector into it, changes the layers' forward output. A
+    `Workspace` takes no input of another dtype than its net's."""
     v = np.linspace(-2, 2, 7, dtype=F32)
     assert all(Activation(kind)(v).dtype == F32 for kind in ACTIVATION_KINDS)
     w, b = np.ones((3, 2), F32), np.zeros(2, F32)
@@ -632,6 +633,8 @@ def test_float32_net_layers_stay_views_of_theta():
         assert passes.theta.tobytes() == net.theta.astype(F32).tobytes()
         after = Workspace(passes, x).forward()
         assert after.dtype == F32 and not np.array_equal(before, after)
+        with pytest.raises(ValueError, match="the input is float64 but the net is float32"):
+            Workspace(passes, x.astype(float))
 
 
 def _relative_gap(got, want):
