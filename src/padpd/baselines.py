@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import from_dict, to_dict
+from .codec import to_dict
 from .dataset import N_FEATURE_ROWS
 from .signals import ComplexSeq
 
@@ -26,7 +26,6 @@ __all__ = [
     "gmp_basis_at",
     "gmp_fit_ls",
     "save_gmp",
-    "load_gmp",
     "MLP_FEATURE_KINDS",
     "mlp_features_from_graphs",
     "MlpBaselineSpec",
@@ -214,13 +213,6 @@ def save_gmp(model: GmpModel, path) -> None:
         "coeffs": [[float(c.real), float(c.imag)] for c in model.coeffs],
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_gmp(path) -> GmpModel:
-    doc = json.loads(Path(path).read_text())
-    cfg = from_dict(GmpConfig, doc["config"], path="config")
-    coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]], dtype=np.complex128)
-    return GmpModel(cfg, coeffs)
 
 
 # --- fully connected baselines -------------------------------------------

@@ -1,4 +1,4 @@
-"""Complex baseband test signals: OFDM generation, PAPR and peak utilities.
+"""Complex baseband test signals: OFDM generation and PAPR.
 
 The OFDM source places QAM symbols on subcarriers around DC, concatenates
 the inverse-FFT symbol blocks, and bandlimits the whole sequence with a
@@ -23,12 +23,9 @@ __all__ = [
     "OfdmConfig",
     "generate_ofdm",
     "ofdm_symbol_grid",
-    "raised_cosine_filter",
-    "modulate_grid",
     "subcarrier_indices",
     "raised_cosine_gain",
     "papr_db",
-    "normalize_peak",
     "write_signal_csv",
 ]
 
@@ -205,20 +202,14 @@ def ofdm_symbol_grid(cfg: OfdmConfig) -> np.ndarray:
     return grid
 
 
-def raised_cosine_filter(x: ComplexSeq, cfg: OfdmConfig) -> ComplexSeq:
-    """Bandlimit a sequence with a raised-cosine frequency response.
-
-    Applied to the FFT of the entire sequence. The cosine taper is squeezed
-    inside the occupied band (sample_rate / oversampling wide), reaching
-    zero exactly at the band edge, so the shaped signal leaks nothing into
-    the adjacent channels.
-    """
-    return x.with_data(np.fft.ifft(_shape_spectrum(np.fft.fft(x.data), x.sample_rate_hz, cfg)))
-
-
 def _shape_spectrum(spec: np.ndarray, sample_rate_hz: float, cfg: OfdmConfig) -> np.ndarray:
     """Multiply the raised-cosine gains into an FFT in place, one chunk of bins
-    at a time; the bin frequencies are `np.fft.fftfreq`'s, computed as it does."""
+    at a time; the bin frequencies are `np.fft.fftfreq`'s, computed as it does.
+
+    The cosine taper is squeezed inside the occupied band (sample_rate /
+    oversampling wide) and reaches zero exactly at the band edge, so the
+    shaped signal leaks nothing into the adjacent channels.
+    """
     n = spec.size
     step = 1.0 / (n * (1.0 / sample_rate_hz))  # fftfreq's bin spacing
     edge_hz = cfg.occupied_bandwidth_hz / 2.0
@@ -230,27 +221,15 @@ def _shape_spectrum(spec: np.ndarray, sample_rate_hz: float, cfg: OfdmConfig) ->
     return spec
 
 
-def modulate_grid(grid: np.ndarray, sample_rate_hz: float = 1.0) -> ComplexSeq:
-    """Unitary IFFT of each symbol row, concatenated in time.
-
-    The ortho normalization preserves mean power between the grid and the
-    time sequence (Parseval).
-    """
-    grid = np.asarray(grid, dtype=np.complex128)
-    if grid.ndim != 2:
-        raise ValueError("grid must be 2-D (n_symbols, n_fft)")
-    x = np.fft.ifft(grid, axis=1, norm="ortho").reshape(-1)
-    return ComplexSeq(x, sample_rate_hz)
-
-
 def generate_ofdm(cfg: OfdmConfig) -> ComplexSeq:
     """Seeded OFDM burst, raised-cosine shaped, peak-normalized to 1.0.
 
-    The values are those of ``normalize_peak(raised_cosine_filter(
-    modulate_grid(ofdm_symbol_grid(cfg)), cfg), 1.0)``, built with at most
-    two full-length arrays alive: each transform's input is dropped once its
-    output exists, the gains go into the spectrum chunk by chunk and the
-    peak normalization is in place.
+    Each row of `ofdm_symbol_grid` goes through a unitary IFFT, which keeps
+    the grid's mean power, and the rows are concatenated in time. The whole
+    sequence's spectrum then takes the gains of `_shape_spectrum`, and the
+    result is divided by its peak. At most two full-length arrays are alive:
+    each transform's input is dropped once its output exists, the gains go
+    into the spectrum chunk by chunk and the peak division is in place.
     """
     spec = np.fft.fft(np.fft.ifft(ofdm_symbol_grid(cfg), axis=1, norm="ortho").reshape(-1))
     x = np.fft.ifft(_shape_spectrum(spec, cfg.sample_rate_hz, cfg))
@@ -269,15 +248,6 @@ def papr_db(x: ComplexSeq) -> float:
     if mean == 0.0:
         raise ValueError("PAPR is undefined for an all-zero signal")
     return float(10.0 * np.log10(p.max() / mean))
-
-
-def normalize_peak(x: ComplexSeq, target: float = 1.0) -> ComplexSeq:
-    if not target > 0:
-        raise ValueError("target peak must be positive")
-    peak = x.peak()
-    if peak == 0.0:
-        raise ValueError("cannot peak-normalize an all-zero signal")
-    return x.scaled(target / peak)
 
 
 def _meta_path(path: Path) -> Path:

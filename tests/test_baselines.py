@@ -1,5 +1,7 @@
 """Tests for the GMP and fully connected baseline models."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,11 @@ from padpd.baselines import (
     gmp_basis_at,
     gmp_fit_ls,
     gmp_table_config,
-    load_gmp,
     mlp_baseline_spec,
     mlp_features_from_graphs,
     save_gmp,
 )
+from padpd.codec import from_dict
 from padpd.dataset import build_dataset, split_indices
 from padpd.metrics import nmse_db
 from padpd.network import mlp_forward
@@ -223,6 +225,13 @@ def test_fit_input_validation():
         gmp_fit_ls(np.ones((10, 2), dtype=complex), np.ones(10), two, ridge=-1.0)
     with pytest.raises(ValueError, match="columns"):
         gmp_fit_ls(np.ones((10, 2), dtype=complex), np.ones(10), GmpConfig(ka=3, la=1))
+
+
+def load_gmp(path) -> GmpModel:
+    """Read a model that `save_gmp` wrote."""
+    doc = json.loads(path.read_text())
+    coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]], dtype=np.complex128)
+    return GmpModel(from_dict(GmpConfig, doc["config"], path="config"), coeffs)
 
 
 def test_gmp_model_validation_and_roundtrip(tmp_path):

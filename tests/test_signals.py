@@ -13,11 +13,8 @@ from padpd.signals import (
     ComplexSeq,
     OfdmConfig,
     generate_ofdm,
-    modulate_grid,
-    normalize_peak,
     ofdm_symbol_grid,
     papr_db,
-    raised_cosine_filter,
     raised_cosine_gain,
     subcarrier_indices,
     write_signal_csv,
@@ -76,20 +73,6 @@ def test_symbol_grid_constellation_and_power():
     assert np.mean(np.abs(vals) ** 2) == pytest.approx(1.0, abs=0.02)
 
 
-def test_modulate_grid_parseval_and_block_order():
-    rng = np.random.default_rng(3)
-    grid = rng.standard_normal((7, 32)) + 1j * rng.standard_normal((7, 32))
-    x = modulate_grid(grid)
-    # ortho IFFT preserves mean power between grid and time sequence
-    assert np.mean(np.abs(x.data) ** 2) == pytest.approx(np.mean(np.abs(grid) ** 2))
-
-    lone = np.zeros((3, 16), dtype=complex)
-    lone[0, 2] = 1.0
-    y = modulate_grid(lone)
-    assert np.any(y.data[:16] != 0)
-    assert np.all(y.data[16:] == 0)
-
-
 def test_raised_cosine_gain_profile():
     beta = 0.25
     nu = np.array([0.0, 0.7, 0.75, 1.0, 1.25, 1.3])
@@ -108,27 +91,35 @@ def test_raised_cosine_gain_profile():
     assert raised_cosine_gain(np.array([0.999, 1.001]), 0.0).tolist() == [1.0, 0.0]
 
 
+def modulate(grid):
+    """Each symbol row through a unitary IFFT, the rows concatenated in time."""
+    return np.fft.ifft(grid, axis=1, norm="ortho").reshape(-1)
+
+
+def shaped(x, cfg):
+    """A sequence filtered by `generate_ofdm`'s raised-cosine spectrum shaping."""
+    return np.fft.ifft(signals._shape_spectrum(np.fft.fft(x), cfg.sample_rate_hz, cfg))
+
+
 def test_filter_passes_inband_and_removes_outband():
     cfg = OfdmConfig(n_symbols=4, seed=5)
     n = 4 * cfg.n_fft
     t = np.arange(n) / cfg.sample_rate_hz
     delta_f = cfg.sample_rate_hz / cfg.n_fft
 
-    inband = ComplexSeq(np.exp(2j * np.pi * (3 * delta_f) * t), cfg.sample_rate_hz)
-    out = raised_cosine_filter(inband, cfg)
-    assert np.allclose(out.data, inband.data, atol=1e-9)
+    inband = np.exp(2j * np.pi * (3 * delta_f) * t)
+    assert np.allclose(shaped(inband, cfg), inband, atol=1e-9)
 
-    outband = ComplexSeq(np.exp(2j * np.pi * (70 * delta_f) * t), cfg.sample_rate_hz)
-    out = raised_cosine_filter(outband, cfg)
-    assert np.max(np.abs(out.data)) < 1e-9
+    outband = np.exp(2j * np.pi * (70 * delta_f) * t)
+    assert np.max(np.abs(shaped(outband, cfg))) < 1e-9
 
 
 def test_filter_energy_factor_matches_per_bin_gains():
     """Shaping only rescales energy by the per-bin squared gains."""
     cfg = OfdmConfig(n_symbols=300, seed=11)
     grid = ofdm_symbol_grid(cfg)
-    x = modulate_grid(grid, cfg.sample_rate_hz)
-    y = raised_cosine_filter(x, cfg)
+    x = modulate(grid)
+    y = shaped(x, cfg)
 
     idx = subcarrier_indices(cfg.n_subcarriers)
     delta_f = cfg.sample_rate_hz / cfg.n_fft
@@ -137,7 +128,7 @@ def test_filter_energy_factor_matches_per_bin_gains():
     bin_power = np.mean(np.abs(grid[:, idx % cfg.n_fft]) ** 2, axis=0)
     predicted = np.sum(bin_power * gains**2) / np.sum(bin_power)
 
-    measured = y.power() / x.power()
+    measured = np.mean(np.abs(y) ** 2) / np.mean(np.abs(x) ** 2)
     assert abs(10 * np.log10(measured / predicted)) < 0.1
 
 
@@ -152,7 +143,7 @@ def test_generate_ofdm_peak_papr_and_determinism():
 
 
 def unshaped_filter(x, cfg):
-    """`raised_cosine_filter` as one expression over the whole spectrum."""
+    """The raised-cosine shaping as one expression over the whole spectrum."""
     edge = cfg.occupied_bandwidth_hz / 2.0
     nu = np.fft.fftfreq(len(x), d=1.0 / x.sample_rate_hz) * (1.0 + cfg.rolloff) / edge
     return x.with_data(np.fft.ifft(np.fft.fft(x.data) * raised_cosine_gain(nu, cfg.rolloff)))
@@ -168,15 +159,14 @@ def unshaped_filter(x, cfg):
 @pytest.mark.parametrize("chunk", [1000, signals._CHUNK])
 def test_generate_ofdm_keeps_the_bytes_of_its_stages(cfg, chunk):
     """Built in place, its spectrum shaped chunk by chunk, the burst has the
-    bytes of the stage functions chained, and the chunked filter has those of
-    one whole-spectrum product; at 1000 samples a chunk, no length here is a
-    multiple of the chunk."""
+    bytes of its stages done one after another: the row IFFTs, one
+    whole-spectrum product and a division by the peak. At 1000 samples a
+    chunk, no length here is a multiple of the chunk."""
     with mock.patch.object(signals, "_CHUNK", chunk):
         got = generate_ofdm(cfg)
-        modulated = modulate_grid(ofdm_symbol_grid(cfg), cfg.sample_rate_hz)
-        staged = normalize_peak(raised_cosine_filter(modulated, cfg), 1.0)
-    assert got.data.tobytes() == staged.data.tobytes()
-    assert got.data.tobytes() == normalize_peak(unshaped_filter(modulated, cfg), 1.0).data.tobytes()
+    modulated = ComplexSeq(modulate(ofdm_symbol_grid(cfg)), cfg.sample_rate_hz)
+    staged = unshaped_filter(modulated, cfg).data
+    assert got.data.tobytes() == (staged * (1.0 / np.max(np.abs(staged)))).tobytes()
     assert got.sample_rate_hz == cfg.sample_rate_hz
 
 
@@ -216,24 +206,6 @@ def test_papr_reference_values():
     assert papr_db(x.scaled(-2.5j)) == pytest.approx(papr_db(x), abs=1e-12)
     with pytest.raises(ValueError):
         papr_db(ComplexSeq(np.zeros(8)))
-
-
-def test_normalize_peak():
-    rng = np.random.default_rng(1)
-    x = ComplexSeq(rng.standard_normal(100) + 1j * rng.standard_normal(100))
-    y = normalize_peak(x, 1.0)
-    assert y.peak() == pytest.approx(1.0, rel=1e-12)
-    assert papr_db(y) == pytest.approx(papr_db(x), abs=1e-9)
-
-    z = normalize_peak(x, x.peak())
-    assert np.allclose(z.data, x.data, rtol=1e-12)
-
-    halved = normalize_peak(ComplexSeq(np.array([2.0, 1.0j])), 1.0)
-    assert np.allclose(halved.data, [1.0, 0.5j])
-    with pytest.raises(ValueError):
-        normalize_peak(ComplexSeq(np.zeros(4)))
-    with pytest.raises(ValueError):
-        normalize_peak(x, 0.0)
 
 
 def test_signal_csv_roundtrip(tmp_path):
