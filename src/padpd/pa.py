@@ -126,11 +126,14 @@ def gain_compression_db(model: PolyPaModel) -> float:
 
 
 def default_pa(seed: int = 0, k_order: int = 5, q_depth: int = 4) -> PolyPaModel:
-    """Seeded synthetic PA with 3.0 dB gain compression at |x| = 1.
+    """Seeded synthetic PA with 3 dB gain compression at |x| = 1.
 
-    The static nonlinear terms ride on a compressive (mostly cubic) backbone
-    and are rescaled until the compression target is met; cross-term
-    magnitudes stay below 10% of |a0|.
+    a0 = 1, the cross terms c are drawn with magnitudes capped at 10% of |a0|,
+    and the static nonlinear terms are t times a drawn shape S riding on a
+    compressive (mostly cubic) backbone. A settled drive at |x| = 1 sees the
+    gain 1 + sum(c) + t*sum(S), so t is the smaller positive root of
+    |1 + sum(c) + t*sum(S)|^2 = 10^(-3/10). Raises ConstructionError when the
+    cross terms alone compress 3 dB or more, or when no t > 0 reaches it.
     """
     if k_order < 2:
         raise ConstructionError("k_order must be >= 2 to realize gain compression")
@@ -141,8 +144,6 @@ def default_pa(seed: int = 0, k_order: int = 5, q_depth: int = 4) -> PolyPaModel
     def cnormal(*shape):
         return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
 
-    a = np.zeros(k_order, dtype=np.complex128)
-    a[0] = 1.0
     shape = 0.02 * cnormal(k_order)
     shape[0] = 0.0
     if k_order > 2:
@@ -157,33 +158,20 @@ def default_pa(seed: int = 0, k_order: int = 5, q_depth: int = 4) -> PolyPaModel
     over = mags > 0.1
     c[over] *= 0.1 / mags[over]
 
-    def model_for(t: float) -> PolyPaModel:
-        at = a.copy()
-        at[1:] = t * shape[1:]
-        return PolyPaModel(at, c)
-
-    target = 3.0
-    t_lo, t_hi = 0.0, None
-    for t in np.arange(0.25, 6.01, 0.25):
-        if gain_compression_db(model_for(t)) >= target:
-            t_hi = float(t)
-            break
-        t_lo = float(t)
-    if t_hi is None:
-        raise ConstructionError("could not bracket the compression target")
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        comp = gain_compression_db(model_for(mid))
-        if abs(comp - target) < 0.005:
-            return model_for(mid)
-        if comp < target:
-            t_lo = mid
-        else:
-            t_hi = mid
-    model = model_for(0.5 * (t_lo + t_hi))
-    if abs(gain_compression_db(model) - target) > 0.1:
-        raise ConstructionError("compression calibration did not converge")
-    return model
+    which = f"pa_seed={seed}, pa_k_order={k_order}, pa_q_depth={q_depth}"
+    u, s = 1.0 + c.sum(), shape.sum()  # the gain at |x| = 1 is u + t*s
+    excess = abs(u) ** 2 - 10.0 ** (-3.0 / 10.0)
+    if excess <= 0:
+        raise ConstructionError(f"the cross terms alone compress {-20.0 * math.log10(abs(u)):.2f} dB "
+                                f"at |x| = 1, at or past the 3 dB target ({which})")
+    b = (u.conjugate() * s).real  # |u + t*s|^2 - target = |s|^2 t^2 + 2b t + excess
+    disc = b * b - abs(s) ** 2 * excess
+    if b >= 0 or disc < 0:
+        raise ConstructionError(f"the static terms never reach 3 dB compression at |x| = 1 ({which})")
+    t = excess / (math.sqrt(disc) - b)  # the smaller root, (-b - sqrt(disc)) / |s|^2, without cancellation
+    a = t * shape
+    a[0] = 1.0
+    return PolyPaModel(a, c)
 
 
 @dataclass(frozen=True)

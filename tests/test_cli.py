@@ -70,6 +70,18 @@ def test_run_stage_failure_exit_code(tmp_path, capsys):
     assert "error [dataset]" in capsys.readouterr().err
 
 
+def test_a_pa_that_cannot_reach_3_db_is_a_pa_stage_error(tmp_path, capsys, monkeypatch):
+    """At pa_seed 0 and depth 4, order 4 draws cross terms that alone
+    compress 3.54 dB: the PA stage says so and the run writes nothing."""
+    monkeypatch.delenv("PADPD_VERBOSE", raising=False)
+    out = tmp_path / "run"
+    assert main(["run", "--set", "pa_k_order=4", "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error [pa]: the cross terms alone compress 3.54 dB at |x| = 1, at or past the 3 dB target "
+        "(pa_seed=0, pa_k_order=4, pa_q_depth=4)\n")
+    assert not (out / "report.json").exists()
+
+
 # The function each pipeline stage calls, as `padpd.experiment` names it.
 _RUN_STAGES = {"signal": "generate_ofdm", "pa": "default_pa", "transmit": "transmit_chain",
                "dataset": "build_dataset", "train": "_fit_network", "metrics": "psd_welch"}

@@ -198,7 +198,7 @@ def test_default_pa_contract():
         assert pa.k_order == 5
         assert pa.q_depth == 4
         assert abs(pa.a[0]) == 1.0
-        assert 2.9 <= gain_compression_db(pa) <= 3.1
+        assert abs(gain_compression_db(pa) - 3.0) <= 1e-9
         assert np.abs(pa.c).max() <= 0.1 + 1e-12  # cross terms capped at 10% of a0
     # deterministic construction
     p1, p2 = default_pa(3), default_pa(3)
@@ -206,6 +206,65 @@ def test_default_pa_contract():
     assert np.array_equal(p1.c, p2.c)
     with pytest.raises(ConstructionError):
         default_pa(0, k_order=1)
+
+
+def drawn_terms(seed, k_order, q_depth):
+    """The static shape and cross terms `default_pa` draws, as its docstring
+    gives them: the shape's order-2 and order-4 backbone, the cross terms
+    capped at 0.1."""
+    rng = np.random.default_rng(seed)
+
+    def cnormal(*dims):
+        return (rng.standard_normal(dims) + 1j * rng.standard_normal(dims)) / math.sqrt(2)
+
+    shape = 0.02 * cnormal(k_order)
+    shape[0] = 0.0
+    shape[2 if k_order > 2 else 1] += -0.28 + 0.06j if k_order > 2 else -0.25 + 0.05j
+    if k_order > 4:
+        shape[4] += -0.03 - 0.01j
+    c = 0.07 * cnormal(k_order - 1, q_depth - 1)
+    return shape, np.where(np.abs(c) > 0.1, c * (0.1 / np.abs(c)), c)
+
+
+def compression_at(t, shape, c):
+    a = t * shape
+    a[0] = 1.0
+    return gain_compression_db(PolyPaModel(a, c))
+
+
+def test_default_pa_calibrates_in_closed_form_or_names_the_cause():
+    """Over seeds 0-7, orders 2-9 and depths 1-9, every PA that builds
+    compresses 3 dB to 1e-9 by `pa_forward` at the smallest scale t of its
+    static shape that does (just below t it compresses less). Each of the 65
+    others raises: either its cross terms alone already compress 3 dB, by the
+    figure the message names, or no scale of its static terms reaches 3 dB."""
+    failed = {}
+    for seed in range(8):
+        for k_order in range(2, 10):
+            for q_depth in range(1, 10):
+                shape, c = drawn_terms(seed, k_order, q_depth)
+                try:
+                    pa = default_pa(seed, k_order, q_depth)
+                except ConstructionError as exc:
+                    failed[seed, k_order, q_depth] = str(exc)
+                    continue
+                assert np.array_equal(pa.c, c)
+                t = (pa.a[2 if k_order > 2 else 1] / shape[2 if k_order > 2 else 1]).real
+                assert t > 0 and np.allclose(pa.a[1:], t * shape[1:], rtol=1e-12, atol=0)
+                assert abs(gain_compression_db(pa) - 3.0) <= 1e-9
+                assert compression_at(t * (1 - 1e-6), shape, c) < 3.0
+    assert len(failed) == 65
+    for (seed, k_order, q_depth), msg in failed.items():
+        assert f"(pa_seed={seed}, pa_k_order={k_order}, pa_q_depth={q_depth})" in msg
+        shape, c = drawn_terms(seed, k_order, q_depth)
+        if msg.startswith("the cross terms alone compress"):
+            alone = compression_at(0.0, shape, c)
+            assert alone >= 3.0 and f"compress {alone:.2f} dB" in msg
+        else:
+            assert msg.startswith("the static terms never reach 3 dB")
+            assert all(compression_at(t, shape, c) < 3.0 for t in np.geomspace(1e-3, 1e3, 121))
+    # built to 3.04-3.08 dB with no static terms before the closed form
+    assert {(0, 4, 5), (1, 9, 7), (4, 7, 8)} <= failed.keys()
 
 
 def test_default_pa_output_finite_at_soft_peak():
