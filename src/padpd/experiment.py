@@ -123,6 +123,9 @@ class ExperimentConfig:
             raise ValueError(f"pa_k_order must be >= 2 to realize gain compression, got {self.pa_k_order}")
         if self.pa_q_depth < 1:
             raise ValueError(f"pa_q_depth must be >= 1, got {self.pa_q_depth}")
+        for name in ("pa_seed", "split_seed", "init_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.ridge < math.inf:
             raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
         if self.segment < 2:

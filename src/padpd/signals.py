@@ -130,6 +130,8 @@ class OfdmConfig:
             )
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.oversampling < 1:
             raise ValueError("oversampling must be >= 1")
         if not 0.0 <= self.rolloff <= 1.0:

@@ -53,6 +53,10 @@ PARENT = [3.30, 3.34, 3.28, 3.36, 3.31, 3.33, 3.29, 3.35, 3.32, 3.30]
     # the change reads better than every run of the parent
     ([1.0, 3.0, 1.2, 2.8, 1.1, 2.9, 1.0, 3.1, 1.2, 2.9], [0.9] * 10, "lower", "same"),
     ([-40.0, -30.0, -30.5, -30.2, -40.1], [-29.9] * 5, "higher", "same"),
+    # a zero-spread quality figure moved by rounding: any rise wins every pair
+    # and beats a zero spread, while a fall of that size is far inside the bound
+    ([-43.2] * 10, [-43.2 + 2.5e-7] * 10, "higher", "gain"),
+    ([-43.2] * 10, [-43.2 - 2.5e-7] * 10, "higher", "same"),
 ])
 def test_verdicts(parent, change, better, expect):
     bound = 0.15 if better == "higher" else 0.25

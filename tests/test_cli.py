@@ -150,11 +150,16 @@ def test_wrong_json_type_is_a_config_error(override, path, tmp_path, capsys):
     ("pa_q_depth=0", "pa_q_depth"),
     ("pa_k_order=1", "pa_k_order"),
     ('reuse_filter_from=""', "reuse_filter_from"),  # empty: not a path, and not null either
+    ("signal.seed=-1", "seed must be >= 0"),  # each seed would fail only in its stage's generator
+    ("pa_seed=-1", "pa_seed"),
+    ("split_seed=-1", "split_seed"),
+    ("init_seed=-1", "init_seed"),
 ])
 def test_lm_config_values_are_checked_up_front(override, field, tmp_path, capsys):
     """A setting that could only fail, or do nothing, once the pipeline has
     started is a config error: an LM or Adam value, the PA's order or depth,
-    the GMP ridge, or a Welch segment the error spectrum cannot fill."""
+    the GMP ridge, a Welch segment the error spectrum cannot fill, or a
+    negative seed."""
     out = tmp_path / "run"
     assert main(["run", "--set", override, "--output-dir", str(out)]) == 2
     err = capsys.readouterr().err
