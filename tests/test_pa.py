@@ -263,7 +263,7 @@ def test_default_pa_calibrates_in_closed_form_or_names_the_cause():
         else:
             assert msg.startswith("the static terms never reach 3 dB")
             assert all(compression_at(t, shape, c) < 3.0 for t in np.geomspace(1e-3, 1e3, 121))
-    # built to 3.04-3.08 dB with no static terms before the closed form
+    # cross terms alone just past the target, at 3.04-3.08 dB
     assert {(0, 4, 5), (1, 9, 7), (4, 7, 8)} <= failed.keys()
 
 
