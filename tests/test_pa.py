@@ -209,9 +209,9 @@ def test_default_pa_contract():
 
 
 def drawn_terms(seed, k_order, q_depth):
-    """The static shape and cross terms `default_pa` draws, as its docstring
-    gives them: the shape's order-2 and order-4 backbone, the cross terms
-    capped at 0.1."""
+    """The static shape and cross terms `default_pa` draws for these
+    arguments, drawn again here in the same order: the shape on its |x|^2
+    (|x| at K = 2) and |x|^4 backbone, the cross terms capped at 0.1."""
     rng = np.random.default_rng(seed)
 
     def cnormal(*dims):
