@@ -302,6 +302,12 @@ class Net:
         head = [a for layer in self.layers for a in (layer.weights, layer.biases)]
         return head if self.conv is None else [self.conv, *head]
 
+    @property
+    def head(self) -> "Net":
+        """A conv model's dense layers as a `Net` of their own, over the head's
+        slice of ``theta``: a view, not a copy."""
+        return Net(self.theta[self.conv.size :], self.layers)
+
     def like(self, flat: np.ndarray) -> "Net":
         """The same layout over another vector, such as a gradient buffer."""
         views, start = [], 0
@@ -412,7 +418,7 @@ class ConvStream:
         a = net.arch
         span = a.map_rows * (n_max + a.map_cols - 1)  # map rows by samples
         self.net = net
-        self.head = Net(net.theta[net.conv.size :], net.layers)
+        self.head = net.head
         self._cols = np.empty((a.kernel_rows * a.kernel_cols + 1) * span)
         self._pre = np.empty(a.n_kernels * span)
         self._act = np.empty_like(self._pre)

@@ -471,7 +471,7 @@ def train_stage2_lm(
     ws.forward()
     features = ws.acts[0]
     del ws
-    result = lm_minimize(_Split(Net(net.theta[net.conv.size :], net.layers), [features], train.labels), cfg)
+    result = lm_minimize(_Split(net.head, [features], train.labels), cfg)
     return net.conv_params(), result
 
 

@@ -768,7 +768,8 @@ def test_conv_net_layout():
     net = conv_net(params, arch)
     for back, orig in zip(net.conv_params().as_list(), params.as_list()):
         assert back.shape == orig.shape and back.tobytes() == orig.tobytes()
-    head = net.theta[net.conv.size :]
+    head = net.head.theta
+    assert np.shares_memory(head, net.theta)  # a view: the head's updates reach the model's vector
     assert head.size == 18 * 6 + 6 + 6 * 2 + 2  # 128 trainables past the conv layer
     assert np.array_equal(head, np.concatenate([params.fc_weights.ravel(), params.fc_biases,
                                                 params.out_weights.ravel(), params.out_biases]))
@@ -837,8 +838,7 @@ def reference_fc_jacobian(ws):
 
 def head_of(params, arch):
     """The head's slice of the conv model's vector, as a `Net` of its own."""
-    net = conv_net(params, arch)
-    return Net(net.theta[net.conv.size :], net.layers)
+    return conv_net(params, arch).head
 
 
 def head_parts(head, flat, labels):

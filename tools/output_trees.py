@@ -38,6 +38,8 @@ RUNS = [
     ("lm-damping-limit", "run", [*_CRITERION_10, "lm.mu_max=0.001"], []),
     # a second calibration shape: another PA seed, and no fifth-order term
     ("pa-seed1-k3", "run", [*_CRITERION_10, "pa_seed=1", "pa_k_order=3"], []),
+    # the DPD report at a second operating point: 6 dB of drive backoff
+    ("dpd-backoff6", "dpd", [*_CRITERION_10, "drive_backoff_db=6"], []),
     ("conv-reuse", "run", ["adam.max_iters=300", "reuse_filter_from=conv-300/model.json"], []),
     ("gmp", "run", ["model=gmp", "adam.max_iters=200"], []),
     ("gmp-ridge", "run", ["model=gmp", "ridge=1e-8"], []),
