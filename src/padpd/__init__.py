@@ -22,7 +22,7 @@ from .complexity import (
     mlp_flops,
 )
 from .dataset import Dataset, build_dataset, feature_graphs
-from .dpd import DpdResult, apply_dpd, estimate_linear_gain, evaluate_linearization
+from .dpd import apply_dpd, estimate_linear_gain, evaluate_linearization
 from .experiment import (
     ExperimentConfig,
     config_hash,

@@ -3,14 +3,12 @@
 The postinverse network is trained on (PA output / linear gain) -> PA input
 pairs by `experiment.train_dpd`, the forward model's trainer, then copied
 unchanged in front of the PA. Predistorting the drive and
-re-running the PA should collapse the spectral regrowth; the result object
-reports ACPR before/after, the inverse-model accuracy, and the predistorted
-peak (flagged, never clipped, when it exceeds `PEAK_CEILING_DEFAULT`).
+re-running the PA should collapse the spectral regrowth;
+`evaluate_linearization` reports ACPR before/after and the predistorted peak
+(flagged, never clipped, when it exceeds `PEAK_CEILING_DEFAULT`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,52 +30,12 @@ from .training import train_stage1_adam, train_stage2_lm  # noqa: F401
 
 __all__ = [
     "PEAK_CEILING_DEFAULT",
-    "DpdResult",
     "estimate_linear_gain",
     "apply_dpd",
     "evaluate_linearization",
 ]
 
 PEAK_CEILING_DEFAULT = 1.2
-
-
-@dataclass(frozen=True)
-class DpdResult:
-    """Linearization outcome: spectra ratios plus inverse-model quality."""
-
-    acpr_before_db: tuple
-    acpr_after_db: tuple
-    nmse_inverse_db: float
-    gain_estimate: float
-    predistorted_peak: float
-
-    def __post_init__(self):
-        if not self.gain_estimate > 0:
-            raise ValueError("gain_estimate must be positive")
-
-    @property
-    def peak_exceeded(self) -> bool:
-        return self.predistorted_peak > PEAK_CEILING_DEFAULT
-
-    @property
-    def improvement_db(self) -> tuple:
-        """Per-side ACPR drop (positive = linearization helped)."""
-        return (
-            self.acpr_before_db[0] - self.acpr_after_db[0],
-            self.acpr_before_db[1] - self.acpr_after_db[1],
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "acpr_before_db": [float(v) for v in self.acpr_before_db],
-            "acpr_after_db": [float(v) for v in self.acpr_after_db],
-            "improvement_db": [float(v) for v in self.improvement_db],
-            "nmse_inverse_db": float(self.nmse_inverse_db),
-            "gain_estimate": float(self.gain_estimate),
-            "predistorted_peak": float(self.predistorted_peak),
-            "peak_ceiling": PEAK_CEILING_DEFAULT,
-            "peak_exceeded": bool(self.peak_exceeded),
-        }
 
 
 def estimate_linear_gain(x: ComplexSeq, y: ComplexSeq) -> float:
@@ -142,27 +100,31 @@ def evaluate_linearization(
     arch: ConvNetArch,
     scale: float,
     bw_hz: float,
-    gain_estimate: float,
-    nmse_inverse_db: float = float("nan"),
     impairments: ImpairmentConfig | None = None,
     segment: int = 1024,
-) -> tuple[DpdResult, dict]:
+) -> tuple[dict, dict]:
     """ACPR of the bare PA (its ``output`` for ``drive``) vs the predistorted
     cascade, over channels of ``bw_hz`` (`acpr_db`).
 
-    Returns the result plus a spectra dict (freqs and both PSDs) so callers
-    can write plot-ready CSVs without recomputing.
+    Returns the result as the report writes it, plus a spectra dict (freqs
+    and both PSDs) so callers can write plot-ready CSVs without recomputing.
+    The result's ``improvement_db`` is the per-side ACPR drop, before minus
+    after (positive = linearization helped), and ``peak_exceeded`` says
+    whether the predistorted peak is over `PEAK_CEILING_DEFAULT`.
     """
     predistorted = apply_dpd(params, arch, drive, scale)
     y_after = transmit_chain(pa, predistorted, impairments)
 
     freqs, psd_before = psd_welch(output, segment)
     _, psd_after = psd_welch(y_after, segment)
-    result = DpdResult(
-        acpr_before_db=acpr_db(freqs, psd_before, bw_hz),
-        acpr_after_db=acpr_db(freqs, psd_after, bw_hz),
-        nmse_inverse_db=float(nmse_inverse_db),
-        gain_estimate=float(gain_estimate),
-        predistorted_peak=predistorted.peak(),
-    )
+    before, after = acpr_db(freqs, psd_before, bw_hz), acpr_db(freqs, psd_after, bw_hz)
+    peak = float(predistorted.peak())
+    result = {
+        "acpr_before_db": [float(v) for v in before],
+        "acpr_after_db": [float(v) for v in after],
+        "improvement_db": [float(b - a) for b, a in zip(before, after)],
+        "predistorted_peak": peak,
+        "peak_ceiling": PEAK_CEILING_DEFAULT,
+        "peak_exceeded": peak > PEAK_CEILING_DEFAULT,
+    }
     return result, {"freqs_hz": freqs, "psd_before": psd_before, "psd_after": psd_after}

@@ -180,6 +180,21 @@ def _run_stage(stage: str, fn, *args, **kwargs):
         raise StageError(stage, exc) from exc
 
 
+def _report(cfg: ExperimentConfig, key: str, body: dict, output_dir, name: str):
+    """A run's report, ``body`` under ``key`` in the envelope that names the
+    schema and the config; with an ``output_dir``, made if need be, it is
+    written there as ``name``. Returns the report, the directory (None
+    without one) and the tag the run's CSV files carry."""
+    chash = config_hash(cfg)
+    report = {"schema_version": SCHEMA_VERSION, "config_hash": chash, "config": cfg.to_dict(), key: body}
+    out = None
+    if output_dir is not None:
+        out = Path(output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return report, out, f"config_hash={chash}"
+
+
 def _complex(rows: np.ndarray) -> np.ndarray:
     return rows[:, 0] + 1j * rows[:, 1]
 
@@ -279,8 +294,6 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     predictions and references are rows of one prediction over the ordered
     samples and of the PA output at those samples.
     """
-    chash = config_hash(cfg)
-
     x = _run_stage("signal", generate_ofdm, cfg.signal)
     pa = _run_stage("pa", default_pa, cfg.pa_seed, cfg.pa_k_order, cfg.pa_q_depth)
     imp = ImpairmentConfig.case(cfg.impairment_case)
@@ -339,18 +352,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
 
     ef, ref_psd, err_psd = _run_stage("metrics", compute_metrics)
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config_hash": chash,
-        "config": cfg.to_dict(),
-        "results": results,
-    }
-
-    if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        tag = f"config_hash={chash}"
-        (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report, out, tag = _report(cfg, "results", results, output_dir, "report.json")
+    if out is not None:
         if hist1 is not None and hist1.size:
             write_csv(out / "history_stage1.csv", ["iter", "mse_train", "mse_test"][: hist1.shape[1]],
                       [hist1[:, 0].astype(int), *hist1[:, 1:].T], tag)
@@ -387,7 +390,6 @@ def run_dpd_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     """Indirect-learning DPD pipeline; returns (and optionally writes) a report."""
     if cfg.model != "conv_net":
         raise ValueError("DPD is implemented for the conv_net model only")
-    chash = config_hash(cfg)
 
     drive = _run_stage("signal", generate_ofdm, cfg.signal).scaled(10.0 ** (-cfg.drive_backoff_db / 20.0))
     pa = _run_stage("pa", default_pa, cfg.pa_seed, cfg.pa_k_order, cfg.pa_q_depth)
@@ -396,20 +398,11 @@ def run_dpd_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
 
     params, gain, scale, nmse_inverse_db = _run_stage("train", train_dpd, cfg, drive, y)
     result, spectra = _run_stage("linearize", evaluate_linearization, pa, drive, y, params, cfg.arch,
-                                 scale, cfg.signal.occupied_bandwidth_hz, gain, nmse_inverse_db, imp,
-                                 cfg.segment)
+                                 scale, cfg.signal.occupied_bandwidth_hz, imp, cfg.segment)
+    result.update(gain_estimate=float(gain), nmse_inverse_db=float(nmse_inverse_db))
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config_hash": chash,
-        "config": cfg.to_dict(),
-        "result": result.to_dict(),
-    }
-    if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        tag = f"config_hash={chash}"
-        (out / "dpd_result.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report, out, tag = _report(cfg, "result", result, output_dir, "dpd_result.json")
+    if out is not None:
         write_spectrum_csv(spectra["freqs_hz"], spectra["psd_before"],
                            out / "spectrum_before.csv", tag)
         write_spectrum_csv(spectra["freqs_hz"], spectra["psd_after"],

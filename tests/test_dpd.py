@@ -1,7 +1,7 @@
 """Tests for indirect-learning predistortion plumbing.
 
 Full-scale linearization quality is exercised by the acceptance suite; here
-we pin the gain estimator, the result object, the predistorter's signal
+we pin the gain estimator, the linearization result, the predistorter's signal
 handling, and a short deterministic train/evaluate round trip.
 """
 
@@ -10,10 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from padpd import experiment, network
+from padpd import dpd, experiment, network
 from padpd.dataset import feature_graphs
-from padpd.dpd import DpdResult, apply_dpd, estimate_linear_gain, evaluate_linearization
+from padpd.dpd import PEAK_CEILING_DEFAULT, apply_dpd, estimate_linear_gain, evaluate_linearization
 from padpd.experiment import ExperimentConfig, train_dpd
+from padpd.metrics import acpr_db, psd_welch
 from padpd.network import ConvNetArch, ConvNetParams, forward_batch, init_params
 from padpd.pa import PolyPaModel, default_pa, transmit_chain
 from padpd.signals import ComplexSeq, OfdmConfig, generate_ofdm
@@ -50,25 +51,6 @@ def test_estimate_linear_gain_errors():
     # output orthogonal to input has zero projection
     with pytest.raises(ValueError):
         estimate_linear_gain(_seq([1.0, 0.0]), _seq([0.0, 1.0]))
-
-
-def test_dpd_result_properties():
-    res = DpdResult(
-        acpr_before_db=(-30.0, -31.0),
-        acpr_after_db=(-44.0, -42.5),
-        nmse_inverse_db=-50.0,
-        gain_estimate=0.9,
-        predistorted_peak=1.3,
-    )
-    assert res.improvement_db == pytest.approx((14.0, 11.5))
-    assert res.peak_exceeded  # 1.3 > default ceiling 1.2
-    assert not DpdResult((-30.0, -30.0), (-40.0, -40.0), -50.0, 0.9, 1.1).peak_exceeded
-    d = res.to_dict()
-    assert d["improvement_db"] == pytest.approx([14.0, 11.5])
-    assert d["peak_exceeded"] is True
-    assert d["peak_ceiling"] == 1.2
-    with pytest.raises(ValueError):
-        DpdResult((-30.0, -30.0), (-40.0, -40.0), -50.0, 0.0, 1.0)
 
 
 def test_apply_dpd_matches_manual_forward():
@@ -162,6 +144,32 @@ def _dpd_capture(n_symbols=4):
     return pa, drive, transmit_chain(pa, drive)
 
 
+def test_dpd_result_properties(monkeypatch):
+    """`evaluate_linearization`'s result holds each side's ACPR before (the
+    bare PA's output) and after (the PA on the predistorted drive), their
+    per-side drop before - after, and the predistorted peak, flagged only
+    when it is over the 1.2 ceiling. The predistorter is replaced by the
+    drive rescaled to a peak of 1.1, then of 1.3."""
+    pa, drive, output = _dpd_capture(n_symbols=2)
+    bw = OfdmConfig().occupied_bandwidth_hz
+    before = acpr_db(*psd_welch(output, 256), bw)
+    for peak in (1.1, 1.3):
+        predistorted = drive.scaled(peak / drive.peak())
+        monkeypatch.setattr(dpd, "apply_dpd", lambda params, arch, x, scale: predistorted)
+        result, spectra = evaluate_linearization(pa, drive, output, None, ConvNetArch(), 1.0, bw, segment=256)
+        after = acpr_db(*psd_welch(transmit_chain(pa, predistorted), 256), bw)
+        assert result == {
+            "acpr_before_db": list(before),
+            "acpr_after_db": list(after),
+            "improvement_db": [before[0] - after[0], before[1] - after[1]],
+            "predistorted_peak": pytest.approx(peak, rel=1e-12),
+            "peak_ceiling": PEAK_CEILING_DEFAULT,
+            "peak_exceeded": peak > 1.2,
+        }
+        assert PEAK_CEILING_DEFAULT == 1.2 and result["peak_exceeded"] is (peak > 1.2)
+        assert np.array_equal(spectra["psd_before"], psd_welch(output, 256)[1])
+
+
 def test_train_and_evaluate_round_trip():
     pa, drive, output = _dpd_capture()
     cfg = ExperimentConfig(signal=OfdmConfig(n_symbols=4, seed=2), adam=AdamConfig(max_iters=800),
@@ -174,12 +182,10 @@ def test_train_and_evaluate_round_trip():
     assert scale > 0
 
     result, spectra = evaluate_linearization(
-        pa, drive, output, params, arch, scale, cfg.signal.occupied_bandwidth_hz, gain, nmse_inverse_db,
-        segment=256,
+        pa, drive, output, params, arch, scale, cfg.signal.occupied_bandwidth_hz, segment=256,
     )
-    assert result.nmse_inverse_db == pytest.approx(nmse_inverse_db)
-    assert all(np.isfinite(v) for v in result.acpr_before_db + result.acpr_after_db)
-    assert 0 < result.predistorted_peak < 1.2
+    assert all(np.isfinite(v) for v in result["acpr_before_db"] + result["acpr_after_db"])
+    assert 0 < result["predistorted_peak"] < 1.2
     assert len(spectra["freqs_hz"]) == len(spectra["psd_before"]) == len(spectra["psd_after"])
 
 

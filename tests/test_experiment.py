@@ -388,7 +388,13 @@ def test_run_dpd_experiment(tmp_path):
     assert result["nmse_inverse_db"] < -20
     assert result["predistorted_peak"] > 0
     assert len(result["improvement_db"]) == 2
-    assert (tmp_path / "dpd_result.json").exists()
+    doc = json.loads((tmp_path / "dpd_result.json").read_text())
+    assert doc == report and set(doc) == {"schema_version", "config_hash", "config", "result"}
+    assert {k: type(v) for k, v in result.items()} == {
+        "acpr_before_db": list, "acpr_after_db": list, "improvement_db": list, "nmse_inverse_db": float,
+        "gain_estimate": float, "predistorted_peak": float, "peak_ceiling": float, "peak_exceeded": bool}
+    for key in ("acpr_before_db", "acpr_after_db", "improvement_db"):
+        assert [type(v) for v in result[key]] == [float, float]
     for name in ("spectrum_before.csv", "spectrum_after.csv"):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[1] == "freq_hz,psd_db"
