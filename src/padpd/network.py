@@ -227,17 +227,7 @@ def forward_batch(params: ConvNetParams, arch: ConvNetArch, graphs: np.ndarray) 
     uses, so only one block's unrolled windows are held at a time, however
     long the input.
     """
-    net = conv_net(params, arch)
-    graphs = _as_graphs(graphs, arch)
-    out = np.empty((N_OUTPUTS, graphs.shape[0]))
-    for b in blocks(graphs.shape[0]):
-        block = graphs[b]
-        # numpy sends a one-column product to gemv, whose sums round unlike
-        # gemm's; a lone graph runs as two copies, so that it gets the bytes
-        # of the same graph's row in a larger batch.
-        ws = Workspace(net, _im2col(np.repeat(block, 2, axis=0) if len(block) == 1 else block, arch))
-        out[:, b] = ws.forward()[:, : len(block)]
-    return out.T
+    return _predict(conv_net(params, arch), _as_graphs(graphs, arch), lambda g: _im2col(g, arch))
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -447,9 +437,31 @@ class ConvStream:
         return self._spaces[n].forward()
 
 
+def _predict(net: Net, rows: np.ndarray, columns) -> np.ndarray:
+    """``net``'s (N, outputs) outputs over the N ``rows``, in `blocks`: one
+    `Workspace` per block, over ``columns`` of the block's rows, its
+    feature-major input, which may add columns after the block's own. numpy
+    sends a one-column product to gemv, whose sums round unlike gemm's; a
+    lone row runs as two copies, so that it gets the bytes of the same row in
+    a larger batch."""
+    out = np.empty((net.layers[-1].weights.shape[1], len(rows)))
+    for b in blocks(len(rows)):
+        block = rows[b]
+        ws = Workspace(net, columns(np.repeat(block, 2, axis=0) if len(block) == 1 else block))
+        out[:, b] = ws.forward()[:, : len(block)]
+    return out.T
+
+
 def mlp_forward(layers: Sequence[MlpLayer], x: np.ndarray) -> np.ndarray:
-    """Chain the layers over a batch (N, D); returns (N, outputs)."""
-    return Workspace(Net.of(layers), np.asarray(x, dtype=float).T).forward().T
+    """Chain the layers over a batch (N, D) in `blocks`; returns (N, outputs).
+
+    Each block runs padded with copies of its last row to a multiple of 8
+    rows: past its small-matrix size OpenBLAS's dgemm sums a product's last
+    n mod 8 columns in another kernel, which rounds them otherwise, and at
+    the arvtdnn and dnn shapes differently at one thread and at two
+    (OpenBLAS 0.3.31)."""
+    return _predict(Net.of(layers), np.asarray(x, dtype=float),
+                    lambda rows: np.pad(rows, ((0, -len(rows) % 8), (0, 0)), mode="edge").T)
 
 
 def mlp_init(widths: Sequence[int], hidden_act: Activation, seed: int = 0) -> list[MlpLayer]:

@@ -3,15 +3,17 @@ Levenberg-Marquardt polish of the fully connected and output layers with the
 convolutional front end frozen (the trained kernels act as a fixed filter).
 
 The conv model's dense head is an MLP layer stack, so one backward pass
-(`_Split.cost_and_grad`) and one Adam loop (`adam_minimize`) serve both the
-conv model and the MLP baselines (`train_mlp_baseline`); the conv model
-adds only its kernel gradient. A training call packs the parameters into one
-flat vector (a `Net`), cuts each data split into the column blocks of
-`network.blocks` with a `Workspace` of preallocated buffers each, and its
-loop updates the vector in place: `adam_minimize`, or `lm_minimize` on a
-one-block split of a net of one hidden layer and a linear output, such as the
-conv model's head over its frozen features. Every trainer lives here, and
-none writes a file.
+(`_Split.cost_and_grad`) serves every trainer: one Adam loop
+(`adam_minimize`) for the conv model and the MLP baselines
+(`train_mlp_baseline`) alike, and LM, whose J'e is N times the head's
+gradient (Hagan & Menhaj, IEEE TNN 1994). The conv model adds only its
+kernel gradient, and LM only J'J (`_fc_jtj`). A training call packs the
+parameters into one flat vector (a `Net`), cuts each data split into the
+column blocks of `network.blocks` with a `Workspace` of preallocated buffers
+each, and its loop updates the vector in place: `adam_minimize`, or
+`lm_minimize` on a one-block split of a net of one hidden layer and a linear
+output, such as the conv model's head over its frozen features. Every
+trainer lives here, and none writes a file.
 
 The cost everywhere is mse = (1/2N) * sum[(I'-I)^2 + (Q'-Q)^2], one sum
 over a split's squared residuals (`_Split.cost`) for Adam and LM alike. Inside,
@@ -127,7 +129,7 @@ class _Block:
     """One column block of a `_Split`: its `Workspace`, its residual,
     ``cols``, the split's samples it holds, which begin at ``start``, and
     with ``backward`` the buffers of each dense layer's input gradient.
-    ``lm`` holds `_fc_normal_equations`' N-long buffers once it has run.
+    ``lm`` holds `_fc_jtj`'s N-long buffers once it has run.
     Every buffer but those has ``x``'s dtype."""
 
     def __init__(self, net: Net, x: np.ndarray, start: int, backward: bool):
@@ -323,28 +325,27 @@ class LmResult:
         return self.reason != "max_iters"
 
 
-def _fc_normal_equations(block: _Block):
-    """J'J and J'e, without forming J, of a block's residual over the FC and
-    linear output layers of its net, after the pass that left the residual.
+def _fc_jtj(block: _Block) -> np.ndarray:
+    """J'J, without forming J, of a block's residual over the FC and linear
+    output layers of its net, after a forward pass at the net's parameters.
 
     Row n's I and Q rows of J share the factor ``[flat_n, 1] ⊗ fc_act'_n`` over
     the FC weights and biases, scaled by ``out_w[:, c]``; over component c's
     output weights and bias they hold ``[fc_out_n, 1]``. So J'J is the Gram
     matrix of the N-row ``W = [[flat, 1] ⊗ fc_act' | fc_out | 1]``, weighted
-    by ``out_w``, and J'e is the head's backprop gradient.
+    by ``out_w``. J'e is N times the head's gradient, `_Split.cost_and_grad`.
 
-    The feature-major buffers and residual are read as (N, ·) transposes, so
-    ``flat.T`` and ``dact.T`` are contiguous; as in backprop, the FC
-    derivative overwrites the pre-activations, which the next forward pass
-    refills. W is built transposed, one contiguous N-long row per column. It
-    gets zero columns up to a multiple of 8: OpenBLAS then gives the Gram
-    matrix the same bytes at any thread count, which it does not for some
-    other widths. W, the head's delta, the Gram matrix, J'J with its output
-    weight factors, and J'e are written into buffers the block keeps from its
-    first call on, so LM's later calls allocate no array of N or of P×P
-    elements; each call overwrites the J'J and J'e it returns.
+    The feature-major buffers are read as (N, ·) transposes, so ``flat.T`` and
+    ``dact.T`` are contiguous; as in backprop, the FC derivative overwrites the
+    pre-activations, which the next forward pass refills. W is built
+    transposed, one contiguous N-long row per column. It gets zero columns up
+    to a multiple of 8: OpenBLAS then gives the Gram matrix the same bytes at
+    any thread count, which it does not for some other widths. W, the Gram
+    matrix and J'J with its output weight factors are written into buffers
+    the block keeps from its first call on, so LM's later calls allocate no
+    array of N or of P×P elements; each call overwrites the J'J it returns.
     """
-    ws, e = block.ws, block.resid.T
+    ws = block.ws
     flat, fc_pre, fc_out = ws.acts[0].T, ws.pres[0].T, ws.acts[1].T
     fc_act, out_w = ws.net.layers[0].act, ws.net.layers[1].weights
     n, t = fc_pre.shape
@@ -357,9 +358,8 @@ def _fc_normal_equations(block: _Block):
         rows = -(-(m + t + 1) // 8) * 8
         scale = np.zeros((p, p))
         scale[m:, m:] = np.kron(np.ones((t + 1, t + 1)), np.eye(2))
-        block.lm = (np.zeros((rows, n)), np.empty((n, t)), np.empty((rows, rows)), np.zeros((p, p)), scale,
-                    np.empty(p))
-    w_t, delta, g, jtj, scale, jte = block.lm
+        block.lm = (np.zeros((rows, n)), np.empty((rows, rows)), np.zeros((p, p)), scale)
+    w_t, g, jtj, scale = block.lm
     fc_rows = w_t[:m].reshape(f + 1, t, n)
     np.multiply(flat.T[:, None, :], dact.T[None, :, :], out=fc_rows[:f])
     fc_rows[f] = dact.T
@@ -377,24 +377,15 @@ def _fc_normal_equations(block: _Block):
     scale[:m, m:].reshape(f + 1, t, t + 1, 2)[...] = out_w[None, :, None, :]
     np.multiply(jtj, scale, out=jtj)
     jtj[m:, :m] = jtj[:m, m:].T
-
-    # The head's delta, dact * (e out_w'), is formed in the pre-activations' layout, that of
-    # dact's copy in W, so that the product takes no ufunc buffer, then copied into a C-order
-    # buffer for J'e's sums.
-    prod = np.matmul(e, out_w.T, out=fc_pre)
-    np.multiply(fc_rows[f].T, prod, out=prod)
-    np.copyto(delta, prod)
-    np.matmul(flat.T, delta, out=jte[: f * t].reshape(f, t))
-    np.sum(delta, axis=0, out=jte[f * t : m])
-    np.matmul(w_t[m : m + t + 1], e, out=jte[m:].reshape(t + 1, 2))
-    return jtj, jte
+    return jtj
 
 
 def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
     """Damped Gauss-Newton on the split's net, an FC layer and a linear output.
 
-    The split is one block: LM takes one pass over all of it, and its cost is
-    the split's `_Split.cost`, the one Adam minimizes. Steps solve
+    The split is one block with backward buffers: LM takes one pass over all
+    of it, `_Split.cost_and_grad`, whose cost is the one Adam minimizes and
+    whose gradient times N is J'e. Steps solve
     (J'J + mu I) delta = J'e, from mu = ``mu_init`` * max diag(J'J). A step is
     kept only if the cost drops; then mu is scaled by Nielsen's gain-ratio
     rule, max(1/3, 1 - (2 rho - 1)^3), where rho is the cost's drop over the
@@ -403,20 +394,21 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
     doubles (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least Squares
     Problems, IMM DTU 2004). LM stops as ``stalled`` once `_STALL_WINDOW`
     accepted steps in a row each lower the cost by less than
-    ``min_rel_improvement`` of it. The net's vector is updated in place; the
-    damped system and the parameters a step starts from are written into
-    buffers made once.
+    ``min_rel_improvement`` of it. The net's vector is updated in place; J'e,
+    the damped system and the parameters a step starts from are written into
+    buffers made once, and only an accepted step writes J'e.
     """
     (block,) = split.blocks
     theta, n = split.net.theta, split.targets.shape[1]
-    mse = split.cost()
-    jtj, grad = _fc_normal_equations(block)
+    grad = split.net.like(np.empty_like(theta))
+    mse = split.cost_and_grad(grad)
+    jte, jtj = np.multiply(grad.theta, n), _fc_jtj(block)
     damped, kept = np.empty_like(jtj), np.empty_like(theta)
     diag = damped.reshape(-1)[:: jtj.shape[0] + 1]  # a view of damped's diagonal
     mu, nu, small = cfg.mu_init * float(jtj.diagonal().max()), 2.0, 0
     history, reason = [], "max_iters"
     for it in range(1, cfg.max_iters + 1):
-        gnorm = float(np.max(np.abs(grad))) / n
+        gnorm = float(np.max(np.abs(jte))) / n
         if gnorm < cfg.grad_tol:
             reason = "gradient"
             break
@@ -424,7 +416,7 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
             np.copyto(damped, jtj)
             diag += mu
             try:
-                delta = np.linalg.solve(damped, grad)
+                delta = np.linalg.solve(damped, jte)
                 break
             except np.linalg.LinAlgError:
                 mu, nu = mu * nu, 2 * nu
@@ -433,10 +425,10 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
 
         np.copyto(kept, theta)
         theta -= delta
-        cand_mse = split.cost()
+        cand_mse = split.cost_and_grad(grad)
         if np.isfinite(cand_mse) and cand_mse < mse:
             # the drop of N * mse = ||e||^2 / 2 against the linear model's, (delta'(mu delta + J'e)) / 2
-            rho = n * (mse - cand_mse) / (0.5 * float(delta @ (mu * delta + grad)))
+            rho = n * (mse - cand_mse) / (0.5 * float(delta @ (mu * delta + jte)))
             small = small + 1 if (mse - cand_mse) / mse < cfg.min_rel_improvement else 0
             mse = cand_mse
             # every rho >= 1 gives the floor 1/3; the cap keeps the cube finite
@@ -445,8 +437,9 @@ def lm_minimize(split: _Split, cfg: LmConfig) -> LmResult:
             if small == _STALL_WINDOW:
                 reason = "stalled"
                 break
-            if it < cfg.max_iters:  # the buffers hold the accepted parameters' forward pass
-                jtj, grad = _fc_normal_equations(block)
+            if it < cfg.max_iters:  # the buffers hold the accepted parameters' passes
+                np.multiply(grad.theta, n, out=jte)
+                jtj = _fc_jtj(block)
         else:
             theta[:] = kept
             mu, nu = mu * nu, 2 * nu
@@ -471,7 +464,7 @@ def train_stage2_lm(
     ws.forward()
     features = ws.acts[0]
     del ws
-    result = lm_minimize(_Split(net.head, [features], train.labels), cfg)
+    result = lm_minimize(_Split(net.head, [features], train.labels, backward=True), cfg)
     return net.conv_params(), result
 
 

@@ -237,22 +237,25 @@ def test_float32_adam_outputs_independent_of_blas_threads(tmp_path):
 
 @pytest.mark.slow
 def test_lm_normal_equations_independent_of_blas_threads():
-    """LM's J'J and J'e for the paper's arch have the same bytes at 1 and 2
-    OpenBLAS threads, at the train-split sizes the pipelines use."""
+    """LM's J'J and the head's gradient, whose N-fold is J'e, for the paper's
+    arch have the same bytes at 1 and 2 OpenBLAS threads, at the train-split
+    sizes the pipelines use."""
     script = (
         "import hashlib\n"
         "import numpy as np\n"
-        "from padpd.network import ConvNetArch, _im2col, conv_net, init_params\n"
-        "from padpd.training import _fc_normal_equations, _Split\n"
+        "from padpd.network import ConvNetArch, Workspace, _im2col, conv_net, init_params\n"
+        "from padpd.training import _fc_jtj, _Split\n"
         "arch = ConvNetArch()\n"
         "net = conv_net(init_params(arch, 1), arch)\n"
         "rng = np.random.default_rng(0)\n"
         "for n in (480, 3000, 8400):\n"
-        "    x = _im2col(0.4 * rng.standard_normal((n, *arch.input_shape)), arch)\n"
-        "    split = _Split(net, [x], 0.3 * rng.standard_normal((n, 2)))\n"
-        "    split.cost()\n"
-        "    jtj, jte = _fc_normal_equations(split.blocks[0])\n"
-        "    print(n, hashlib.sha256(jtj.tobytes() + jte.tobytes()).hexdigest())\n"
+        "    ws = Workspace(net, _im2col(0.4 * rng.standard_normal((n, *arch.input_shape)), arch))\n"
+        "    ws.forward()\n"
+        "    split = _Split(net.head, [ws.acts[0]], 0.3 * rng.standard_normal((n, 2)), backward=True)\n"
+        "    grad = split.net.like(np.empty_like(split.net.theta))\n"
+        "    split.cost_and_grad(grad)\n"
+        "    jtj = _fc_jtj(split.blocks[0])\n"
+        "    print(n, hashlib.sha256(jtj.tobytes() + grad.theta.tobytes()).hexdigest())\n"
     )
     hashes = [_run_at_blas_threads(threads, script) for threads in ("1", "2")]
     assert len(hashes[0].splitlines()) == 3

@@ -15,6 +15,7 @@ from padpd.network import (
     ConvNetArch,
     ConvNetParams,
     MlpLayer,
+    Net,
     Workspace,
     _im2col,
     conv_net,
@@ -328,6 +329,26 @@ def test_mlp_forward_reference():
         mlp_init([4], Activation("tanh"))
     with pytest.raises(ValueError):
         MlpLayer(np.zeros((3, 2)), np.zeros(3))
+
+
+@pytest.mark.parametrize("n", [1, 13, 40])
+def test_mlp_forward_runs_in_padded_blocks(monkeypatch, n):
+    """`mlp_forward` runs one `Workspace` per `blocks` slice, each padded to
+    8 rows, and its rows keep the bytes of one pass over the whole batch."""
+    layers = mlp_init([20, 17, 2], Activation("tanh"), seed=3)  # arvtdnn's shapes
+    x = np.random.default_rng(n).standard_normal((n, 20))
+    whole = Workspace(Net.of(layers), np.repeat(x, 2, axis=0).T if n == 1 else x.T).forward()[:, :n].T
+    widths, real_forward = [], Workspace.forward
+
+    def recorded_forward(ws):
+        widths.append(ws.x.shape[1])
+        return real_forward(ws)
+
+    monkeypatch.setattr(network, "_BLOCK_SAMPLES", 6)
+    monkeypatch.setattr(Workspace, "forward", recorded_forward)
+    out = mlp_forward(layers, x)
+    assert widths == [8] * len(network.blocks(n))
+    assert out.tobytes() == whole.tobytes()
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -30,7 +30,7 @@ from padpd.pa import ImpairmentConfig, default_pa, transmit_chain
 from padpd.signals import OfdmConfig, generate_ofdm
 from padpd.training import (
     AdamConfig,
-    _fc_normal_equations,
+    _fc_jtj,
     LmConfig,
     TrainingError,
     _Split,
@@ -685,22 +685,22 @@ def test_float32_mlp_baselines_track_float64(pa_dataset, name):
 def test_only_adam_passes_run_in_float32(monkeypatch):
     """Every `Workspace` that `mse_cost`, `backprop_grads`, `forward_batch`
     and the LM polish fill has a float64 input, net and buffers, and LM's
-    normal equations are float64; stage 1's workspaces are float32."""
+    J'J is float64; stage 1's workspaces are float32."""
     seen, normal_equations = [], []
-    real_forward, real_normal_equations = Workspace.forward, training._fc_normal_equations
+    real_forward, real_jtj = Workspace.forward, training._fc_jtj
 
     def recorded_forward(ws):
         conv = [] if ws.net.conv is None else [ws.conv_pre, ws.conv_out]
         seen.append({a.dtype for a in (ws.x, ws.net.theta, *conv, *ws.pres, *ws.acts)})
         return real_forward(ws)
 
-    def recorded_normal_equations(block):
-        out = real_normal_equations(block)
-        normal_equations.append({a.dtype for a in (*block.lm, *out, block.resid, block.ws.x)})
+    def recorded_jtj(block):
+        out = real_jtj(block)
+        normal_equations.append({a.dtype for a in (*block.lm, out, block.resid, block.ws.x, block.deltas[-1])})
         return out
 
     monkeypatch.setattr(Workspace, "forward", recorded_forward)
-    monkeypatch.setattr(training, "_fc_normal_equations", recorded_normal_equations)
+    monkeypatch.setattr(training, "_fc_jtj", recorded_jtj)
     arch = ConvNetArch()
     data = tiny_task(arch, n=60)
     params = init_params(arch, 1)
@@ -762,7 +762,7 @@ def test_adam_loop_stop_rules(make_trainer):
 
 def test_conv_net_layout():
     """A conv model's vector holds the conv layer, then the head in the order
-    `_fc_normal_equations` assumes; `conv_params` gives back the bytes."""
+    `_fc_jtj` assumes; `conv_params` gives back the bytes."""
     arch = ConvNetArch()
     params = with_random_biases(init_params(arch, 1), np.random.default_rng(1))
     net = conv_net(params, arch)
@@ -871,21 +871,24 @@ def test_reference_jacobian_matches_finite_differences():
 @settings(max_examples=80, deadline=None)
 @given(arch=conv_archs(), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
 def test_fc_normal_equations_match_reference_jacobian(arch, n, seed):
-    """J'J and J'e assembled from one N-row Gram matrix equal the products of
-    the formed Jacobian, for every kernel shape and FC activation. The
-    absolute floor is 1e-12 of each product's Cauchy-Schwarz bound, so
-    entries that cancel to about zero compare at the products' own scale."""
+    """J'J assembled from one N-row Gram matrix, and J'e as N times the
+    head's backprop gradient, equal the products of the formed Jacobian, for
+    every kernel shape and FC activation. The absolute floor is 1e-12 of each
+    product's Cauchy-Schwarz bound, so entries that cancel to about zero
+    compare at the products' own scale."""
     rng = np.random.default_rng(seed)
     params = with_random_biases(init_params(arch, seed), rng)
     graphs = rng.standard_normal((n, *arch.input_shape))
     labels = rng.standard_normal((n, 2))
-    split = _Split(head_of(params, arch), [conv_features(params, arch, graphs).T], labels)
+    split = _Split(head_of(params, arch), [conv_features(params, arch, graphs).T], labels, backward=True)
     split.cost()
     (block,) = split.blocks
-    resid = block.resid.T.reshape(-1)  # order (n, comp), as the Jacobian's rows
-
+    resid = block.resid.T.reshape(-1).copy()  # order (n, comp), as the Jacobian's rows
     jac = reference_fc_jacobian(block.ws)
-    jtj, jte = _fc_normal_equations(block)
+
+    grad = split.net.like(np.empty_like(split.net.theta))
+    split.cost_and_grad(grad)
+    jtj, jte = _fc_jtj(block), n * grad.theta
     ref_jtj, ref_jte = jac.T @ jac, jac.T @ resid
     diag = np.diag(ref_jtj).max()
     np.testing.assert_allclose(jtj, ref_jtj, rtol=1e-12, atol=1e-12 * diag)
@@ -895,11 +898,11 @@ def test_fc_normal_equations_match_reference_jacobian(arch, n, seed):
 
 
 def test_fc_normal_equations_reuse_the_block_buffers():
-    """The first call keeps its N-long buffers, the Gram matrix, J'J and J'e
+    """The first J'J call keeps its N-long buffers, the Gram matrix and J'J
     on the block. A second one, after another forward pass, allocates no
     array of N elements nor a P×P one (its tracemalloc peak stays under P×P
-    floats, for the P = 68 parameters), writes J'J and J'e into the same
-    arrays and gives the same bytes."""
+    floats, for the P = 68 parameters), writes J'J into the same array and
+    gives the same bytes."""
     n = 20_000
     rng = np.random.default_rng(3)
     split = _Split(Net.of(mlp_init([8, 6, 2], Activation("tanh"), seed=1)), [rng.standard_normal((8, n))],
@@ -910,15 +913,15 @@ def test_fc_normal_equations_reuse_the_block_buffers():
         split.cost()
         tracemalloc.start()
         try:
-            results.append(_fc_normal_equations(block))
+            jtj = _fc_jtj(block)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        results[-1] = results[-1] + tuple(a.tobytes() for a in results[-1])
+        results.append((jtj, jtj.tobytes()))
     assert peaks[0] >= 64 * 8 * n  # W: 54 weight and bias columns, 6 output and 1 bias, padded to 64
     assert peaks[1] < 8 * 68 * 68, peaks
-    assert all(a is b for a, b in zip(results[0][:2], results[1][:2]))
-    assert results[0][2:] == results[1][2:]
+    assert results[0][0] is results[1][0]
+    assert results[0][1] == results[1][1]
 
 
 def reference_lm(head, flat, labels, cfg):
@@ -1032,8 +1035,9 @@ def test_lm_scores_with_the_split_cost(setup, max_iters):
 
 @pytest.mark.parametrize("max_iters, last_accepted", [(2, 0), (3, 1)])
 def test_lm_forms_no_normal_equations_after_its_last_step(monkeypatch, max_iters, last_accepted):
-    """J'J and J'e are formed before the loop and after each accepted step
-    that has a next iteration, so an accepted step at `max_iters` forms none.
+    """J'J is formed, and J'e taken from the gradient, before the loop and
+    after each accepted step that has a next iteration, so an accepted step
+    at `max_iters` forms none.
     On the warm start LM's first steps are accepted, rejected, accepted: 2
     steps end on a rejected one (the `max_iters` input above), 3 on an
     accepted one."""
@@ -1042,9 +1046,9 @@ def test_lm_forms_no_normal_equations_after_its_last_step(monkeypatch, max_iters
 
     def counted(block):
         calls.append(1)
-        return _fc_normal_equations(block)
+        return _fc_jtj(block)
 
-    monkeypatch.setattr(training, "_fc_normal_equations", counted)
+    monkeypatch.setattr(training, "_fc_jtj", counted)
     _, result = train_stage2_lm(params, arch, data, LmConfig(max_iters=max_iters))
     accepted = result.history[:, 3]
     assert (result.reason, result.n_iters, accepted[-1]) == ("max_iters", max_iters, last_accepted)
@@ -1077,15 +1081,15 @@ def test_lm_stalls_on_the_third_small_accepted_step_in_a_row(monkeypatch):
     third, by 10 %, and the sixth, which rises."""
     rng = np.random.default_rng(14)
     split = _Split(Net.of(mlp_init([3, 4, 2], Activation("tanh"), seed=1)), [rng.standard_normal((3, 50))],
-                   rng.standard_normal((50, 2)))
+                   rng.standard_normal((50, 2)), backward=True)
     costs = iter([1.0, 0.999, 0.998, 0.9, 0.8991, 2.0, 0.8982, 0.8973])
-    real_cost = split.cost
+    real_cost_and_grad = split.cost_and_grad
 
-    def scripted():
-        real_cost()  # the forward pass that the normal equations read
+    def scripted(grad):
+        real_cost_and_grad(grad)  # the passes that J'J and J'e read
         return next(costs)
 
-    monkeypatch.setattr(split, "cost", scripted)
+    monkeypatch.setattr(split, "cost_and_grad", scripted)
     result = lm_minimize(split, LmConfig())
     assert result.reason == "stalled"
     assert result.history[:, 3].tolist() == [1, 1, 1, 1, 0, 1, 1]
@@ -1101,7 +1105,7 @@ def test_lm_minimize_trains_a_net_with_no_conv_layer():
     labels = np.tanh(x.T @ rng.standard_normal((8, 2))) + 0.05 * rng.standard_normal((300, 2))
     layers = mlp_init([8, 5, 2], Activation("tanh"), seed=2)
     rows, reason = reference_lm(Net.of(layers), x.T, labels, LmConfig())
-    split = _Split(Net.of(layers), [x], labels)
+    split = _Split(Net.of(layers), [x], labels, backward=True)
     cost_before = split.cost()
     result = lm_minimize(split, LmConfig())
     assert_same_lm_path(result, rows, reason)
