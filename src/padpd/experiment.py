@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -52,7 +51,6 @@ from .signals import ComplexSeq, OfdmConfig, generate_ofdm, papr_db
 from .training import (
     AdamConfig,
     LmConfig,
-    LmResult,
     train_mlp_baseline,
     train_stage1_adam,
     train_stage2_lm,
@@ -225,23 +223,27 @@ def _train_conv_net(cfg: ExperimentConfig, train, test=None):
 
 @dataclass
 class _Fit:
-    """A trained model's prediction ``pred`` over ``rows``, a contiguous run of
-    ordered sample indices; the train and test splits' positions in that run,
-    in split order; and what the report and the output directory take from
-    the model."""
+    """A trained model's prediction ``pred`` and the scaled PA output ``ref``
+    over a contiguous run of ordered samples, under the dataset ``scale``; the
+    train and test splits' positions in that run, in split order; the model's
+    report fields; and its files, by name, as writers of (path, tag)."""
 
-    rows: np.ndarray
+    scale: float
     pred: np.ndarray
+    ref: np.ndarray
     train_pos: np.ndarray
     test_pos: np.ndarray
     results: dict
-    hist1: np.ndarray | None = None
-    lm_result: LmResult | None = None
-    save: Callable | None = None
+    files: dict
 
 
-def _fit_gmp(cfg: ExperimentConfig, xs: ComplexSeq, ys: np.ndarray) -> _Fit:
+def _fit_gmp(cfg: ExperimentConfig, x: ComplexSeq, y: ComplexSeq) -> _Fit:
     m = cfg.arch.memory_depth
+    # gmp fits on the scaled signals and needs only the dataset's scale
+    scale = _run_stage("dataset", joint_scale, x, y, m, cfg.dataset_count)
+    # the dataset's samples and those its basis reaches past them, up to the signal's end
+    head = m + cfg.dataset_count + cfg.gmp.max_future
+    xs, ys = x.with_data(x.data[:head] * scale), y.data[:head] * scale
     rows = _gmp_rows(cfg.gmp, m, cfg.dataset_count, len(xs))
     # a split row's leading envelopes also stay inside the dataset
     lo, hi = cfg.gmp.max_past, cfg.dataset_count + m - cfg.gmp.max_future
@@ -257,34 +259,51 @@ def _fit_gmp(cfg: ExperimentConfig, xs: ComplexSeq, ys: np.ndarray) -> _Fit:
     pred = np.empty(len(rows), dtype=np.complex128)
     pred[order - rows[0]] = basis @ model.coeffs
     results = {"coeff_count": gmp_coeff_count(cfg.gmp), "flops": gmp_flops(cfg.gmp), "ridge": float(cfg.ridge)}
-    return _Fit(rows, pred, tr - rows[0], te - rows[0], results, save=lambda path: save_gmp(model, path))
+    return _Fit(scale, pred, ys[rows], tr - rows[0], te - rows[0], results,
+                {"model.json": lambda path, tag: save_gmp(model, path)})
 
 
-def _fit_network(cfg: ExperimentConfig, xs: ComplexSeq, train, test) -> _Fit:
-    m = cfg.arch.memory_depth
+def _fit_network(cfg: ExperimentConfig, x: ComplexSeq, y: ComplexSeq) -> _Fit:
+    m, count = cfg.arch.memory_depth, cfg.dataset_count
+    train, test = _run_stage("dataset", build_dataset, x, y, m, count, cfg.split_seed)
+    xs, ref = x.with_data(x.data[: m + count] * train.scale), y.data[m : m + count] * train.scale
+    files = {}
     if cfg.model == "conv_net":
         params, hist1, lm_result = _train_conv_net(cfg, train, test)
 
         def predict(graphs):
             return forward_batch(params, cfg.arch, graphs)
 
-        def save(path):
-            save_params(params, cfg.arch, path)
-
-        results = {"coeff_count": conv_net_coeff_count(cfg.arch), "flops": conv_net_flops(cfg.arch)}
+        hist2 = lm_result.history
+        stage2 = {
+            "iters": lm_result.n_iters,
+            "converged": bool(lm_result.converged),
+            "reason": lm_result.reason,
+            # a rejected row carries the mse of the last accepted step
+            "final_mse": float(hist2[-1, 1]) if hist2.size else None,
+        }
+        results = {"coeff_count": conv_net_coeff_count(cfg.arch), "flops": conv_net_flops(cfg.arch), "stage2": stage2}
+        files["model.json"] = lambda path, tag: save_params(params, cfg.arch, path)
+        if hist2.size:
+            it, mse, mu, accepted, gnorm = hist2.T
+            files["history_stage2.csv"] = lambda path, tag: write_csv(
+                path, ["iter", "mse", "mu", "accepted", "grad_norm"],
+                [it.astype(int), mse, mu, accepted.astype(int), gnorm], tag)
     else:
         spec = mlp_baseline_spec(cfg.model)
         layers, hist1 = train_mlp_baseline(spec, train, cfg.adam, cfg.init_seed)
-        lm_result = save = None  # the MLP baselines write no model file
 
         def predict(graphs):
             return mlp_forward(layers, mlp_features_from_graphs(graphs, spec.feature_kind))
 
         widths = spec.widths(m)
         results = {"coeff_count": mlp_coeff_count(widths), "flops": mlp_flops(widths), "widths": widths}
-    pred = _complex(predict(feature_graphs(xs, m, cfg.dataset_count, m)))
-    return _Fit(m + np.arange(cfg.dataset_count), pred, *split_indices(cfg.dataset_count, cfg.split_seed),
-                results, hist1, lm_result, save)
+    results["stage1"] = {"iters": int(hist1.shape[0]), "final_mse": float(hist1[-1, 1]) if hist1.size else None}
+    if hist1.size:
+        files["history_stage1.csv"] = lambda path, tag: write_csv(
+            path, ["iter", "mse_train", "mse_test"][: hist1.shape[1]], [hist1[:, 0].astype(int), *hist1[:, 1:].T], tag)
+    pred = _complex(predict(feature_graphs(xs, m, count, m)))
+    return _Fit(train.scale, pred, ref, *split_indices(count, cfg.split_seed), results, files)
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
@@ -298,54 +317,19 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
     pa = _run_stage("pa", default_pa, cfg.pa_seed, cfg.pa_k_order, cfg.pa_q_depth)
     imp = ImpairmentConfig.case(cfg.impairment_case)
     y = _run_stage("transmit", transmit_chain, pa, x, imp)
-    m = cfg.arch.memory_depth
-    if cfg.model == "gmp":  # gmp fits on the scaled signals and needs only the dataset's scale
-        scale = _run_stage("dataset", joint_scale, x, y, m, cfg.dataset_count)
-    else:
-        train, test = _run_stage("dataset", build_dataset, x, y, m, cfg.dataset_count, cfg.split_seed)
-        scale = train.scale
-
-    results: dict = {
-        "model": cfg.model,
-        "papr_db": float(papr_db(x)),
-        "scale": float(scale),
-    }
-    # the samples the fit and the scoring read, scaled: the dataset's, and
-    # for gmp those its basis reaches past them, up to the signal's end
-    head = m + cfg.dataset_count + (cfg.gmp.max_future if cfg.model == "gmp" else 0)
-    xs = x.with_data(x.data[:head] * scale)
-    ys = y.data[:head] * scale
-    if cfg.model == "gmp":
-        fit = _run_stage("train", _fit_gmp, cfg, xs, ys)
-    else:
-        fit = _run_stage("train", _fit_network, cfg, xs, train, test)
-    results.update(fit.results)
-    # the rows each split's NMSE scores: gmp drops those its basis cannot reach
-    results["n_train"], results["n_test"] = len(fit.train_pos), len(fit.test_pos)
-    hist1, lm_result = fit.hist1, fit.lm_result
-    if hist1 is not None:
-        results["stage1"] = {
-            "iters": int(hist1.shape[0]),
-            "final_mse": float(hist1[-1, 1]) if hist1.size else None,
-        }
-    if lm_result is not None:
-        results["stage2"] = {
-            "iters": lm_result.n_iters,
-            "converged": bool(lm_result.converged),
-            "reason": lm_result.reason,
-            # a rejected row carries the mse of the last accepted step
-            "final_mse": float(lm_result.history[-1, 1]) if lm_result.history.size else None,
-        }
-    ref = ys[fit.rows]
+    fit = _run_stage("train", _fit_gmp if cfg.model == "gmp" else _fit_network, cfg, x, y)
+    # n_train and n_test count the rows each split's NMSE scores: gmp drops those its basis cannot reach
+    results = {"model": cfg.model, "papr_db": float(papr_db(x)), "scale": float(fit.scale), **fit.results,
+               "n_train": len(fit.train_pos), "n_test": len(fit.test_pos)}
 
     def compute_metrics():
         for split, pos in (("train", fit.train_pos), ("test", fit.test_pos)):
-            results[f"nmse_{split}_db"] = nmse_db(fit.pred[pos], ref[pos])
+            results[f"nmse_{split}_db"] = nmse_db(fit.pred[pos], fit.ref[pos])
         freqs, psd_out = psd_welch(y, cfg.segment)
         lo_db, hi_db = acpr_db(freqs, psd_out, cfg.signal.occupied_bandwidth_hz)
         results["acpr_output_db"] = [lo_db, hi_db]
-        err = ComplexSeq(fit.pred - ref, x.sample_rate_hz)
-        ref_seq = ComplexSeq(ref, x.sample_rate_hz)
+        err = ComplexSeq(fit.pred - fit.ref, x.sample_rate_hz)
+        ref_seq = ComplexSeq(fit.ref, x.sample_rate_hz)
         ef, err_psd = psd_welch(err, cfg.segment)
         _, ref_psd = psd_welch(ref_seq, cfg.segment)
         return ef, ref_psd, err_psd
@@ -354,19 +338,12 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> dict:
 
     report, out, tag = _report(cfg, "results", results, output_dir, "report.json")
     if out is not None:
-        if hist1 is not None and hist1.size:
-            write_csv(out / "history_stage1.csv", ["iter", "mse_train", "mse_test"][: hist1.shape[1]],
-                      [hist1[:, 0].astype(int), *hist1[:, 1:].T], tag)
-        if lm_result is not None and lm_result.history.size:
-            it, mse, mu, accepted, gnorm = lm_result.history.T
-            write_csv(out / "history_stage2.csv", ["iter", "mse", "mu", "accepted", "grad_norm"],
-                      [it.astype(int), mse, mu, accepted.astype(int), gnorm], tag)
         err_db = 10.0 * np.log10(np.maximum(err_psd, 1e-30))
         ref_db = 10.0 * np.log10(np.maximum(ref_psd, 1e-30))
         write_csv(out / "error_spectrum.csv", ["freq_hz", "ref_psd_db", "error_psd_db"],
                   [ef, ref_db, err_db], tag)
-        if fit.save is not None:
-            fit.save(out / "model.json")
+        for name, write in fit.files.items():
+            write(out / name, tag)
     return report
 
 

@@ -82,23 +82,30 @@ def test_a_pa_that_cannot_reach_3_db_is_a_pa_stage_error(tmp_path, capsys, monke
     assert not (out / "report.json").exists()
 
 
-# The function each pipeline stage calls, as `padpd.experiment` names it.
+# The function each pipeline stage calls, as `padpd.experiment` names it: for
+# the conv model, and for the gmp and MLP fits, which run their own dataset stage.
 _RUN_STAGES = {"signal": "generate_ofdm", "pa": "default_pa", "transmit": "transmit_chain",
                "dataset": "build_dataset", "train": "_fit_network", "metrics": "psd_welch"}
+_GMP_STAGES = {"dataset": "joint_scale", "train": "gmp_fit_ls", "metrics": "psd_welch"}
+_RVTDNN_STAGES = {"dataset": "build_dataset", "train": "train_mlp_baseline"}
 _DPD_STAGES = {"signal": "generate_ofdm", "pa": "default_pa", "transmit": "transmit_chain",
                "train": "train_dpd", "linearize": "evaluate_linearization"}
+_STAGE_CASES = ([("run", "conv_net", *item) for item in _RUN_STAGES.items()]
+                + [("run", "gmp", *item) for item in _GMP_STAGES.items()]
+                + [("run", "rvtdnn", *item) for item in _RVTDNN_STAGES.items()]
+                + [("dpd", "conv_net", *item) for item in _DPD_STAGES.items()])
 
 
-@pytest.mark.parametrize("command, stage, name",
-                         [("run", *item) for item in _RUN_STAGES.items()]
-                         + [("dpd", *item) for item in _DPD_STAGES.items()])
-def test_every_stage_failure_exits_1_and_names_its_stage(command, stage, name, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command, model, stage, name", _STAGE_CASES,
+                         ids=["-".join([c, *([m] if m != "conv_net" else []), s, n]) for c, m, s, n in _STAGE_CASES])
+def test_every_stage_failure_exits_1_and_names_its_stage(command, model, stage, name, tmp_path, capsys,
+                                                         monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError(f"{name} failed")
 
     monkeypatch.delenv("PADPD_VERBOSE", raising=False)
     monkeypatch.setattr(f"padpd.experiment.{name}", fail)
-    cfg = write_config(tmp_path, {**SMALL_DOC, "adam": {"max_iters": 5}, "lm": {"max_iters": 2}})
+    cfg = write_config(tmp_path, {**SMALL_DOC, "model": model, "adam": {"max_iters": 5}, "lm": {"max_iters": 2}})
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--output-dir", str(out)]) == 1
     assert capsys.readouterr().err == f"error [{stage}]: {name} failed\n"

@@ -172,6 +172,17 @@ def test_stage2_final_mse_when_lm_accepts_no_step(tmp_path):
     assert stage2["final_mse"] == float(mse)
 
 
+def test_lm_stopping_at_its_first_check_writes_no_stage2_history(tmp_path):
+    """At grad_tol 1 the head's gradient is already small enough: LM takes no
+    step, the report says why, and of the conv fit's files only the LM
+    history is missing."""
+    cfg = small_config(lm=LmConfig(max_iters=15, grad_tol=1.0))
+    stage2 = run_experiment(cfg, tmp_path)["results"]["stage2"]
+    assert stage2 == {"iters": 0, "converged": True, "reason": "gradient", "final_mse": None}
+    assert (tmp_path / "history_stage1.csv").exists() and (tmp_path / "model.json").exists()
+    assert not (tmp_path / "history_stage2.csv").exists()
+
+
 def _run_at_blas_threads(threads: str, script: str, *args: str) -> str:
     """Run ``script`` in a fresh interpreter at ``threads`` OpenBLAS threads; return its stdout."""
     src = str(Path(padpd.__file__).resolve().parents[1])
