@@ -23,6 +23,7 @@ __all__ = [
     "GmpConfig",
     "GmpModel",
     "gmp_table_config",
+    "gmp_envelope_powers",
     "gmp_basis_at",
     "gmp_fit_ls",
     "save_gmp",
@@ -131,22 +132,35 @@ def _column_specs(cfg: GmpConfig) -> list[tuple[int, int, int]]:
     return specs
 
 
-def gmp_basis_at(x: ComplexSeq, cfg: GmpConfig, n_indices: np.ndarray) -> np.ndarray:
-    """Basis rows evaluated at the given absolute sample indices."""
+def gmp_envelope_powers(samples: np.ndarray, cfg: GmpConfig) -> dict:
+    """|s(n)|^k of the samples for each envelope order k of the config's
+    terms, keyed by k: what `gmp_basis_at` reads."""
+    env = np.abs(samples)
+    return {k: env**k for k in {k for _, _, k in _column_specs(cfg)}}
+
+
+def gmp_basis_at(x: ComplexSeq, cfg: GmpConfig, n_indices: np.ndarray, powers: dict | None = None) -> np.ndarray:
+    """Basis rows evaluated at the given absolute sample indices.
+
+    Without ``powers`` the envelope powers are taken over the span of samples
+    the indices reach. A caller that evaluates one signal's rows block by
+    block passes the `gmp_envelope_powers` of all of ``x.data`` instead, so
+    they are taken once.
+    """
     n = np.asarray(n_indices, dtype=int).reshape(-1)
     if n.size == 0:
         raise ValueError("no sample indices given")
     if n.min() - cfg.max_past < 0 or n.max() + cfg.max_future >= len(x):
         raise ValueError("requested indices reach outside the signal for this config")
-    # one gather per signal delay and one power per envelope order, over the
-    # span the indices reach; column j is then one product of two gathers
-    lo = n.min() - cfg.max_past
-    span = x.data[lo : n.max() + cfg.max_future + 1]
-    env = np.abs(span)
-    n = n - lo
+    # one gather per signal delay and one power per envelope order; column j
+    # is then one product of two gathers
+    lo = 0
+    if powers is None:
+        lo = n.min() - cfg.max_past
+        powers = gmp_envelope_powers(x.data[lo : n.max() + cfg.max_future + 1], cfg)
+    span, n = x.data[lo:], n - lo
     specs = _column_specs(cfg)
     delayed = {l: span[n - l] for l in {l for l, _, _ in specs}}
-    powers = {k: env**k for k in {k for _, _, k in specs}}
     cols = np.empty((n.size, cfg.n_terms), dtype=np.complex128)
     for j, (l, d, k) in enumerate(specs):
         np.multiply(delayed[l], powers[k][n - d], out=cols[:, j])
@@ -155,14 +169,18 @@ def gmp_basis_at(x: ComplexSeq, cfg: GmpConfig, n_indices: np.ndarray) -> np.nda
 
 # rows per Householder block. LAPACK's QR of this few columns runs unblocked,
 # one pass over the matrix per column; a block of the table config's [A | y]
-# (1024 x 108 complex, 1.8 MB) stays in a 4 MB L2 for all of its passes
+# (1024 x 108 complex, 1.8 MB) stays in a 4 MB L2 for all of its passes. A fit
+# whose basis is a function of row slices holds no more of it than one block.
 _QR_BLOCK = 1024
 
 
-def gmp_fit_ls(basis: np.ndarray, y: np.ndarray, cfg: GmpConfig, ridge: float = 0.0) -> GmpModel:
+def gmp_fit_ls(basis, y: np.ndarray, cfg: GmpConfig, ridge: float = 0.0) -> GmpModel:
     """Least-squares coefficients, optionally ridge-regularized.
 
-    ``basis`` holds the columns of ``cfg`` (from `gmp_basis_at`), in its order.
+    ``basis`` holds the columns of ``cfg`` (from `gmp_basis_at`), in its
+    order, one row per target sample: a matrix, or a function that returns
+    the matrix's rows in a given slice, which it is called with once per
+    block. Both give the same bytes.
 
     A tall-skinny QR: Householder QR of ``[basis | y]`` one block of
     `_QR_BLOCK` rows at a time, then of the stacked R factors. The final R's
@@ -172,15 +190,17 @@ def gmp_fit_ls(basis: np.ndarray, y: np.ndarray, cfg: GmpConfig, ridge: float = 
     basis is an error (add ridge to proceed); the rank counts the triangle's
     singular values above lstsq's cutoff, eps·max(rows, cols)·s_max.
     """
-    basis = np.asarray(basis, dtype=np.complex128)
     target = np.asarray(y, dtype=np.complex128).reshape(-1)
-    if basis.ndim != 2:
-        raise ValueError("basis must be a 2-D matrix")
-    rows, cols = basis.shape
-    if target.size != rows:
-        raise ValueError(f"target length {target.size} does not match {rows} basis rows")
-    if cols != cfg.n_terms:
-        raise ValueError(f"basis has {cols} columns, but the config has {cfg.n_terms} terms")
+    rows, cols = target.size, cfg.n_terms
+    if not callable(basis):
+        matrix = np.asarray(basis, dtype=np.complex128)
+        if matrix.ndim != 2:
+            raise ValueError("basis must be a 2-D matrix")
+        if matrix.shape[0] != rows:
+            raise ValueError(f"target length {rows} does not match {matrix.shape[0]} basis rows")
+        if matrix.shape[1] != cols:
+            raise ValueError(f"basis has {matrix.shape[1]} columns, but the config has {cols} terms")
+        basis = matrix.__getitem__
     if rows < cols:
         raise ValueError(f"underdetermined system: {rows} rows < {cols} columns")
     if ridge < 0:
@@ -189,9 +209,10 @@ def gmp_fit_ls(basis: np.ndarray, y: np.ndarray, cfg: GmpConfig, ridge: float = 
     aug = np.empty((min(rows, _QR_BLOCK), cols + 1), dtype=np.complex128)
     factors = []
     for lo in range(0, rows, _QR_BLOCK):
-        block = aug[: min(rows - lo, _QR_BLOCK)]
-        block[:, :cols] = basis[lo : lo + _QR_BLOCK]
-        block[:, cols] = target[lo : lo + _QR_BLOCK]
+        part = slice(lo, min(rows, lo + _QR_BLOCK))
+        block = aug[: part.stop - lo]
+        block[:, :cols] = basis(part)
+        block[:, cols] = target[part]
         factors.append(np.linalg.qr(block, mode="r"))
     if ridge > 0:
         factors.append(np.eye(cols, cols + 1) * np.sqrt(ridge))

@@ -18,8 +18,10 @@ import numpy as np
 
 from . import codec
 from .baselines import (
+    _QR_BLOCK,
     GmpConfig,
     gmp_basis_at,
+    gmp_envelope_powers,
     gmp_fit_ls,
     gmp_table_config,
     mlp_baseline_spec,
@@ -47,7 +49,7 @@ from .network import (
     save_params,
 )
 from .pa import ImpairmentConfig, default_pa, transmit_chain
-from .signals import ComplexSeq, OfdmConfig, generate_ofdm, papr_db
+from .signals import ComplexSeq, OfdmConfig, _even_slices, generate_ofdm, papr_db
 from .training import (
     AdamConfig,
     LmConfig,
@@ -249,15 +251,14 @@ def _fit_gmp(cfg: ExperimentConfig, x: ComplexSeq, y: ComplexSeq) -> _Fit:
     lo, hi = cfg.gmp.max_past, cfg.dataset_count + m - cfg.gmp.max_future
     tr, te = (rel + m for rel in split_indices(cfg.dataset_count, cfg.split_seed))
     tr, te = tr[(tr >= lo) & (tr < hi)], te[(te >= lo) & (te < hi)]
-    # one basis over every row, the train rows first in split order, so that
-    # the fit reads them as a leading slice and no copy of them is made
-    rest = np.ones(len(rows), dtype=bool)
-    rest[tr - rows[0]] = False
-    order = np.concatenate([tr, rows[rest]])
-    basis = gmp_basis_at(xs, cfg.gmp, order)
-    model = gmp_fit_ls(basis[: len(tr)], ys[tr], cfg.gmp, cfg.ridge)
+    # the basis is never whole: the fit takes it one QR block of train rows at a
+    # time, the prediction in near-equal blocks of the ordered rows, none of
+    # one row (numpy multiplies a one-row matrix by another path)
+    powers = gmp_envelope_powers(xs.data, cfg.gmp)
+    model = gmp_fit_ls(lambda part: gmp_basis_at(xs, cfg.gmp, tr[part], powers), ys[tr], cfg.gmp, cfg.ridge)
     pred = np.empty(len(rows), dtype=np.complex128)
-    pred[order - rows[0]] = basis @ model.coeffs
+    for part in _even_slices(len(rows), _QR_BLOCK):
+        pred[part] = gmp_basis_at(xs, cfg.gmp, rows[part], powers) @ model.coeffs
     results = {"coeff_count": gmp_coeff_count(cfg.gmp), "flops": gmp_flops(cfg.gmp), "ridge": float(cfg.ridge)}
     return _Fit(scale, pred, ys[rows], tr - rows[0], te - rows[0], results,
                 {"model.json": lambda path, tag: save_gmp(model, path)})

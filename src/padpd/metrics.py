@@ -47,7 +47,7 @@ def _hann(m: int) -> np.ndarray:
     return w[:-1]
 
 
-# Frames per FFT call: bounds the windowed copy and its spectrum (4 MB each at 1024 bins).
+# Frames per FFT call: bounds the windowed copy that the FFT and |X|^2 overwrite (4 MB at 1024 bins).
 _WELCH_CHUNK_FRAMES = 256
 
 
@@ -57,6 +57,9 @@ def psd_welch(x: ComplexSeq, segment: int = 1024):
     Frames, window and scaling are those of ``scipy.signal.welch(...,
     detrend=False, return_onesided=False)``, whose frames overlap by half:
     the mean |FFT|^2 of the windowed frames, scaled by 1 / (fs * sum(w^2)).
+    At most `_WELCH_CHUNK_FRAMES` frames are windowed at a time, into one
+    buffer that their FFT and then |X|^2 overwrite, so that buffer is all the
+    call allocates beyond a few segment-length arrays.
 
     Returns (freqs_hz, psd) with freqs ascending from -fs/2; integrating
     psd * df recovers the mean signal power (Parseval, within window bias).
@@ -69,9 +72,16 @@ def psd_welch(x: ComplexSeq, segment: int = 1024):
     frames = np.lib.stride_tricks.sliding_window_view(x.data, segment)[::step]
     window = _hann(segment)
     power = np.zeros(segment)
+    buf = np.empty((min(len(frames), _WELCH_CHUNK_FRAMES), segment), dtype=np.complex128)
     for start in range(0, len(frames), _WELCH_CHUNK_FRAMES):
-        spec = np.fft.fft(frames[start : start + _WELCH_CHUNK_FRAMES] * window, axis=1)
-        power += (spec.real**2 + spec.imag**2).sum(axis=0)
+        chunk = frames[start : start + _WELCH_CHUNK_FRAMES]
+        spec = np.multiply(chunk, window, out=buf[: len(chunk)])
+        np.fft.fft(spec, axis=1, out=spec)
+        parts = spec.view(np.float64)  # real and imaginary parts, interleaved
+        np.square(parts, out=parts)
+        sq = parts[:, 0::2]
+        sq += parts[:, 1::2]
+        power += sq.sum(axis=0)
     psd = power / (len(frames) * x.sample_rate_hz * np.dot(window, window))
     return np.fft.fftshift(np.fft.fftfreq(segment, 1.0 / x.sample_rate_hz)), np.fft.fftshift(psd)
 

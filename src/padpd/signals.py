@@ -229,13 +229,16 @@ def generate_ofdm(cfg: OfdmConfig) -> ComplexSeq:
     Each row of `ofdm_symbol_grid` goes through a unitary IFFT, which keeps
     the grid's mean power, and the rows are concatenated in time. The whole
     sequence's spectrum then takes the gains of `_shape_spectrum`, and the
-    result is divided by its peak. At most two full-length arrays are alive:
-    each transform's input is dropped once its output exists, the gains go
-    into the spectrum chunk by chunk and the peak division is in place.
+    result is divided by its peak. One full-length array is alive: the three
+    transforms write into the grid's own buffer (``out=``), the gains go into
+    the spectrum chunk by chunk and the peak division is in place. numpy's FFT
+    work arrays come on top of it.
     """
-    spec = np.fft.fft(np.fft.ifft(ofdm_symbol_grid(cfg), axis=1, norm="ortho").reshape(-1))
-    x = np.fft.ifft(_shape_spectrum(spec, cfg.sample_rate_hz, cfg))
-    del spec
+    grid = ofdm_symbol_grid(cfg)
+    np.fft.ifft(grid, axis=1, norm="ortho", out=grid)
+    x = grid.reshape(-1)
+    np.fft.fft(x, out=x)
+    np.fft.ifft(_shape_spectrum(x, cfg.sample_rate_hz, cfg), out=x)
     peak = _peak(x)
     if peak == 0.0:
         raise ValueError("cannot peak-normalize an all-zero signal")

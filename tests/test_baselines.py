@@ -160,6 +160,8 @@ def test_fit_recovers_known_model(n_rows):
     model = gmp_fit_ls(basis, y, cfg=cfg)
     assert np.allclose(model.coeffs, true_coeffs, atol=1e-8)
     assert nmse_db(basis @ model.coeffs, y) <= -100
+    # the basis as a function of row slices: the same QR inputs, the same bytes
+    assert gmp_fit_ls(lambda part: basis[part].copy(), y, cfg).coeffs.tobytes() == model.coeffs.tobytes()
 
     # ridge keeps the solution close on a well-conditioned problem
     ridged = gmp_fit_ls(basis, y, ridge=1e-10, cfg=cfg)

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,13 +17,16 @@ import numpy as np
 import pytest
 
 import padpd
+import padpd.experiment as experiment
 from padpd.baselines import (
     GmpConfig,
     gmp_basis_at,
+    gmp_fit_ls,
+    gmp_table_config,
     mlp_baseline_spec,
     mlp_features_from_graphs,
 )
-from padpd.dataset import build_dataset, split_indices
+from padpd.dataset import build_dataset, joint_scale, split_indices
 from padpd.experiment import (
     ExperimentConfig,
     StageError,
@@ -308,6 +312,55 @@ def test_gmp_report_matches_per_split_basis(tmp_path, gmp):
         pred = gmp_basis_at(xs, cfg.gmp, idx) @ np.array(coeffs)
         assert res[f"nmse_{split}_db"] == pytest.approx(nmse_db(pred, ys[idx]), abs=1e-12)
         assert res[f"n_{split}"] == len(idx)
+
+
+@pytest.mark.parametrize("count, n_train", [(1500, 899), (3417, 2048), (14000, 8399)],
+                         ids=["one-block", "two-full-blocks", "remainder"])
+@pytest.mark.parametrize("ridge", [0.0, 1e-8])
+def test_blocked_gmp_fit_has_the_bytes_of_the_whole_basis(tmp_path, count, n_train, ridge):
+    """The fit, fed its basis one QR block of train rows at a time, and the
+    prediction, one block of rows at a time, give the bytes of the whole-basis
+    fit: one basis over every row, the train rows first in split order, whose
+    leading slice is fitted and which is multiplied by the coefficients once."""
+    cfg = ExperimentConfig(model="gmp", signal=OfdmConfig(n_symbols=50), dataset_count=count, ridge=ridge)
+    x = generate_ofdm(cfg.signal)
+    y = transmit_chain(default_pa(cfg.pa_seed, cfg.pa_k_order, cfg.pa_q_depth), x,
+                       ImpairmentConfig.case(cfg.impairment_case))
+    fit = experiment._fit_gmp(cfg, x, y)
+    fit.files["model.json"](tmp_path / "model.json", "")
+    coeffs = np.array([complex(re, im) for re, im in json.loads((tmp_path / "model.json").read_text())["coeffs"]])
+
+    m = cfg.arch.memory_depth
+    scale = joint_scale(x, y, m, count)
+    xs, ys = x.scaled(scale), y.data * scale
+    rows = np.arange(max(m, cfg.gmp.max_past), m + count)  # the table config reaches no future sample
+    tr = split_indices(count, cfg.split_seed)[0] + m
+    tr = tr[tr >= rows[0]]
+    assert len(tr) == n_train and np.array_equal(rows[fit.train_pos], tr)
+    order = np.concatenate([tr, np.setdiff1d(rows, tr)])
+    basis = gmp_basis_at(xs, cfg.gmp, order)
+    whole = gmp_fit_ls(basis[:n_train], ys[tr], cfg.gmp, ridge)
+    assert coeffs.tobytes() == whole.coeffs.tobytes()
+    pred = np.empty(len(rows), dtype=np.complex128)
+    pred[order - rows[0]] = basis @ whole.coeffs
+    assert fit.pred.tobytes() == pred.tobytes()
+
+
+def test_gmp_run_never_holds_its_whole_basis():
+    """The gmp fit's tracemalloc peak stays below one rows x terms complex
+    basis (24 MB here): the fit and the prediction build it a block of rows at
+    a time. The drive is short, so the basis would dominate the run."""
+    cfg = ExperimentConfig(model="gmp", signal=OfdmConfig(n_symbols=50))
+    run_experiment(replace(cfg, dataset_count=1500))  # imports and FFT plans outside the measurement
+    tracemalloc.start()
+    try:
+        res = run_experiment(cfg)["results"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = res["n_train"] + res["n_test"]
+    assert rows == 13997
+    assert peak < rows * gmp_table_config().n_terms * 16, peak
 
 
 @pytest.mark.parametrize("model", ["conv_net", "rvtdnn"])

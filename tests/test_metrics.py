@@ -1,5 +1,7 @@
 """Tests for NMSE, Welch PSD, and ACPR integration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from padpd.metrics import (
+    _WELCH_CHUNK_FRAMES,
     NMSE_FLOOR_DB,
     _hann,
     acpr_db,
@@ -76,6 +79,33 @@ def test_welch_matches_scipy(segment, n_frames, extra, complex_input, seed):
                                    return_onesided=False, scaling="density")
     np.testing.assert_allclose(freqs, np.fft.fftshift(ref_f), rtol=1e-15)
     np.testing.assert_allclose(psd, np.fft.fftshift(ref_p), rtol=1e-9, atol=1e-12 * ref_p.max())
+
+
+@pytest.mark.parametrize("segment", [1024, 100])
+def test_welch_transforms_each_chunk_in_place(segment):
+    """On a 640 000-sample drive the tracemalloc peak is one chunk's windowed
+    frames plus 512 KB, which covers numpy's ufunc buffers: the FFT and |X|^2
+    overwrite those frames (with a fresh spectrum and squares, 12.6 MB at
+    1024 bins). The PSD keeps the bytes of the fresh-array sums."""
+    rng = np.random.default_rng(4)
+    x = ComplexSeq(rng.standard_normal(640_000) + 1j * rng.standard_normal(640_000), 2e6)
+    psd_welch(ComplexSeq(x.data[:4 * segment]), segment)  # FFT plans outside the measurement
+    tracemalloc.start()
+    try:
+        freqs, psd = psd_welch(x, segment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * segment * _WELCH_CHUNK_FRAMES + 2**19, peak
+
+    frames = np.lib.stride_tricks.sliding_window_view(x.data, segment)[:: segment - segment // 2]
+    window = _hann(segment)
+    power = np.zeros(segment)
+    for start in range(0, len(frames), _WELCH_CHUNK_FRAMES):
+        spec = np.fft.fft(frames[start : start + _WELCH_CHUNK_FRAMES] * window, axis=1)
+        power += (spec.real**2 + spec.imag**2).sum(axis=0)
+    want = power / (len(frames) * x.sample_rate_hz * np.dot(window, window))
+    assert psd.tobytes() == np.fft.fftshift(want).tobytes()
 
 
 def test_welch_window_is_scipys_hann():

@@ -29,7 +29,7 @@ tree_diff = _load_tool("tree_diff")
 
 def test_run_names_are_unique():
     names = [name for name, _, _, _ in output_trees.RUNS]
-    assert len(names) == 24 and len(set(names)) == len(names)
+    assert len(names) == 25 and len(set(names)) == len(names)
 
 
 @pytest.mark.parametrize("name, command, overrides, extra", output_trees.RUNS,

@@ -45,6 +45,8 @@ RUNS = [
     ("conv-reuse", "run", ["adam.max_iters=300", "reuse_filter_from=conv-300/model.json"], []),
     ("gmp", "run", ["model=gmp", "adam.max_iters=200"], []),
     ("gmp-ridge", "run", ["model=gmp", "ridge=1e-8"], []),
+    # 899 train rows: the fit's basis is one QR block
+    ("gmp-one-block", "run", ["model=gmp", "dataset_count=1500"], []),
     *[(m, "run", [f"model={m}", "adam.max_iters=200"], []) for m in _MLP_MODELS],
     ("sweep-2-3", "sweep-memory",
      ["signal.n_symbols=4", "dataset_count=400", "segment=256", "adam.max_iters=150", "lm.max_iters=10"],
