@@ -58,8 +58,9 @@ def psd_welch(x: ComplexSeq, segment: int = 1024):
     detrend=False, return_onesided=False)``, whose frames overlap by half:
     the mean |FFT|^2 of the windowed frames, scaled by 1 / (fs * sum(w^2)).
     At most `_WELCH_CHUNK_FRAMES` frames are windowed at a time, into one
-    buffer that their FFT and then |X|^2 overwrite, so that buffer is all the
-    call allocates beyond a few segment-length arrays.
+    buffer that their FFT and then |X|^2 overwrite: beyond a few
+    segment-length arrays and numpy's ufunc buffers, it is all the call
+    allocates.
 
     Returns (freqs_hz, psd) with freqs ascending from -fs/2; integrating
     psd * df recovers the mean signal power (Parseval, within window bias).

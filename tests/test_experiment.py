@@ -347,9 +347,10 @@ def test_blocked_gmp_fit_has_the_bytes_of_the_whole_basis(tmp_path, count, n_tra
 
 
 def test_gmp_run_never_holds_its_whole_basis():
-    """The gmp fit's tracemalloc peak stays below one rows x terms complex
-    basis (24 MB here): the fit and the prediction build it a block of rows at
-    a time. The drive is short, so the basis would dominate the run."""
+    """A gmp run's tracemalloc peak stays below one rows x terms complex
+    basis (24 MB here; 32.4 MB with the whole basis built): the fit and the
+    prediction build it a block of rows at a time. The drive is short, so the
+    basis would dominate the run."""
     cfg = ExperimentConfig(model="gmp", signal=OfdmConfig(n_symbols=50))
     run_experiment(replace(cfg, dataset_count=1500))  # imports and FFT plans outside the measurement
     tracemalloc.start()
